@@ -5,27 +5,26 @@ Command-line runner for the packaged experiments.
     kerrzeno validate <config.json>
     kerrzeno list
 
-Exit codes: 0 success, 2 config error, 3 numeric/truncation error,
-4 I/O error.  With no output path the payload goes to stdout; progress
-and summaries go to stderr so piped output stays clean.  The worker
-count of ensemble experiments can be capped with the environment
-variable KERRZENO_THREADS (default: available parallelism).
+Exit codes: 0 success, 2 config error (including a master seed outside
+[0, 2**63)), 3 numeric/truncation error (any ValueError a validated
+config raises while running), 4 I/O error.  With no output path the
+payload goes to stdout; progress and summaries go to stderr so piped
+output stays clean.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
 
-import numpy as np
-
 from .experiments import (
     EXPERIMENTS,
-    ExperimentConfig,
     envelope_json_dict,
     run_experiment,
+    seed_problem,
     validate_config,
     write_csv,
 )
@@ -65,13 +64,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _report_errors(errors)
         return EXIT_CONFIG
     if args.seed is not None:
-        config = ExperimentConfig(
-            experiment=config.experiment,
-            parameters=config.parameters,
-            output_path=config.output_path,
-            output_format=config.output_format,
-            master_seed=args.seed,
-        )
+        problem = seed_problem(args.seed)
+        if problem is not None:
+            _report_errors([("master_seed", f"--seed {problem}")])
+            return EXIT_CONFIG
+        config = dataclasses.replace(config, master_seed=args.seed)
     out_path = args.output if args.output is not None else config.output_path
     out_format = args.format if args.format is not None else config.output_format
 
@@ -81,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hint = f" (try dim >= {exc.required_dim})" if exc.required_dim else ""
         print(f"numeric error: {exc}{hint}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

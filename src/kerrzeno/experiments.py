@@ -43,6 +43,7 @@ __all__ = [
     "ResultEnvelope",
     "EXPERIMENTS",
     "validate_config",
+    "seed_problem",
     "run_experiment",
     "envelope_json_dict",
     "write_csv",
@@ -139,6 +140,15 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
 _FORMATS = ("csv", "json")
 
 
+def seed_problem(seed: Any) -> str | None:
+    """Why ``seed`` is not a valid master seed, or None when it is."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        return "must be an integer"
+    if not 0 <= seed < observed.SEED_LIMIT:
+        return f"must be in [0, 2**63), got {seed}"
+    return None
+
+
 def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, str]]]:
     """Validate a parsed config tree; returns (config, errors).
 
@@ -166,8 +176,9 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
         spec = EXPERIMENTS[name]
 
     seed = raw.get("master_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        errors.append(("master_seed", "must be an integer"))
+    problem = seed_problem(seed)
+    if problem is not None:
+        errors.append(("master_seed", problem))
         seed = 0
 
     out_path: str | None = None

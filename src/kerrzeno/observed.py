@@ -17,17 +17,16 @@ that rebuilds the chained kernels numerically.
 Randomness
 ----------
 Trajectory ``i`` of a run keyed by ``master_seed`` owns the Philox
-counter stream keyed ``(master_seed, i)``; step ``j`` consumes uniforms
+counter stream keyed ``(master_seed, i)``, with ``0 <= master_seed < 2**63``
+(numpy reads larger tuple keys through float64, so distinct seeds there
+would share streams); step ``j`` consumes uniforms
 ``2j`` and ``2j + 1`` of that stream, turned into normals by Box-Muller.
-Results are therefore bit-identical however trajectories are scheduled,
-chunked, or spread over workers.
+Results are therefore bit-identical however trajectories are chunked.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +57,12 @@ __all__ = [
     "analytic_final_distribution",
     "survival_density_continuous",
     "chain_convolution_check",
+    "SEED_LIMIT",
 ]
 
-THREADS_ENV_VAR = "KERRZENO_THREADS"
+# Exclusive upper bound of master_seed: below it every (seed, index) tuple
+# key reaches Philox exactly.
+SEED_LIMIT = 2**63
 
 # Total accumulated angles closer than this to a multiple of 2 pi are
 # treated as exact returns when evaluating the survival density.
@@ -131,6 +133,8 @@ class ObservedRunConfig:
             raise ValueError("n_trajectories must be >= 1")
         if int(self.master_seed) != self.master_seed:
             raise ValueError("master_seed must be an integer")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ValueError(f"master_seed must be in [0, 2**63), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def _trajectory_normals(master_seed: int, trajectory_index: int, n_steps: int) -
     Box-Muller over counter-ordered uniforms keeps the draw count per step
     fixed at two, so step j is a pure function of (seed, index, j).
     """
-    key = (int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(trajectory_index))
+    key = (int(master_seed), int(trajectory_index))
     gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.random((n_steps, 2))
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
@@ -211,16 +215,6 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryR
     )
 
 
-def _default_workers() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _ensemble_block(
     cfg: ObservedRunConfig,
     kernel: GaussianKernel,
@@ -243,35 +237,21 @@ def _ensemble_block(
 
 
 def run_ensemble(
-    cfg: ObservedRunConfig,
-    keep_paths: bool = False,
-    n_workers: int | None = None,
+    cfg: ObservedRunConfig, keep_paths: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Final outcomes of all trajectories, shape (n_trajectories, 2).
 
     With ``keep_paths`` the full (n_trajectories, n_steps, 2) history is
-    returned as well.  Output is bit-identical for any worker count since
-    every trajectory draws from its own stream and lands at its own index.
+    returned as well.  Trajectories run in chunks of 4096; each draws from
+    its own stream and lands at its own index, so chunking changes no value.
     """
     kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
     n_traj = cfg.n_trajectories
     finals = np.empty((n_traj, 2))
     paths = np.empty((n_traj, cfg.params.n_steps, 2)) if keep_paths else None
-    workers = n_workers if n_workers is not None else _default_workers()
-    chunks = [
-        np.arange(lo, min(lo + 4096, n_traj)) for lo in range(0, n_traj, 4096)
-    ]
-    if workers <= 1 or len(chunks) == 1:
-        for chunk in chunks:
-            _ensemble_block(cfg, kernel, chunk, finals, paths)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(
-                pool.map(
-                    lambda chunk: _ensemble_block(cfg, kernel, chunk, finals, paths),
-                    chunks,
-                )
-            )
+    for lo in range(0, n_traj, 4096):
+        chunk = np.arange(lo, min(lo + 4096, n_traj))
+        _ensemble_block(cfg, kernel, chunk, finals, paths)
     return (finals, paths) if keep_paths else finals
 
 
@@ -344,16 +324,6 @@ def _centered_axis(n: int, half_width: float) -> tuple[np.ndarray, float]:
     return (np.arange(n) - n // 2) * h, h
 
 
-def _gauss_grid(x: np.ndarray, y: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(cov)
-    quad = (
-        inv[0, 0] * x[:, None] ** 2
-        + 2.0 * inv[0, 1] * x[:, None] * y[None, :]
-        + inv[1, 1] * y[None, :] ** 2
-    )
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(float(np.linalg.det(cov))))
-
-
 def _convolve_same(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """FFT linear convolution resampled on the shared centered grid."""
     n = f.shape[0]
@@ -400,16 +370,22 @@ def chain_convolution_check(
         float(np.max(np.linalg.eigvalsh(c_n)))
     )
     x, h = _centered_axis(grid.n_points, half_width)
+    points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    origin = PhaseVector(0.0, 0.0)
+
+    def grid_density(cov: np.ndarray) -> np.ndarray:
+        return GaussianState2D(origin, cov).density(points)
+
     if n == 1:
         seed = seed_covariance(r)
         m_inv = rotation_matrix(theta).T
         numeric = _convolve_same(
-            _gauss_grid(x, x, m_inv @ seed @ m_inv.T), _gauss_grid(x, x, seed), h
+            grid_density(m_inv @ seed @ m_inv.T), grid_density(seed), h
         )
     else:
-        numeric = _gauss_grid(x, x, c1)
+        numeric = grid_density(c1)
         for j in range(1, n):
             rot = np.eye(2) if omit_rotation_step == j else rotation_matrix(-j * theta)
-            numeric = _convolve_same(_gauss_grid(x, x, rot @ c1 @ rot.T), numeric, h)
-    analytic = _gauss_grid(x, x, c_n)
+            numeric = _convolve_same(grid_density(rot @ c1 @ rot.T), numeric, h)
+    analytic = grid_density(c_n)
     return float(np.max(np.abs(numeric - analytic)) / np.max(analytic))

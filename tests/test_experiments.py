@@ -332,6 +332,58 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, parameters",
+    [
+        ("trajectories", {"tau": 0}),
+        ("two-level-sweep", {"c": 10, "beta": 0}),
+        ("identity-check", {"dim": 5, "dim_check": 10}),
+        ("revival", {"chi_t_min": 1e308, "chi_t_max": 1e308, "n_points": 2}),
+    ],
+)
+def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters):
+    # valid against the schema, but rejected by the numerics while running
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": parameters}
+    )
+    assert cli.main(["validate", config_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+def test_seed_outside_domain_is_config_error(tmp_path, capsys, seed):
+    params = {"n_trajectories": 4, "n_steps": 2}
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "master_seed": seed, "parameters": params}
+    )
+    assert cli.main(["validate", config_path]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    plain = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": params}, "plain.json"
+    )
+    out = tmp_path / "t.json"
+    assert cli.main(["run", plain, "--seed", str(seed), "--output", str(out)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path, capsys):
+    seed = 2**63 - 1
+    params = {"n_trajectories": 4, "n_steps": 2}
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "master_seed": seed, "parameters": params}
+    )
+    assert cli.main(["validate", config_path]) == 0
+    assert json.loads(capsys.readouterr().out)["master_seed"] == seed
+    out = tmp_path / "t.json"
+    assert cli.main(["run", config_path, "--seed", str(seed), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["master_seed"] == seed
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     config_path = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 """Observed-chain sampling against its closed-form distribution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,11 +180,22 @@ def test_ensemble_matches_individual_trajectories():
         np.testing.assert_array_equal(finals[index], record.points[-1])
 
 
-def test_ensemble_worker_count_invariance():
+def test_ensemble_chunking_invariance():
+    # 9000 trajectories span two full 4096-trajectory chunks and a partial one;
+    # a trajectory's final must not depend on the chunk it lands in
     cfg = make_config(n_steps=4, n_trajectories=9000, master_seed=8)
-    serial = run_ensemble(cfg, n_workers=1)
-    threaded = run_ensemble(cfg, n_workers=4)
-    assert np.array_equal(serial, threaded)
+    finals = run_ensemble(cfg)
+    for k in (4096, 4097, 5000):
+        prefix = run_ensemble(dataclasses.replace(cfg, n_trajectories=k))
+        assert np.array_equal(finals[:k], prefix)
+    for index in (4095, 4096, 8191, 8192):
+        assert np.array_equal(finals[index], run_trajectory(cfg, index).points[-1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+def test_run_config_rejects_seed_outside_domain(seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        make_config(master_seed=seed)
 
 
 def test_ensemble_final_covariance_vacuum():
