@@ -301,8 +301,10 @@ def squeezed_coherent_state(
 
 def kerr_propagate(psi: FockVector, chi_t: float) -> FockVector:
     """Apply exp(-i chi_t n^2) levelwise; phases only, norm unchanged."""
-    if not math.isfinite(chi_t):
-        raise ValueError("chi_t must be finite")
+    if not math.isfinite(chi_t * float(psi.dim - 1) ** 2):
+        raise ValueError(
+            f"chi_t * (dim - 1)**2 must be finite, got chi_t={chi_t!r} at dim={psi.dim}"
+        )
     n = np.arange(psi.dim)
     amps = psi.amps * np.exp(-1j * chi_t * n.astype(float) ** 2)
     return FockVector(amps=amps, dim=psi.dim, tail_mass=psi.tail_mass)

@@ -22,6 +22,11 @@ counter stream keyed ``(master_seed, i)``, with ``0 <= master_seed < 2**63``
 would share streams); step ``j`` consumes uniforms
 ``2j`` and ``2j + 1`` of that stream, turned into normals by Box-Muller.
 Results are therefore bit-identical however trajectories are chunked.
+
+Ensembles of chains of at most 64 steps evaluate Philox4x64-10, a pure
+function of (key, counter), in numpy across a whole chunk of trajectories;
+longer chains, and ``run_trajectory``, draw from one ``np.random.Philox``
+generator per trajectory.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -63,6 +68,20 @@ __all__ = [
 # Exclusive upper bound of master_seed: below it every (seed, index) tuple
 # key reaches Philox exactly.
 SEED_LIMIT = 2**63
+
+# Ensembles of chains up to this many steps evaluate Philox in numpy across
+# the chunk; above it one C generator per trajectory is faster (measured
+# crossover between 64 and 128 steps at 8192 trajectories).
+_VECTOR_MAX_STEPS = 64
+
+# Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11), as in numpy.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 # Total accumulated angles closer than this to a multiple of 2 pi are
 # treated as exact returns when evaluating the survival density.
@@ -159,6 +178,14 @@ class TrajectoryRecord:
         ]
 
 
+def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard normals per uniform pair; the one expression tree shared
+    by the per-trajectory and the vectorized streams."""
+    radius = np.sqrt(-2.0 * np.log1p(-u0))
+    angle = 2.0 * math.pi * u1
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
 def _trajectory_normals(master_seed: int, trajectory_index: int, n_steps: int) -> np.ndarray:
     """(n_steps, 2) standard normals from the (seed, index) Philox stream.
 
@@ -168,15 +195,51 @@ def _trajectory_normals(master_seed: int, trajectory_index: int, n_steps: int) -
     key = (int(master_seed), int(trajectory_index))
     gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.random((n_steps, 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    angle = 2.0 * math.pi * u[:, 1]
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return np.stack(_box_muller(u[:, 0], u[:, 1]), axis=1)
 
 
-def _color_noise(normals: np.ndarray, sqrt_cov: np.ndarray):
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of m * x, the high word from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return np.uint64(m) * x, hi
+
+
+def _philox_uniforms(
+    master_seed: int, indices: np.ndarray, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms 2j and 2j + 1 of every stream (master_seed, i), i in indices.
+
+    Returns two (n_steps, len(indices)) arrays whose columns equal
+    ``Generator(Philox(key=(master_seed, i))).random((n_steps, 2))[:, 0]``
+    and ``[:, 1]`` bit for bit.  numpy's Philox increments its 4-word
+    counter before each block, so block c = 1, 2, ... yields words
+    4(c - 1) ... 4c - 1, and a double is (word >> 11) * 2**-53.  The key
+    schedule stays in Python ints, so no numpy scalar wraps around.
+    """
+    n_blocks = (n_steps + 1) // 2
+    shape = (n_blocks, len(indices))
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None], shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    index_key = np.asarray(indices, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((master_seed + r * _PHILOX_W0) % 2**64)
+        k1 = index_key + np.uint64(r * _PHILOX_W1 % 2**64)
+        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    # step 2b reads words 0, 1 of block b and step 2b + 1 words 2, 3
+    u0 = np.stack([c0, c2], axis=1).reshape(2 * n_blocks, -1)[:n_steps]
+    u1 = np.stack([c1, c3], axis=1).reshape(2 * n_blocks, -1)[:n_steps]
+    return (u0 >> np.uint64(11)) * 2.0**-53, (u1 >> np.uint64(11)) * 2.0**-53
+
+
+def _color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
     """Componentwise coloring; one fixed expression tree per element so
     batched and single-trajectory paths round identically."""
-    n0, n1 = normals[..., 0], normals[..., 1]
     return (
         sqrt_cov[0, 0] * n0 + sqrt_cov[0, 1] * n1,
         sqrt_cov[1, 0] * n0 + sqrt_cov[1, 1] * n1,
@@ -203,7 +266,7 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryR
     kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
     n = cfg.params.n_steps
     normals = _trajectory_normals(cfg.master_seed, trajectory_index, n)
-    xi_q, xi_p = _color_noise(normals, kernel.sqrt_cov)
+    xi_q, xi_p = _color_noise(normals[:, 0], normals[:, 1], kernel.sqrt_cov)
     out_q, out_p = _chain_points(cfg.z0.q, cfg.z0.p, kernel.rotation, xi_q, xi_p)
     steps = np.arange(1, n + 1)
     return TrajectoryRecord(
@@ -223,10 +286,14 @@ def _ensemble_block(
     paths: np.ndarray | None,
 ) -> None:
     n = cfg.params.n_steps
-    normals = np.empty((n, len(indices), 2))
-    for row, ti in enumerate(indices):
-        normals[:, row, :] = _trajectory_normals(cfg.master_seed, int(ti), n)
-    xi_q, xi_p = _color_noise(normals, kernel.sqrt_cov)
+    if n <= _VECTOR_MAX_STEPS:
+        n0, n1 = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
+    else:
+        normals = np.empty((n, len(indices), 2))
+        for row, ti in enumerate(indices):
+            normals[:, row, :] = _trajectory_normals(cfg.master_seed, int(ti), n)
+        n0, n1 = normals[..., 0], normals[..., 1]
+    xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
     out_q, out_p = _chain_points(cfg.z0.q, cfg.z0.p, kernel.rotation, xi_q, xi_p)
     lo, hi = indices[0], indices[-1] + 1
     if paths is not None:
@@ -244,6 +311,9 @@ def run_ensemble(
     With ``keep_paths`` the full (n_trajectories, n_steps, 2) history is
     returned as well.  Trajectories run in chunks of 4096; each draws from
     its own stream and lands at its own index, so chunking changes no value.
+    For chains of at most 64 steps a chunk's streams are evaluated together
+    by a numpy Philox4x64-10; longer chains build one generator per
+    trajectory.  Both give the same bits.
     """
     kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
     n_traj = cfg.n_trajectories

@@ -1,6 +1,7 @@
 """Truncated-basis state construction, propagation, moments, and kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ def test_kerr_preserves_norm_and_mean_n():
         out = kerr_propagate(psi, chi_t)
         assert abs(out.norm_sq - psi.norm_sq) < 1e-14
         assert abs(number_moment(out, 1) - number_moment(psi, 1)) < 1e-10
+
+
+def test_kerr_rejects_overflowing_phase_without_warnings():
+    # chi_t * n**2 overflows at n = 59: refuse before numpy evaluates exp on inf
+    psi = coherent_state(4.0, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dim=60"):
+            kerr_propagate(psi, 1e308)
+
+
+def test_kerr_rejects_non_finite_chi_t_at_dim_one():
+    psi = FockVector(amps=np.array([1.0 + 0j]), dim=1, tail_mass=0.0)
+    for chi_t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dim=1"):
+            kerr_propagate(psi, chi_t)
 
 
 # --- mean amplitude ---------------------------------------------------------------

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kerrzeno import observed
 from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact
 from kerrzeno.observed import (
     ConvolutionGrid,
@@ -180,16 +183,56 @@ def test_ensemble_matches_individual_trajectories():
         np.testing.assert_array_equal(finals[index], record.points[-1])
 
 
-def test_ensemble_chunking_invariance():
+@pytest.mark.parametrize("n_steps", [4, observed._VECTOR_MAX_STEPS + 1])
+def test_ensemble_chunking_invariance(n_steps):
     # 9000 trajectories span two full 4096-trajectory chunks and a partial one;
-    # a trajectory's final must not depend on the chunk it lands in
-    cfg = make_config(n_steps=4, n_trajectories=9000, master_seed=8)
+    # a trajectory's final must not depend on the chunk it lands in.  The two
+    # chain lengths sit on either side of the vectorized-sampler threshold.
+    cfg = make_config(n_steps=n_steps, n_trajectories=9000, master_seed=8)
     finals = run_ensemble(cfg)
     for k in (4096, 4097, 5000):
         prefix = run_ensemble(dataclasses.replace(cfg, n_trajectories=k))
         assert np.array_equal(finals[:k], prefix)
     for index in (4095, 4096, 8191, 8192):
         assert np.array_equal(finals[index], run_trajectory(cfg, index).points[-1])
+
+
+# --- vectorized Philox sampler ------------------------------------------------------
+
+
+def assert_chunk_matches_generators(seed, offset, length, n_steps):
+    """Loop reference: one numpy Philox generator per trajectory."""
+    indices = np.arange(offset, offset + length)
+    u0, u1 = observed._philox_uniforms(seed, indices, n_steps)
+    n0, n1 = observed._box_muller(u0, u1)
+    assert u0.shape == u1.shape == (n_steps, length)
+    for row, index in enumerate(indices):
+        gen = np.random.Generator(np.random.Philox(key=(seed, int(index))))
+        u = gen.random((n_steps, 2))
+        assert np.array_equal(u0[:, row], u[:, 0])
+        assert np.array_equal(u1[:, row], u[:, 1])
+        normals = observed._trajectory_normals(seed, int(index), n_steps)
+        assert np.array_equal(n0[:, row], normals[:, 0])
+        assert np.array_equal(n1[:, row], normals[:, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, observed._VECTOR_MAX_STEPS])
+@pytest.mark.parametrize("offset", [0, 4090])
+def test_vectorized_philox_matches_generators(seed, n_steps, offset):
+    # offset 4090 with 12 trajectories crosses the 4096 chunk edge
+    assert_chunk_matches_generators(seed, offset, 12, n_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    offset=st.integers(0, 10**6 - 1),
+    length=st.integers(1, 300),
+    n_steps=st.integers(1, observed._VECTOR_MAX_STEPS),
+)
+def test_vectorized_philox_property(seed, offset, length, n_steps):
+    assert_chunk_matches_generators(seed, offset, length, n_steps)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
