@@ -71,7 +71,6 @@ from .observed import (
     gaussian_step_kernel,
     run_ensemble,
     run_trajectory,
-    sample_step,
     survival_density_continuous,
 )
 from .two_level import (

@@ -473,7 +473,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "polar quadrature grid, optionally with a doubled grid.",
             (
                 Field("r", "float", 0.0),
-                Field("dim", "int", 60, minimum=2),
+                Field("dim", "int", 60, minimum=2,
+                      help="must exceed dim_check; does not limit the defect"),
                 Field("dim_check", "int", 10, minimum=1),
                 Field("n_r", "int", 200, minimum=1),
                 Field("n_phi", "int", 128, minimum=1),

@@ -19,18 +19,20 @@ Conventions
   renormalization); the weight lost beyond the cutoff is tracked as
   ``tail_mass`` and must stay below the construction ``tail_budget``.
 
-Displacement and squeeze operators are dense matrix exponentials of their
-tridiagonal generators (scipy.linalg.expm, Pade scaling-and-squaring).
-Closed-form amplitudes for the common special cases live in the
-test-suite as independent cross-checks; the production path uses one
-uniform machinery so arbitrary seed states are supported.
+Vacuum and squeezed family members |alpha, r> = D(alpha) S(r)|0> come
+from the three-term recurrence of their number amplitudes (Yuen, PRA 13,
+2226 (1976)), so every amplitude below the cutoff is exact and the tail
+is 1 - sum_{n<dim} |c_n|^2.  A custom seed is displaced by the dense
+matrix exponential of the truncated generator (scipy.linalg.expm), the
+one general route; ``displacement_matrix`` and ``squeeze_matrix`` also
+serve the test-suite as oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -115,8 +117,8 @@ class MeasurementSpec:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
         if self.kind == "custom" and self.state is None:
             raise ValueError("custom spec requires a seed FockVector")
-        if not math.isfinite(self.r):
-            raise ValueError("r must be finite")
+        if not abs(self.r) <= 700.0:
+            raise ValueError(f"r must satisfy |r| <= 700 (cosh r finite), got {self.r}")
 
     @classmethod
     def vacuum(cls) -> MeasurementSpec:
@@ -143,12 +145,8 @@ class MeasurementSpec:
 
     def seed_vector(self, dim: int) -> np.ndarray:
         """Seed amplitudes at the requested cutoff."""
-        if self.kind == "vacuum":
-            vec = np.zeros(dim, dtype=complex)
-            vec[0] = 1.0
-            return vec
-        if self.kind == "squeezed":
-            return squeeze_matrix(self.r, dim)[:, 0].astype(complex)
+        if self.is_gaussian:
+            return _ladder_amplitudes(0.0, self.seed_r, dim)
         assert self.state is not None
         if self.state.dim > dim:
             raise ValueError(
@@ -185,11 +183,63 @@ def _poisson_tail(dim: int, mu: float) -> float:
     return float(gammainc(dim, mu))
 
 
-def _required_dim_poisson(mu: float, tail_budget: float) -> int:
-    d = max(1, default_dim(mu))
-    while _poisson_tail(d, mu) > tail_budget:
-        d = int(1.5 * d) + 1
-    return d
+# Largest growth the ladder recurrence carries before it rescales; far
+# enough below overflow that one more step cannot reach it.
+_LADDER_RANGE = 1e150
+
+
+def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
+    """Number amplitudes c_0..c_{n_rows-1} of D(alpha) S(r)|0>, exact.
+
+    With t = -tanh r the state is the eigenvector of a + t a^dag with
+    eigenvalue g = alpha + t alpha^*, so
+
+        c_0 = exp(-|alpha|^2/2 - t alpha^*^2/2) / sqrt(cosh r),
+        c_{n+1} = (g c_n - t sqrt(n) c_{n-1}) / sqrt(n + 1),
+
+    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1).
+    ``alpha`` may be an array; the result has shape (n_rows,) + alpha.shape.
+    Each column runs as c_n = u_n e^s, with s = log|c_0| where c_0 is below
+    1/_LADDER_RANGE and raised whenever u passes _LADDER_RANGE, so states
+    whose low amplitudes underflow still come out right.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    t = -math.tanh(r)
+    g = alpha + t * alpha.conj()
+    log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
+    log_scale = np.where(log_c0.real < -math.log(_LADDER_RANGE), log_c0.real, 0.0)
+    prev, cur = np.zeros_like(alpha), np.exp(log_c0 - log_scale)
+    out = np.empty((n_rows,) + alpha.shape, dtype=complex)
+    for n in range(n_rows):
+        if (big := np.abs(cur) > _LADDER_RANGE).any():
+            shrink = np.where(big, 1.0 / _LADDER_RANGE, 1.0)
+            prev, cur = prev * shrink, cur * shrink
+            log_scale = log_scale - np.log(shrink)
+        out[n] = cur * np.exp(log_scale)
+        prev, cur = cur, (g * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
+    return out
+
+
+def _truncation_error(
+    family, dim: int, tail: float, tail_budget: float, rows: int
+) -> TruncationError:
+    """The error for a tail over budget, naming the smallest cutoff that fits.
+
+    ``family(rows)`` gives c_0..c_{rows-1}; rows grow until their weight
+    reaches 1 - tail_budget.  If it stops growing first (a budget below the
+    rounding floor, or a custom seed short of norm), no cutoff fits.
+    """
+    mass, last = np.cumsum(np.abs(family(rows)) ** 2), -1.0
+    while last < mass[-1] < 1.0 - tail_budget:
+        last, rows = mass[-1], int(1.5 * rows) + 1
+        mass = np.cumsum(np.abs(family(rows)) ** 2)
+    fits = mass >= 1.0 - tail_budget
+    need = int(np.argmax(fits)) + 1 if fits[-1] else None
+    hint = f"need dim >= {need}" if need else "no cutoff meets it in double precision"
+    return TruncationError(
+        f"dim={dim} leaves tail mass {tail:.3e} > budget {tail_budget:.1e}; {hint}",
+        required_dim=need,
+    )
 
 
 def coherent_state(
@@ -197,8 +247,9 @@ def coherent_state(
 ) -> FockVector:
     """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The recurrence c_n = c_{n-1} alpha / sqrt(n) avoids overflow of the
-    separate factors.  The truncated weight is the analytic Poisson tail.
+    The ladder recurrence at r = 0, c_n = c_{n-1} alpha / sqrt(n), avoids
+    overflow of the separate factors.  The truncated weight is the
+    analytic Poisson tail.
     """
     alpha = complex(alpha)
     mu = abs(alpha) ** 2
@@ -206,43 +257,21 @@ def coherent_state(
         dim = default_dim(mu)
     tail = _poisson_tail(dim, mu)
     if tail > tail_budget:
-        need = _required_dim_poisson(mu, tail_budget)
-        raise TruncationError(
-            f"dim={dim} leaves Poisson tail {tail:.3e} > budget {tail_budget:.1e}; "
-            f"need dim >= {need}",
-            required_dim=need,
-        )
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * mu)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return FockVector(amps=amps, dim=dim, tail_mass=tail)
+        family = partial(_ladder_amplitudes, alpha, 0.0)
+        raise _truncation_error(family, dim, tail, tail_budget, max(dim, default_dim(mu)))
+    return FockVector(amps=_ladder_amplitudes(alpha, 0.0, dim), dim=dim, tail_mass=tail)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """exp(alpha a^dag - alpha^* a) on the truncated basis."""
     a = annihilation_matrix(dim)
-    if alpha.imag == 0.0:
-        return expm(alpha.real * (a.T - a))
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return expm(gen)
+    return expm(alpha * a.T - np.conj(alpha) * a)
 
 
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     """exp(r (a^dag a^dag - a a)/2); amplifies q for r > 0."""
     a = annihilation_matrix(dim)
     return expm(0.5 * r * (a.T @ a.T - a @ a))
-
-
-def _required_dim_from_amps(amps_full: np.ndarray, tail_budget: float) -> int:
-    """Smallest cutoff whose beyond-cutoff mass fits the budget."""
-    mass_from = np.cumsum(np.abs(amps_full[::-1]) ** 2)[::-1]
-    over = np.nonzero(mass_from > tail_budget)[0]
-    if len(over) == 0:
-        return 1
-    required = int(over[-1]) + 1
-    # the working space itself may be too small to say
-    return 2 * len(amps_full) if required >= len(amps_full) else required
 
 
 def displaced_seed(
@@ -253,37 +282,29 @@ def displaced_seed(
 ) -> FockVector:
     """Member |z> = D(alpha)|seed> of the measurement family.
 
-    Truncated-generator exponentials are exactly unitary, so truncation
-    error never shows up as a norm deficit; instead the state is built in
-    a working space with headroom and the weight landing at or beyond the
-    requested cutoff is reported (and budget-checked) as the tail.
+    The tail 1 - sum_{n<dim} |c_n|^2 must fit the budget.  Vacuum and
+    squeezed seeds come from the exact ladder recurrence.  A custom seed is
+    displaced by the truncated-generator exponential in a working space with
+    headroom: that exponential is unitary, so at the cutoff itself it would
+    hide the truncation loss.
     """
     alpha = complex(alpha)
-    if spec.kind == "vacuum":
-        seed_nbar, seed_r = 0.0, 0.0
-    elif spec.kind == "squeezed":
-        seed_nbar, seed_r = math.sinh(spec.r) ** 2, spec.r
+    if spec.is_gaussian:
+        r = spec.seed_r
+        family = partial(_ladder_amplitudes, alpha, r)
+        rows = max(dim, default_dim(abs(alpha) ** 2 + math.sinh(r) ** 2, r))
+        amps = family(dim)
     else:
         assert spec.state is not None
-        n = np.arange(spec.state.dim, dtype=float)
-        seed_nbar, seed_r = float(np.sum(n * np.abs(spec.state.amps) ** 2)), 0.0
-    span = (abs(alpha) + math.sqrt(seed_nbar)) ** 2
-    dim_work = max(dim, default_dim(span, seed_r))
-    if spec.kind == "custom":
-        dim_work = max(dim_work, spec.state.dim)
-    seed = spec.seed_vector(dim_work)
-    amps_full = displacement_matrix(alpha, dim_work) @ seed
-    tail = float(np.sum(np.abs(amps_full[dim:]) ** 2)) + max(
-        0.0, 1.0 - float(np.vdot(amps_full, amps_full).real)
-    )
+        def family(n_rows: int) -> np.ndarray:
+            return displacement_matrix(alpha, n_rows) @ spec.seed_vector(n_rows)
+        span = (abs(alpha) + math.sqrt(number_moment(spec.state, 1))) ** 2
+        rows = max(dim, default_dim(span), spec.state.dim)
+        amps = family(rows)[:dim]
+    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > tail_budget:
-        need = _required_dim_from_amps(amps_full, tail_budget)
-        raise TruncationError(
-            f"dim={dim} leaves tail mass {tail:.3e} > budget {tail_budget:.1e}; "
-            f"need dim >= {need}",
-            required_dim=need,
-        )
-    return FockVector(amps=amps_full[:dim], dim=dim, tail_mass=tail)
+        raise _truncation_error(family, dim, tail, tail_budget, rows)
+    return FockVector(amps=amps, dim=dim, tail_mass=tail)
 
 
 def squeezed_coherent_state(
@@ -373,17 +394,6 @@ def quadrature_mean_cov(psi: FockVector) -> tuple[np.ndarray, np.ndarray]:
     return np.array([mq, mp]), np.array([[qq, qp], [qp, pp]])
 
 
-@lru_cache(maxsize=4)
-def _radial_displacements(dim: int, radii: tuple[float, ...]) -> np.ndarray:
-    """Real displacement matrices D(rho) for each grid radius."""
-    a = annihilation_matrix(dim)
-    gen = a.T - a
-    out = np.empty((len(radii), dim, dim))
-    for i, rho in enumerate(radii):
-        out[i] = expm(rho * gen)
-    return out
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint polar grid on the alpha plane.
@@ -416,9 +426,27 @@ class QuadratureGrid:
         return radii, angles, dr, dphi
 
 
-def _phase_table(dim: int, angles: np.ndarray) -> np.ndarray:
-    """e^{-i n phi} with shape (dim, n_phi)."""
-    return np.exp(-1j * np.outer(np.arange(dim), angles))
+def _family_gram(
+    spec: MeasurementSpec, dim: int, n_rows: int, grid: QuadratureGrid, r_max: float
+) -> np.ndarray:
+    """Grid estimate of (1/2pi) integral dq dp |z><z|, rows and columns < n_rows.
+
+    The measure is dq dp = 2 d^2 alpha = 2 rho dr dphi, summed one ring of
+    radius rho at a time.  Vacuum and squeezed members come from the ladder
+    recurrence.  A custom seed uses D(rho e^{i phi}) = R(phi) D(rho) R(-phi)
+    with R(phi) = e^{i phi n}, one ``dim``-level exponential per ring.
+    """
+    radii, angles, dr, dphi = grid.nodes(r_max)
+    gram = np.zeros((n_rows, n_rows), dtype=complex)
+    for rho in radii:
+        if spec.is_gaussian:
+            ring = _ladder_amplitudes(rho * np.exp(1j * angles), spec.seed_r, n_rows)
+        else:
+            turns = np.exp(1j * np.outer(np.arange(dim), angles))
+            rotated_seed = turns.conj() * spec.seed_vector(dim)[:, None]
+            ring = (turns * (displacement_matrix(rho, dim) @ rotated_seed))[:n_rows]
+        gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+    return gram / math.pi
 
 
 def identity_resolution_defect(
@@ -431,27 +459,18 @@ def identity_resolution_defect(
 
     The integral is accumulated over a midpoint polar grid in alpha
     (measure dq dp = 2 d^2 alpha) for matrix elements m, n <= dim_check,
-    and the maximum absolute deviation from delta_mn is returned.  The
-    grid, not the physics, limits the result; doubling the grid must
-    shrink it.
+    and the maximum absolute deviation from delta_mn is returned.  Vacuum
+    and squeezed family members are exact, so the grid alone limits the
+    result and doubling it must shrink it; ``dim`` only has to exceed
+    ``dim_check``.  A custom seed is displaced within ``dim`` levels, so
+    that truncation enters too.
     """
     if not 0 < dim_check < dim:
         raise ValueError("need 0 < dim_check < dim")
     grid = grid or QuadratureGrid()
     r_max = grid.r_max if grid.r_max is not None else math.sqrt(2.0 * dim_check) + 5.0
-    radii, angles, dr, dphi = grid.nodes(r_max)
-    seed = spec.seed_vector(dim)
-    phases = _phase_table(dim, angles)
-    disp = _radial_displacements(dim, tuple(float(x) for x in radii))
-    k = dim_check + 1
-    gram = np.zeros((k, k), dtype=complex)
-    rotated = phases * seed[:, None]
-    for i, rho in enumerate(radii):
-        block = disp[i] @ rotated
-        rows = np.conj(phases[:k, :]) * block[:k, :]
-        gram += (rho * dr * dphi) * (rows @ rows.conj().T)
-    gram /= math.pi
-    return float(np.max(np.abs(gram - np.eye(k))))
+    gram = _family_gram(spec, dim, dim_check + 1, grid, r_max)
+    return float(np.max(np.abs(gram - np.eye(dim_check + 1))))
 
 
 def transition_density(
@@ -489,20 +508,10 @@ def transition_normalization(
     grid = grid or QuadratureGrid()
     alpha_from = z_from.to_alpha()
     r_max = grid.r_max if grid.r_max is not None else abs(alpha_from) + 6.0
-    radii, angles, dr, dphi = grid.nodes(r_max)
     psi = displaced_seed(spec, alpha_from, dim, tail_budget)
     evolved = kerr_propagate(psi, chi_tau).amps
-    seed = spec.seed_vector(dim)
-    phases = _phase_table(dim, angles)
-    disp = _radial_displacements(dim, tuple(float(x) for x in radii))
-    rotated_seed = phases * seed[:, None]
-    total = 0.0
-    for i, rho in enumerate(radii):
-        family = np.conj(phases) * (disp[i] @ rotated_seed)
-        overlaps = family.conj().T @ evolved
-        total += (rho * dr * dphi) * float(np.sum(np.abs(overlaps) ** 2))
-    # measure dq dp = 2 d^2 alpha against the 1/(2 pi) density prefactor
-    return total / math.pi
+    gram = _family_gram(spec, dim, dim, grid, r_max)
+    return float(np.vdot(evolved, gram @ evolved).real)
 
 
 def dichotomic_survival_exact(

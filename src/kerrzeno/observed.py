@@ -56,7 +56,6 @@ __all__ = [
     "ConvolutionGrid",
     "symmetric_sqrt_2x2",
     "gaussian_step_kernel",
-    "sample_step",
     "run_trajectory",
     "run_ensemble",
     "analytic_final_distribution",
@@ -125,16 +124,6 @@ def gaussian_step_kernel(spec: MeasurementSpec, theta: float) -> GaussianKernel:
     return GaussianKernel(
         rotation=rotation_matrix(theta), cov=step_covariance(spec.seed_r, theta)
     )
-
-
-def sample_step(z: PhaseVector, kernel: GaussianKernel, rng) -> PhaseVector:
-    """Draw the next outcome z' = M (z + xi), xi ~ N(0, C_1).
-
-    ``rng`` only needs a ``standard_normal(size)`` method, so tests may
-    substitute a stub (e.g. one returning zeros to expose the pure drift).
-    """
-    xi = kernel.sqrt_cov @ np.asarray(rng.standard_normal(2), dtype=float)
-    return PhaseVector.from_array(kernel.rotation @ (z.as_array() + xi))
 
 
 @dataclass(frozen=True)

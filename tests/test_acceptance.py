@@ -27,6 +27,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from kerrzeno.experiments import run_experiment, validate_config, write_csv
 from kerrzeno.fock import (
@@ -308,17 +309,18 @@ def test_criterion_5_two_level_model():
     assert elapsed < 5.0
 
 
-def test_criterion_6_identity_resolution():
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_criterion_6_identity_resolution(r):
     from kerrzeno.fock import QuadratureGrid
 
-    spec = MeasurementSpec.vacuum()
+    spec = MeasurementSpec.vacuum() if r == 0.0 else MeasurementSpec.squeezed(r)
     base = identity_resolution_defect(spec, dim=60, dim_check=10)
     doubled = identity_resolution_defect(
         spec, dim=60, grid=QuadratureGrid().doubled(), dim_check=10
     )
     ok = base < 1e-3 and doubled < base
     _report(
-        "criterion 6 identity resolution",
+        f"criterion 6 identity resolution (r = {r})",
         ok,
         f"defect = {base:.2e}, doubled grid = {doubled:.2e}",
     )

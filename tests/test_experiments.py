@@ -177,8 +177,8 @@ def test_two_level_sweep_endpoints():
 
 
 def test_identity_check_rows():
-    # r_max capped so dim=40 still represents every grid state; the
-    # remaining defect is then pure quadrature resolution
+    # vacuum family states are exact, so the defect is pure quadrature
+    # resolution; r_max capped at 5 keeps the coarse grid meaningful
     config = make_config(
         "identity-check",
         {
@@ -332,6 +332,18 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
+    # the default cutoff rule picks dim 130, which drops 3.8e-7 of this state
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "zeno-dichotomic", "parameters": {"alpha0_re": 0.0, "r": 1.5}},
+    )
+    assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "dim=130" in err and "need dim >=" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "experiment, parameters",
     [
@@ -339,6 +351,7 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
         ("two-level-sweep", {"c": 10, "beta": 0}),
         ("identity-check", {"dim": 5, "dim_check": 10}),
         ("revival", {"chi_t_min": 1e308, "chi_t_max": 1e308, "n_points": 2}),
+        ("identity-check", {"r": 800.0}),
     ],
 )
 def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters):

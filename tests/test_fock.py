@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kerrzeno import fock
 from kerrzeno.fock import (
     DEFAULT_TAIL_BUDGET,
     FockVector,
@@ -17,6 +20,7 @@ from kerrzeno.fock import (
     default_dim,
     dichotomic_survival_exact,
     displaced_seed,
+    displacement_matrix,
     identity_resolution_defect,
     kerr_propagate,
     mean_a,
@@ -123,10 +127,10 @@ def test_squeezed_vacuum_quadrature_variances():
 
 
 def test_squeezed_vacuum_closed_form_amplitudes():
-    # oracle: even amplitudes tanh^m(r) sqrt((2m)!)/(2^m m!) / sqrt(cosh r);
+    # closed form: even amplitudes tanh^m(r) sqrt((2m)!)/(2^m m!) / sqrt(cosh r);
+    # the production seed is checked against it, and so is the expm oracle,
     # built oversized so the compared head is free of truncation effects
     r, dim, head = 0.8, 120, 60
-    column = squeeze_matrix(r, dim)[:head, 0]
     expected = np.zeros(head)
     for m in range(head // 2):
         expected[2 * m] = (
@@ -135,7 +139,59 @@ def test_squeezed_vacuum_closed_form_amplitudes():
             / (2**m * math.factorial(m))
             / math.sqrt(math.cosh(r))
         )
-    np.testing.assert_allclose(column, expected, atol=1e-10)
+    seed = MeasurementSpec.squeezed(r).seed_vector(head)
+    np.testing.assert_allclose(seed, expected, atol=1e-14)
+    np.testing.assert_allclose(squeeze_matrix(r, dim)[:head, 0], expected, atol=1e-10)
+
+
+def expm_family_head(alpha: complex, r: float, head: int, big: int) -> np.ndarray:
+    """Oracle: D(alpha) S(r)|0> from dense exponentials in an oversized basis."""
+    return (displacement_matrix(complex(alpha), big) @ squeeze_matrix(r, big)[:, 0])[:head]
+
+
+@pytest.mark.parametrize(
+    "alpha, r, head, big",
+    [
+        (0.5 + 0.3j, 0.0, 40, 120),
+        (2.0 - 1.0j, 0.8, 60, 200),
+        (3.0j, -1.2, 60, 250),
+        (-1.0 + 4.0j, 1.5, 60, 300),
+        (0.0, 1.3, 60, 250),
+    ],
+)
+def test_ladder_amplitudes_match_expm_oracle(alpha, r, head, big):
+    got = fock._ladder_amplitudes(alpha, r, head)
+    want = expm_family_head(alpha, r, head, big)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    modulus=st.floats(0.0, 6.0),
+    phase=st.floats(-math.pi, math.pi),
+    r=st.floats(-1.5, 1.5),
+)
+def test_ladder_amplitudes_property(modulus, phase, r):
+    alpha = modulus * complex(math.cos(phase), math.sin(phase))
+    got = fock._ladder_amplitudes(alpha, r, 40)
+    want = expm_family_head(alpha, r, 40, 300)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_large_amplitudes_survive_vacuum_underflow():
+    # e^{-|alpha|^2/2} underflows for |alpha|^2 > ~1490, and for strongly
+    # squeezed seeds far earlier; the rescaled recurrence still normalizes
+    psi = coherent_state(40.0)
+    assert abs(psi.norm_sq - 1.0) < 1e-10
+    assert abs(mean_a(psi) - 40.0) < 1e-8
+    alpha, r = 30.0j, 2.0
+    psi = squeezed_coherent_state(alpha, r)
+    assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
+    mean, cov = quadrature_mean_cov(psi)
+    np.testing.assert_allclose(mean, [0.0, math.sqrt(2.0) * 30.0], atol=1e-8)
+    np.testing.assert_allclose(
+        cov, 0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)]), atol=1e-8
+    )
 
 
 def test_squeezed_norm_within_budget():
@@ -162,6 +218,20 @@ def test_displaced_squeezed_moments_match_seed_law():
 def test_squeezed_truncation_error():
     with pytest.raises(TruncationError):
         squeezed_coherent_state(4.0, 1.0, dim=30)
+
+
+def test_squeezed_default_cutoff_reports_its_tail():
+    # the default rule gives dim 130 here, which drops 3.8e-7 of the weight
+    with pytest.raises(TruncationError) as err:
+        squeezed_coherent_state(0.0, 1.5)
+    need = err.value.required_dim
+    assert need is not None and need > 130
+    assert f"need dim >= {need}" in str(err.value)
+    psi = squeezed_coherent_state(0.0, 1.5, dim=need)
+    assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
+    assert abs(psi.norm_sq + psi.tail_mass - 1.0) < 1e-13
+    with pytest.raises(TruncationError):
+        squeezed_coherent_state(0.0, 1.5, dim=need - 1)
 
 
 # --- Kerr propagation ------------------------------------------------------------
@@ -304,6 +374,26 @@ def test_transition_density_custom_seed_matches_squeezed():
     assert abs(a - b) < 1e-12
 
 
+def squeezed_custom_seed(r: float, dim: int) -> FockVector:
+    """The squeezed seed carried as a custom one, built by the expm oracle."""
+    return FockVector(
+        amps=squeeze_matrix(r, dim)[:, 0].astype(complex), dim=dim, tail_mass=0.0
+    )
+
+
+def test_grid_integrals_custom_seed_match_squeezed():
+    dim, grid = 80, QuadratureGrid(n_r=48, n_phi=32)
+    custom = MeasurementSpec.custom(squeezed_custom_seed(0.5, dim))
+    squeezed = MeasurementSpec.squeezed(0.5)
+    a = identity_resolution_defect(custom, dim, grid, dim_check=8)
+    b = identity_resolution_defect(squeezed, dim, grid, dim_check=8)
+    assert abs(a - b) < 1e-12
+    z_from = PhaseVector.from_alpha(1.0 + 0.5j)
+    a = transition_normalization(z_from, 0.01, custom, dim, grid)
+    b = transition_normalization(z_from, 0.01, squeezed, dim, grid)
+    assert abs(a - b) < 1e-12
+
+
 def test_transition_normalization_unit():
     z_from = PhaseVector.from_alpha(3.0 + 0.0j)
     total = transition_normalization(
@@ -386,6 +476,9 @@ def test_measurement_spec_validation():
         MeasurementSpec(kind="custom")
     with pytest.raises(ValueError):
         MeasurementSpec(kind="thermal")
+    for r in (math.nan, 800.0, -800.0):
+        with pytest.raises(ValueError):
+            MeasurementSpec.squeezed(r)
     spec = MeasurementSpec.custom(
         FockVector(amps=np.array([1.0 + 0j]), dim=1, tail_mass=0.0)
     )

@@ -19,7 +19,6 @@ from kerrzeno.observed import (
     gaussian_step_kernel,
     run_ensemble,
     run_trajectory,
-    sample_step,
     survival_density_continuous,
     symmetric_sqrt_2x2,
 )
@@ -54,14 +53,6 @@ def make_config(
         n_trajectories=n_trajectories,
         master_seed=master_seed,
     )
-
-
-class ZeroNoise:
-    """Degenerate stand-in for a generator: no fluctuation at all."""
-
-    @staticmethod
-    def standard_normal(size):
-        return np.zeros(size)
 
 
 # --- step kernel --------------------------------------------------------------
@@ -102,31 +93,24 @@ def test_symmetric_sqrt():
 # --- single step -----------------------------------------------------------------
 
 
-def test_sample_step_noiseless_is_pure_drift():
-    kernel = gaussian_step_kernel(MeasurementSpec.squeezed(0.4), 0.7)
-    z = PhaseVector(1.5, -0.5)
-    out = sample_step(z, kernel, ZeroNoise())
-    np.testing.assert_allclose(
-        out.as_array(), rotation_matrix(0.7) @ z.as_array(), atol=1e-15
-    )
-
-
-def test_sample_step_moments():
+def test_single_step_ensemble_moments():
+    # one observed step z' = M (z + xi): mean the pure drift M z, and the
+    # de-rotated residual carries the step covariance C_1
     theta, r = 0.3, 0.5
-    kernel = gaussian_step_kernel(MeasurementSpec.squeezed(r), theta)
-    z = PhaseVector(2.0, 1.0)
-    rng = np.random.default_rng(11)
-    n = 100_000
-    draws = np.empty((n, 2))
-    for i in range(n):
-        draws[i] = sample_step(z, kernel, rng).as_array()
+    cfg = make_config(chi=0.1, n_bar=1.5, tau=1.0, n_steps=1, r=r,
+                      n_trajectories=100_000, master_seed=11)
+    cfg = dataclasses.replace(cfg, z0=PhaseVector(2.0, 1.0))
+    assert cfg.params.theta == pytest.approx(theta, abs=1e-15)
+    draws = run_ensemble(cfg)
+    n = len(draws)
+    z = cfg.z0.as_array()
     c1 = step_covariance(r, theta)
     rot = rotation_matrix(theta)
-    drift = rot @ z.as_array()
+    drift = rot @ z
     cov_out = rot @ c1 @ rot.T
     mean_err = np.linalg.norm(draws.mean(axis=0) - drift)
     assert mean_err < 4.0 * math.sqrt(np.trace(cov_out) / n)
-    residual = draws @ rot - z.as_array()  # M^-1 z' - z rowwise
+    residual = draws @ rot - z  # M^-1 z' - z rowwise
     sample_cov = np.cov(residual.T, ddof=1)
     diag = np.diag(c1)
     se = np.sqrt((np.outer(diag, diag) + c1**2) / n)
@@ -136,8 +120,8 @@ def test_sample_step_moments():
 # --- trajectories ------------------------------------------------------------------
 
 
-def test_single_step_trajectory_reduces_to_sample_step():
-    cfg = make_config(n_steps=1, tau=0.5, master_seed=5)
+def test_single_step_trajectory_matches_inline_step():
+    cfg = make_config(n_steps=1, tau=0.5, r=0.4, master_seed=5)
     record = run_trajectory(cfg, 3)
 
     # independent reconstruction of the documented noise derivation
@@ -147,14 +131,12 @@ def test_single_step_trajectory_reduces_to_sample_step():
     normals = np.array([radius * math.cos(2 * math.pi * u[0, 1]),
                         radius * math.sin(2 * math.pi * u[0, 1])])
 
-    class Replay:
-        @staticmethod
-        def standard_normal(size):
-            return normals
-
-    kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
-    expected = sample_step(cfg.z0, kernel, Replay())
-    np.testing.assert_allclose(record.final.as_array(), expected.as_array(), atol=1e-14)
+    # M (z0 + sqrt_cov @ normals), with M the classical drift rotation, so
+    # the noise-free part of the step is the pure drift M z0
+    sqrt_cov = symmetric_sqrt_2x2(step_covariance(0.4, cfg.params.theta))
+    rot = rotation_matrix(cfg.params.theta)
+    expected = rot @ (cfg.z0.as_array() + sqrt_cov @ normals)
+    np.testing.assert_allclose(record.final.as_array(), expected, atol=1e-14)
 
 
 def test_trajectory_record_shape_and_times():
