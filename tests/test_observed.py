@@ -93,6 +93,18 @@ def test_symmetric_sqrt():
 # --- single step -----------------------------------------------------------------
 
 
+def test_sample_step_noiseless_is_pure_drift():
+    # the production step z' = M (z + xi) with zero normals is the drift M z
+    kernel = gaussian_step_kernel(MeasurementSpec.squeezed(0.4), 0.7)
+    z = PhaseVector(1.5, -0.5)
+    zeros = np.zeros(1)
+    xi_q, xi_p = observed._color_noise(zeros, zeros, kernel.sqrt_cov)
+    out_q, out_p = observed._chain_points(z.q, z.p, kernel.rotation, xi_q, xi_p)
+    np.testing.assert_allclose(
+        [out_q[0], out_p[0]], rotation_matrix(0.7) @ z.as_array(), atol=1e-15
+    )
+
+
 def test_single_step_ensemble_moments():
     # one observed step z' = M (z + xi): mean the pure drift M z, and the
     # de-rotated residual carries the step covariance C_1
@@ -120,7 +132,7 @@ def test_single_step_ensemble_moments():
 # --- trajectories ------------------------------------------------------------------
 
 
-def test_single_step_trajectory_matches_inline_step():
+def test_single_step_trajectory_reduces_to_sample_step():
     cfg = make_config(n_steps=1, tau=0.5, r=0.4, master_seed=5)
     record = run_trajectory(cfg, 3)
 
