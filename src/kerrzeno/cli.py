@@ -6,10 +6,10 @@ Command-line runner for the packaged experiments.
     kerrzeno list
 
 Exit codes: 0 success, 2 config error (including a master seed outside
-[0, 2**63)), 3 numeric/truncation error (any ValueError a validated
-config raises while running), 4 I/O error.  With no output path the
-payload goes to stdout; progress and summaries go to stderr so piped
-output stays clean.
+[0, 2**63)), 3 numeric/truncation error (any ValueError or OverflowError
+a validated config raises while running), 4 I/O error.  With no output
+path the payload goes to stdout; progress and summaries go to stderr so
+piped output stays clean.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hint = f" (try dim >= {exc.required_dim})" if exc.required_dim else ""
         print(f"numeric error: {exc}{hint}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

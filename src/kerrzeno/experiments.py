@@ -327,9 +327,7 @@ def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
     var_n2 = fock.number_squared_variance(psi0)
     rows = []
     for n in p["n_list"]:
-        survival = fock.dichotomic_survival_exact(
-            alpha0, spec, chi=1.0, t=p["chi_t"], n_steps=n, dim=dim
-        )
+        survival = fock._dichotomic_survival(psi0, p["chi_t"], n)
         rows.append([n, survival, math.exp(-var_n2 * p["chi_t"] ** 2 / n)])
     return ["n", "survival", "gaussian_bound"], rows, {"var_n2": var_n2, "dim": dim}
 

@@ -536,7 +536,12 @@ def dichotomic_survival_exact(
         r = spec.seed_r if spec.is_gaussian else 0.0
         dim = default_dim(abs(alpha0) ** 2 + math.sinh(r) ** 2, r)
     psi0 = displaced_seed(spec, alpha0, dim, tail_budget)
-    stepped = kerr_propagate(psi0, chi * t / n_steps)
+    return _dichotomic_survival(psi0, chi * t, n_steps)
+
+
+def _dichotomic_survival(psi0: FockVector, chi_t: float, n_steps: int) -> float:
+    """s^N with s = |<psi0| U(chi_t/N) |psi0>|^2, for a seed built once."""
+    stepped = kerr_propagate(psi0, chi_t / n_steps)
     norm_sq = psi0.norm_sq
     s = abs(complex(np.vdot(psi0.amps, stepped.amps))) ** 2 / (norm_sq * norm_sq)
     return float(s**n_steps)

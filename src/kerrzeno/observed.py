@@ -341,7 +341,8 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     what carry meaning.  At accumulated angles within 1e-9 of a full turn
     the drift offset is treated as exactly zero and the value reduces to
     the peak 1 / (2 pi sqrt(det C_N)) -- for a vacuum seed, 1 / (2 pi N).
-    Away from full turns the Gaussian is evaluated at the drift mismatch.
+    Away from full turns the zero-mean Gaussian of covariance C_N is
+    evaluated at the drift mismatch.
     """
     if not cfg.spec.is_gaussian:
         raise UnsupportedSeedError("survival density needs a Gaussian seed")
@@ -354,9 +355,7 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
         offset = np.zeros(2)
     else:
         offset = rotation_matrix(-total) @ cfg.z0.as_array() - cfg.z0.as_array()
-    inv = np.linalg.inv(c_n)
-    quad = float(offset @ inv @ offset)
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(float(np.linalg.det(c_n))))
+    return GaussianState2D(PhaseVector(0.0, 0.0), c_n).density(offset)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,16 @@ and N steps accumulate
 
     C_N = sum_{j=0}^{N-1} M^-j C_1 (M^-j)^T.
 
+The sum is evaluated in closed form, in O(1) for any N: with
+C_1 = (tr C_1 / 2) I + B and B traceless, the rotated copies of B sum as
+a geometric series, so
+
+    C_N = N (tr C_1 / 2) I + (sin(N eps) / sin(eps)) rot_{(N-1) eps}(B),
+
+where eps = remainder(theta, pi) and rot_phi turns (B11, B12) through
+phi.  The reduction modulo pi is exact and leaves the sum unchanged; at
+eps == 0 the Dirichlet factor takes its limit N.
+
 All operations are pure functions of floats and (2, 2) float64 arrays and
 never mutate their inputs.  M is orthogonal, so its inverse is always
 taken as the transpose.
@@ -84,17 +94,20 @@ def _is_symmetric(c: np.ndarray) -> bool:
     return abs(c[0, 1] - c[1, 0]) <= _SYMMETRY_RTOL * scale
 
 
+def _is_spd(c: np.ndarray) -> bool:
+    if not _is_symmetric(c):
+        return False
+    return c[0, 0] > _MINOR_FLOOR and float(np.linalg.det(c)) > _MINOR_FLOOR
+
+
 def is_covariance(c: np.ndarray) -> bool:
     """True when c is a symmetric positive-definite (2, 2) matrix."""
-    arr = _as_matrix(c, "c")
-    if not _is_symmetric(arr):
-        return False
-    return arr[0, 0] > _MINOR_FLOOR and float(np.linalg.det(arr)) > _MINOR_FLOOR
+    return _is_spd(_as_matrix(c, "c"))
 
 
 def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
     arr = _as_matrix(c, name)
-    if not is_covariance(arr):
+    if not _is_spd(arr):
         raise ValueError(f"{name} must be symmetric positive-definite")
     return arr
 
@@ -143,14 +156,12 @@ class GaussianState2D:
         pts = np.asarray(points, dtype=float)
         scalar = pts.shape == (2,)
         d = pts - self.mean.as_array()
-        inv = np.linalg.inv(self.cov)
+        (c00, c01), (c10, c11) = self.cov.tolist()
+        det = c00 * c11 - c01 * c10
         quad = (
-            inv[0, 0] * d[..., 0] ** 2
-            + 2.0 * inv[0, 1] * d[..., 0] * d[..., 1]
-            + inv[1, 1] * d[..., 1] ** 2
-        )
-        norm = 2.0 * math.pi * math.sqrt(float(np.linalg.det(self.cov)))
-        out = np.exp(-0.5 * quad) / norm
+            c11 * d[..., 0] ** 2 - (c01 + c10) * d[..., 0] * d[..., 1] + c00 * d[..., 1] ** 2
+        ) / det
+        out = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
         return float(out) if scalar else out
 
 
@@ -236,20 +247,33 @@ def step_covariance(r: float, theta: float) -> np.ndarray:
 
 
 def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
-    """Covariance after n steps: sum_{j=0}^{n-1} M^-j C_1 (M^-j)^T."""
+    """Covariance after n steps: sum_{j=0}^{n-1} M^-j C_1 (M^-j)^T, in closed form.
+
+    Split C_1 = a I + B with a = tr C_1 / 2 and B traceless, written as
+    b = (C11 - C22)/2 + i C12.  Conjugating B by M^-j turns b through
+    2 j theta, so the sum over j is a geometric series:
+
+        C_N = N a I + D_N rot_{(N-1) eps}(B),   D_N = sin(N eps) / sin(eps),
+
+    where rot_phi turns b through phi and eps = remainder(theta, pi).
+    Reducing modulo pi first is exact and cancels the (-1)^k signs of
+    theta = k pi + eps; as sin(eps) -> 0 the factor tends to N, which is
+    taken at eps == 0.  One step returns a copy of C_1 unchanged.
+    """
     c1 = _require_covariance(c1, "c1")
     theta = _require_finite(theta, "theta")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    angles = -theta * np.arange(n)
-    c, s = np.cos(angles), np.sin(angles)
-    rots = np.empty((n, 2, 2))
-    rots[:, 0, 0] = c
-    rots[:, 0, 1] = s
-    rots[:, 1, 0] = -s
-    rots[:, 1, 1] = c
-    return np.einsum("jab,bc,jdc->ad", rots, c1, rots)
+    if n == 1:
+        return c1.copy()
+    eps = math.remainder(theta, math.pi)
+    dirichlet = n if eps == 0.0 else math.sin(n * eps) / math.sin(eps)
+    turn = (n - 1) * eps
+    b = dirichlet * complex(0.5 * (c1[0, 0] - c1[1, 1]), c1[0, 1])
+    b *= complex(math.cos(turn), math.sin(turn))
+    a = 0.5 * (c1[0, 0] + c1[1, 1])
+    return np.array([[n * a + b.real, b.imag], [b.imag, n * a - b.real]])
 
 
 def det_cn_asymptotic(r: float, n: int) -> float:

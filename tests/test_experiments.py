@@ -352,6 +352,12 @@ def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
         ("identity-check", {"dim": 5, "dim_check": 10}),
         ("revival", {"chi_t_min": 1e308, "chi_t_max": 1e308, "n_points": 2}),
         ("identity-check", {"r": 800.0}),
+        # cosh/sinh overflow in the Gaussian step covariance or the bound
+        ("covariance-growth", {"r": 400.0}),
+        ("covariance-growth", {"r": 800.0}),
+        ("zeno-continuous", {"r": 400.0}),
+        ("trajectories", {"r": 400.0}),
+        ("zeno-dichotomic", {"r": 400.0}),
     ],
 )
 def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters):

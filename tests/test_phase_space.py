@@ -201,6 +201,52 @@ def test_accumulate_rejects_bad_input():
         accumulate_covariance(-np.eye(2), 0.1, 3)
 
 
+def _summed_covariance(c1, theta, n):
+    # oracle: the literal O(n) sum over the n rotated copies of C_1
+    angles = -theta * np.arange(n)
+    c, s = np.cos(angles), np.sin(angles)
+    rots = np.empty((n, 2, 2))
+    rots[:, 0, 0] = c
+    rots[:, 0, 1] = s
+    rots[:, 1, 0] = -s
+    rots[:, 1, 1] = c
+    return np.einsum("jab,bc,jdc->ad", rots, c1, rots)
+
+
+def _assert_matches_sum(c1, theta, n):
+    summed = _summed_covariance(c1, theta, n)
+    closed = accumulate_covariance(c1, theta, n)
+    assert np.max(np.abs(closed - summed)) <= 1e-12 * np.max(np.abs(summed))
+
+
+near_half_turns = st.builds(
+    lambda k, delta: k * math.pi + delta,
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(st.just(0.0), st.floats(min_value=-1e-9, max_value=1e-9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.floats(min_value=-1.5, max_value=1.5),
+    theta=st.one_of(st.floats(min_value=-7.0, max_value=7.0), near_half_turns),
+    n=st.integers(min_value=1, max_value=3000),
+)
+def test_accumulate_closed_form_matches_sum(r, theta, n):
+    _assert_matches_sum(step_covariance(r, theta), theta, n)
+
+
+@pytest.mark.parametrize("theta", [math.pi, 2.0 * math.pi])
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001])
+def test_accumulate_at_half_turns_is_n_copies(theta, n):
+    # sin(N theta) / sin(theta) is +-N here; every rotated copy is C_1 itself
+    c1 = step_covariance(0.9, theta)
+    _assert_matches_sum(c1, theta, n)
+    np.testing.assert_allclose(
+        accumulate_covariance(c1, theta, n), n * c1, rtol=1e-12, atol=1e-12 * n
+    )
+
+
 # --- determinant asymptote --------------------------------------------------
 
 
