@@ -254,6 +254,8 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     rows = []
     for n in range(1, p["n_max"] + 1):
         c_n = phase_space.accumulate_covariance(c1, p["theta"], n)
+        # raises on overflow; the row keeps np.linalg.det's rounding
+        phase_space._det_2x2(c_n)
         rows.append(
             [
                 n,

@@ -209,13 +209,15 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
     log_scale = np.where(log_c0.real < -math.log(_LADDER_RANGE), log_c0.real, 0.0)
     prev, cur = np.zeros_like(alpha), np.exp(log_c0 - log_scale)
+    scale = np.exp(log_scale)
     out = np.empty((n_rows,) + alpha.shape, dtype=complex)
     for n in range(n_rows):
         if (big := np.abs(cur) > _LADDER_RANGE).any():
             shrink = np.where(big, 1.0 / _LADDER_RANGE, 1.0)
             prev, cur = prev * shrink, cur * shrink
             log_scale = log_scale - np.log(shrink)
-        out[n] = cur * np.exp(log_scale)
+            scale = np.exp(log_scale)
+        out[n] = cur * scale
         prev, cur = cur, (g * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
     return out
 
@@ -426,26 +428,41 @@ class QuadratureGrid:
         return radii, angles, dr, dphi
 
 
+# Complex amplitudes one ladder evaluation of a block of rings may hold.
+_GRAM_BLOCK_ELEMENTS = 2**16
+
+
 def _family_gram(
     spec: MeasurementSpec, dim: int, n_rows: int, grid: QuadratureGrid, r_max: float
 ) -> np.ndarray:
     """Grid estimate of (1/2pi) integral dq dp |z><z|, rows and columns < n_rows.
 
     The measure is dq dp = 2 d^2 alpha = 2 rho dr dphi, summed one ring of
-    radius rho at a time.  Vacuum and squeezed members come from the ladder
-    recurrence.  A custom seed uses D(rho e^{i phi}) = R(phi) D(rho) R(-phi)
+    radius rho at a time, in order of rho.  Vacuum and squeezed members
+    come from the ladder recurrence, run once for a block of rings of at
+    most _GRAM_BLOCK_ELEMENTS amplitudes (one ring if a ring alone is
+    larger).  The recurrence acts node by node, so a block gives each ring
+    the bits it would get alone, and the ring-ordered sum keeps the gram's
+    bits too.  A custom seed uses D(rho e^{i phi}) = R(phi) D(rho) R(-phi)
     with R(phi) = e^{i phi n}, one ``dim``-level exponential per ring.
     """
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
-    for rho in radii:
-        if spec.is_gaussian:
-            ring = _ladder_amplitudes(rho * np.exp(1j * angles), spec.seed_r, n_rows)
-        else:
+    if not spec.is_gaussian:
+        for rho in radii:
             turns = np.exp(1j * np.outer(np.arange(dim), angles))
             rotated_seed = turns.conj() * spec.seed_vector(dim)[:, None]
             ring = (turns * (displacement_matrix(rho, dim) @ rotated_seed))[:n_rows]
-        gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+            gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+        return gram / math.pi
+    per_block = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * len(angles)))
+    phases = np.exp(1j * angles)
+    for lo in range(0, len(radii), per_block):
+        block = radii[lo : lo + per_block]
+        rings = _ladder_amplitudes(block[:, None] * phases, spec.seed_r, n_rows)
+        for k, rho in enumerate(block):
+            ring = rings[:, k]
+            gram += (rho * dr * dphi) * (ring @ ring.conj().T)
     return gram / math.pi
 
 
@@ -462,8 +479,10 @@ def identity_resolution_defect(
     and the maximum absolute deviation from delta_mn is returned.  Vacuum
     and squeezed family members are exact, so the grid alone limits the
     result and doubling it must shrink it; ``dim`` only has to exceed
-    ``dim_check``.  A custom seed is displaced within ``dim`` levels, so
-    that truncation enters too.
+    ``dim_check``.  Their ladder recurrence runs over blocks of rings, and
+    the rings are summed one by one in order of radius, so the result has
+    the same bits as a ring-by-ring evaluation.  A custom seed is displaced
+    within ``dim`` levels, so that truncation enters too.
     """
     if not 0 < dim_check < dim:
         raise ValueError("need 0 < dim_check < dim")

@@ -82,6 +82,13 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
+# Ensembles run in chunks of this many trajectories, and a chunk's chains
+# advance at most _CHUNK_ELEMENTS trajectory-steps at a time, so each
+# (steps, trajectories) float64 array stays within 8 MB whatever the chain
+# length.
+_CHUNK_ROWS = 4096
+_CHUNK_ELEMENTS = 2**20
+
 # Total accumulated angles closer than this to a multiple of 2 pi are
 # treated as exact returns when evaluating the survival density.
 _RETURN_ANGLE_TOL = 1e-9
@@ -267,6 +274,26 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryR
     )
 
 
+def _generator_normals(master_seed: int, indices: np.ndarray, n_steps: int):
+    """Normals of the streams (master_seed, i), i in indices, in pieces.
+
+    Yields (first step, n0, n1) with (span, len(indices)) arrays, where
+    span * len(indices) <= _CHUNK_ELEMENTS.  Each stream is one generator
+    drawn piece after piece, so the pieces join to what
+    ``_trajectory_normals`` draws at once.
+    """
+    gens = [
+        np.random.Generator(np.random.Philox(key=(int(master_seed), int(i))))
+        for i in indices
+    ]
+    span = max(1, _CHUNK_ELEMENTS // len(gens))
+    for first in range(0, n_steps, span):
+        u = np.empty((min(span, n_steps - first), len(gens), 2))
+        for row, gen in enumerate(gens):
+            u[:, row, :] = gen.random((len(u), 2))
+        yield first, *_box_muller(u[..., 0], u[..., 1])
+
+
 def _ensemble_block(
     cfg: ObservedRunConfig,
     kernel: GaussianKernel,
@@ -276,20 +303,20 @@ def _ensemble_block(
 ) -> None:
     n = cfg.params.n_steps
     if n <= _VECTOR_MAX_STEPS:
-        n0, n1 = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
+        pieces = [(0, *_box_muller(*_philox_uniforms(cfg.master_seed, indices, n)))]
     else:
-        normals = np.empty((n, len(indices), 2))
-        for row, ti in enumerate(indices):
-            normals[:, row, :] = _trajectory_normals(cfg.master_seed, int(ti), n)
-        n0, n1 = normals[..., 0], normals[..., 1]
-    xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
-    out_q, out_p = _chain_points(cfg.z0.q, cfg.z0.p, kernel.rotation, xi_q, xi_p)
+        pieces = _generator_normals(cfg.master_seed, indices, n)
     lo, hi = indices[0], indices[-1] + 1
-    if paths is not None:
-        paths[lo:hi, :, 0] = out_q.T
-        paths[lo:hi, :, 1] = out_p.T
-    finals[lo:hi, 0] = out_q[-1]
-    finals[lo:hi, 1] = out_p[-1]
+    zq, zp = cfg.z0.q, cfg.z0.p
+    for first, n0, n1 in pieces:
+        xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
+        out_q, out_p = _chain_points(zq, zp, kernel.rotation, xi_q, xi_p)
+        if paths is not None:
+            paths[lo:hi, first : first + len(out_q), 0] = out_q.T
+            paths[lo:hi, first : first + len(out_q), 1] = out_p.T
+        zq, zp = out_q[-1], out_p[-1]
+    finals[lo:hi, 0] = zq
+    finals[lo:hi, 1] = zp
 
 
 def run_ensemble(
@@ -301,15 +328,18 @@ def run_ensemble(
     returned as well.  Trajectories run in chunks of 4096; each draws from
     its own stream and lands at its own index, so chunking changes no value.
     For chains of at most 64 steps a chunk's streams are evaluated together
-    by a numpy Philox4x64-10; longer chains build one generator per
-    trajectory.  Both give the same bits.
+    by a numpy Philox4x64-10.  Longer chains build one generator per
+    trajectory and advance the chunk at most 2**20 trajectory-steps at a
+    time (256 steps of 4096 trajectories), so the working arrays stay
+    bounded however long the chain; a generator drawn piece by piece gives
+    the same stream.  Both samplers give the same bits.
     """
     kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
     n_traj = cfg.n_trajectories
     finals = np.empty((n_traj, 2))
     paths = np.empty((n_traj, cfg.params.n_steps, 2)) if keep_paths else None
-    for lo in range(0, n_traj, 4096):
-        chunk = np.arange(lo, min(lo + 4096, n_traj))
+    for lo in range(0, n_traj, _CHUNK_ROWS):
+        chunk = np.arange(lo, min(lo + _CHUNK_ROWS, n_traj))
         _ensemble_block(cfg, kernel, chunk, finals, paths)
     return (finals, paths) if keep_paths else finals
 

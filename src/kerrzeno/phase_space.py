@@ -94,14 +94,30 @@ def _is_symmetric(c: np.ndarray) -> bool:
     return abs(c[0, 1] - c[1, 0]) <= _SYMMETRY_RTOL * scale
 
 
+def _det_2x2(c: np.ndarray) -> float:
+    """Closed-form determinant on Python floats; ValueError if it overflows."""
+    (c00, c01), (c10, c11) = c.tolist()
+    det = c00 * c11 - c01 * c10
+    if not math.isfinite(det):
+        scale = max(abs(c00), abs(c01), abs(c10), abs(c11))
+        raise ValueError(
+            f"2x2 determinant overflows double precision (largest entry {scale:.3e})"
+        )
+    return det
+
+
 def _is_spd(c: np.ndarray) -> bool:
     if not _is_symmetric(c):
         return False
-    return c[0, 0] > _MINOR_FLOOR and float(np.linalg.det(c)) > _MINOR_FLOOR
+    return c[0, 0] > _MINOR_FLOOR and _det_2x2(c) > _MINOR_FLOOR
 
 
 def is_covariance(c: np.ndarray) -> bool:
-    """True when c is a symmetric positive-definite (2, 2) matrix."""
+    """True when c is a symmetric positive-definite (2, 2) matrix.
+
+    Raises ValueError when c is not a finite (2, 2) matrix or its
+    determinant overflows.
+    """
     return _is_spd(_as_matrix(c, "c"))
 
 
@@ -157,7 +173,7 @@ class GaussianState2D:
         scalar = pts.shape == (2,)
         d = pts - self.mean.as_array()
         (c00, c01), (c10, c11) = self.cov.tolist()
-        det = c00 * c11 - c01 * c10
+        det = _det_2x2(self.cov)
         quad = (
             c11 * d[..., 0] ** 2 - (c01 + c10) * d[..., 0] * d[..., 1] + c00 * d[..., 1] ** 2
         ) / det

@@ -358,6 +358,10 @@ def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
         ("zeno-continuous", {"r": 400.0}),
         ("trajectories", {"r": 400.0}),
         ("zeno-dichotomic", {"r": 400.0}),
+        # the 2x2 determinant overflows: of C_1, and at r = 176 only of C_N
+        ("covariance-growth", {"r": 300.0}),
+        ("zeno-continuous", {"r": 300.0}),
+        ("covariance-growth", {"r": 176.0}),
     ],
 )
 def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters):

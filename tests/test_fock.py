@@ -430,6 +430,33 @@ def test_identity_defect_validates_dims():
         identity_resolution_defect(MeasurementSpec.vacuum(), dim=10, dim_check=10)
 
 
+def ring_by_ring_gram(spec, n_rows, grid, r_max):
+    """Reference: the ladder run on one ring at a time, summed in ring order."""
+    radii, angles, dr, dphi = grid.nodes(r_max)
+    gram = np.zeros((n_rows, n_rows), dtype=complex)
+    for rho in radii:
+        ring = fock._ladder_amplitudes(rho * np.exp(1j * angles), spec.seed_r, n_rows)
+        gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+    return gram / math.pi
+
+
+@pytest.mark.parametrize(
+    "r, n_rows, grid, per_block",
+    [
+        (0.0, 11, QuadratureGrid(n_r=160, n_phi=128), 46),  # 160 = 3 * 46 + 22
+        (0.5, 11, QuadratureGrid(n_r=50, n_phi=128), 46),
+        (-1.2, 11, QuadratureGrid(n_r=50, n_phi=128), 46),
+        (0.5, 11, QuadratureGrid(n_r=3, n_phi=6000), 1),  # one ring alone is over budget
+        (0.0, 70, QuadratureGrid(n_r=20, n_phi=64), 14),  # transition_normalization's rows
+    ],
+)
+def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
+    assert max(1, fock._GRAM_BLOCK_ELEMENTS // (n_rows * grid.n_phi)) == per_block
+    spec = MeasurementSpec.squeezed(r) if r else MeasurementSpec.vacuum()
+    blocked = fock._family_gram(spec, n_rows + 1, n_rows, grid, 9.5)
+    assert np.array_equal(blocked, ring_by_ring_gram(spec, n_rows, grid, 9.5))
+
+
 # --- dichotomic survival -----------------------------------------------------------------------
 
 

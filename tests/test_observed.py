@@ -191,6 +191,22 @@ def test_ensemble_chunking_invariance(n_steps):
         assert np.array_equal(finals[index], run_trajectory(cfg, index).points[-1])
 
 
+def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
+    # 3-trajectory chunks advanced 60 trajectory-steps at a time: 8 chains of
+    # 65 steps end chunks mid-ensemble and pieces mid-chain (20 + 20 + 20 + 5
+    # steps, and 30 + 30 + 5 for the last chunk of two).
+    monkeypatch.setattr(observed, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 60)
+    cfg = make_config(
+        n_steps=observed._VECTOR_MAX_STEPS + 1, r=0.4, n_trajectories=8, master_seed=5
+    )
+    finals, paths = run_ensemble(cfg, keep_paths=True)
+    for index in range(cfg.n_trajectories):
+        record = run_trajectory(cfg, index)
+        assert np.array_equal(paths[index], record.points)
+        assert np.array_equal(finals[index], record.points[-1])
+
+
 # --- vectorized Philox sampler ------------------------------------------------------
 
 
