@@ -276,8 +276,10 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         n_trajectories=p["n_trajectories"],
         master_seed=master_seed,
     )
-    finals = observed.run_ensemble(cfg)
-    target = observed.analytic_final_distribution(cfg)
+    # an overflowing chain exits 3 through FloatingPointError, not as warnings
+    with np.errstate(over="raise", invalid="raise"):
+        finals = observed.run_ensemble(cfg)
+        target = observed.analytic_final_distribution(cfg)
     n = cfg.n_trajectories
     sample_mean = finals.mean(axis=0)
     sample_cov = np.cov(finals.T, ddof=1) if n > 1 else np.zeros((2, 2))
@@ -299,8 +301,12 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
     rows = []
     for ti in range(min(p["record_paths"], n)):
         rec = observed.run_trajectory(cfg, ti)
-        for j, t, z in rec.outcomes:
-            rows.append([ti, j, t, z.q, z.p])
+        finite = np.isfinite(rec.points).all(axis=1)
+        if not finite.all():
+            # the first bad point raises PhaseVector's own ValueError
+            phase_space.PhaseVector.from_array(rec.points[np.argmin(finite)])
+        columns = (rec.steps.tolist(), rec.times.tolist(), *rec.points.T.tolist())
+        rows.extend([ti, *cells] for cells in zip(*columns))
     return ["trajectory", "step", "time", "q", "p"], rows, summary
 
 
@@ -525,17 +531,12 @@ def envelope_json_dict(envelope: ResultEnvelope) -> dict:
     return out
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(envelope: ResultEnvelope, fh) -> None:
-    """Header plus data rows, CRLF line endings, shortest float repr."""
+    """Header plus data rows, CRLF line endings, shortest float repr.
+
+    Cells are ``int``, ``float`` or ``str``, which ``csv`` writes as
+    ``str``, ``repr`` and ``str``.
+    """
     writer = csv.writer(fh, lineterminator="\r\n")
     writer.writerow(envelope.columns)
-    for row in envelope.rows:
-        writer.writerow([_format_cell(v) for v in row])
+    writer.writerows(envelope.rows)

@@ -314,12 +314,13 @@ def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
     """Robertson-Schrodinger test det(c) >= 1/4 with the signed margin.
 
     Pure seed states saturate the bound, so the boolean tolerates rounding
-    of the determinant by 1e-12 below 1/4.
+    of the determinant by 1e-12 below 1/4.  Raises ValueError when the
+    determinant overflows.
     """
     arr = _as_matrix(c, "c")
     if not _is_symmetric(arr):
         raise ValueError("c must be symmetric")
-    margin = float(np.linalg.det(arr)) - 0.25
+    margin = _det_2x2(arr) - 0.25
     return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)
 
 

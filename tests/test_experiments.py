@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from kerrzeno.experiments import (
     validate_config,
     write_csv,
 )
-from kerrzeno.fock import mean_a_closed_form
+from kerrzeno.fock import MeasurementSpec, mean_a_closed_form
+from kerrzeno.observed import ObservedRunConfig, run_trajectory
+from kerrzeno.phase_space import EvolutionParams, PhaseVector
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
 
 
@@ -138,6 +141,25 @@ def test_trajectories_summary_consistent():
     assert summary["n_trajectories"] == 4000
     assert summary["mean_error"] < summary["mean_error_limit_4se"]
     assert summary["max_cov_deviation_se"] < 5.0
+
+
+def test_trajectories_rows_are_the_recorded_outcomes():
+    params = {"q0": 2.5, "p0": -0.5, "n_steps": 7, "r": 0.3, "n_trajectories": 50,
+              "record_paths": 4}
+    envelope = run_experiment(make_config("trajectories", params, master_seed=13))
+    cfg = ObservedRunConfig(
+        z0=PhaseVector(2.5, -0.5),
+        params=EvolutionParams(0.1, 0.5 * (2.5**2 + 0.5**2), 0.1, 7),
+        spec=MeasurementSpec.squeezed(0.3),
+        n_trajectories=50,
+        master_seed=13,
+    )
+    expected = [
+        [ti, j, t, z.q, z.p] for ti in range(4) for j, t, z in run_trajectory(cfg, ti).outcomes
+    ]
+    assert envelope.rows == expected
+    for row in envelope.rows:
+        assert [type(v) for v in row] == [int, int, float, float, float]
 
 
 def test_zeno_continuous_constancy():
@@ -262,6 +284,20 @@ def test_every_experiment_has_runnable_defaults():
         assert config.experiment == name
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_rows_hold_only_csv_native_cells(name):
+    # write_csv hands rows to csv.writer, which writes int, float and str
+    # cells as str, repr and str; a bool or numpy scalar would change bytes
+    envelope = run_experiment(make_config(name))
+    assert {type(v) for row in envelope.rows for v in row} <= {int, float, str}
+    buf = io.StringIO()
+    write_csv(envelope, buf)
+    parsed = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert parsed[1:] == [
+        [v if isinstance(v, str) else repr(v) for v in row] for row in envelope.rows
+    ]
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 
@@ -375,6 +411,24 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
     err = capsys.readouterr().err
     assert "numeric error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_steps", [20, 65])
+def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, n_steps):
+    # a quarter turn of (1.7e308, 1.7e308) overflows on the first step, on
+    # either side of the vectorized-sampler threshold
+    parameters = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
+                  "tau": math.pi / 4, "n_steps": n_steps}
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": parameters}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert caught == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])

@@ -207,6 +207,24 @@ def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
         assert np.array_equal(finals[index], record.points[-1])
 
 
+def test_generator_pieces_of_partial_chunk_keep_stream_bits():
+    # the last chunk of a 5904-trajectory ensemble holds 1808 streams, so at the
+    # real _CHUNK_ELEMENTS a piece spans 2**20 // 1808 = 579 steps: 579 + 121
+    indices = np.arange(observed._CHUNK_ROWS, observed._CHUNK_ROWS + 1808)
+    n_steps = 700
+    pieces = list(observed._generator_normals(21, indices, n_steps))
+    assert [(first, n0.shape) for first, n0, _ in pieces] == [
+        (0, (579, 1808)),
+        (579, (121, 1808)),
+    ]
+    n0 = np.concatenate([piece[1] for piece in pieces])
+    n1 = np.concatenate([piece[2] for piece in pieces])
+    for row, index in enumerate(indices):
+        normals = observed._trajectory_normals(21, int(index), n_steps)
+        assert np.array_equal(n0[:, row], normals[:, 0])
+        assert np.array_equal(n1[:, row], normals[:, 1])
+
+
 # --- vectorized Philox sampler ------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Rotation algebra, covariance accumulation laws, and regime flags."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,13 @@ def test_rs_check_violation():
     ok, margin = rs_uncertainty_check(bad)
     assert not ok
     assert margin < 0
+
+
+def test_rs_check_rejects_overflowing_determinant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="determinant overflows"):
+            rs_uncertainty_check(np.diag([1e200, 1e200]))
 
 
 def test_rs_check_rejects_asymmetric():
