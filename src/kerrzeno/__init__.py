@@ -29,7 +29,6 @@ from .phase_space import (
     GaussianState2D,
     PhaseVector,
     UncertaintyCheck,
-    ValidityReport,
     accumulate_covariance,
     classical_evolve,
     det_cn_asymptotic,
@@ -37,7 +36,6 @@ from .phase_space import (
     rs_uncertainty_check,
     seed_covariance,
     step_covariance,
-    validity_report,
 )
 from .fock import (
     DEFAULT_TAIL_BUDGET,

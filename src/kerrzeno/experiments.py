@@ -276,18 +276,23 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         n_trajectories=p["n_trajectories"],
         master_seed=master_seed,
     )
-    # an overflowing chain exits 3 through FloatingPointError, not as warnings
+    n = cfg.n_trajectories
+    # an overflowing chain or moment exits 3 through FloatingPointError, not
+    # as warnings
     with np.errstate(over="raise", invalid="raise"):
         finals = observed.run_ensemble(cfg)
         target = observed.analytic_final_distribution(cfg)
-    n = cfg.n_trajectories
-    sample_mean = finals.mean(axis=0)
-    sample_cov = np.cov(finals.T, ddof=1) if n > 1 else np.zeros((2, 2))
-    mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
-    mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
-    diag = np.diag(target.cov)
-    cov_se = np.sqrt((np.outer(diag, diag) + target.cov**2) / n)
-    max_dev_se = float(np.max(np.abs(sample_cov - target.cov) / cov_se))
+        # the recorded paths come from one batched call of the same sampler
+        _, paths = observed._sample_chains(
+            cfg, 0, min(p["record_paths"], n), keep_paths=True
+        )
+        sample_mean = finals.mean(axis=0)
+        sample_cov = np.cov(finals.T, ddof=1) if n > 1 else np.zeros((2, 2))
+        mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
+        mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
+        diag = np.diag(target.cov)
+        cov_se = np.sqrt((np.outer(diag, diag) + target.cov**2) / n)
+        max_dev_se = float(np.max(np.abs(sample_cov - target.cov) / cov_se))
     summary = {
         "n_trajectories": n,
         "analytic_mean": [float(x) for x in target.mean.as_array()],
@@ -298,15 +303,17 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         "sample_cov": [[float(x) for x in row] for row in sample_cov],
         "max_cov_deviation_se": max_dev_se,
     }
+    finite = np.isfinite(paths).all(axis=2)
+    if not finite.all():
+        # the first bad point raises PhaseVector's own ValueError
+        phase_space.PhaseVector.from_array(
+            paths[np.unravel_index(np.argmin(finite), finite.shape)]
+        )
+    steps = np.arange(1, cfg.params.n_steps + 1)
+    columns = (steps.tolist(), (steps * cfg.params.tau).tolist())
     rows = []
-    for ti in range(min(p["record_paths"], n)):
-        rec = observed.run_trajectory(cfg, ti)
-        finite = np.isfinite(rec.points).all(axis=1)
-        if not finite.all():
-            # the first bad point raises PhaseVector's own ValueError
-            phase_space.PhaseVector.from_array(rec.points[np.argmin(finite)])
-        columns = (rec.steps.tolist(), rec.times.tolist(), *rec.points.T.tolist())
-        rows.extend([ti, *cells] for cells in zip(*columns))
+    for ti, path in enumerate(paths):
+        rows.extend([ti, *cells] for cells in zip(*columns, *path.T.tolist()))
     return ["trajectory", "step", "time", "q", "p"], rows, summary
 
 

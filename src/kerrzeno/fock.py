@@ -19,10 +19,11 @@ Conventions
   renormalization); the weight lost beyond the cutoff is tracked as
   ``tail_mass`` and must stay below the construction ``tail_budget``.
 
-Vacuum and squeezed family members |alpha, r> = D(alpha) S(r)|0> come
-from the three-term recurrence of their number amplitudes (Yuen, PRA 13,
-2226 (1976)), so every amplitude below the cutoff is exact and the tail
-is 1 - sum_{n<dim} |c_n|^2.  A custom seed is displaced by the dense
+Vacuum and squeezed family members |alpha, r> = D(alpha) S(r)|0>,
+coherent states (r = 0) among them, all come from ``displaced_seed`` and
+the three-term recurrence of their number amplitudes (Yuen, PRA 13, 2226
+(1976)), so every amplitude below the cutoff is exact and the tail is
+1 - sum_{n<dim} |c_n|^2.  A custom seed is displaced by the dense
 matrix exponential of the truncated generator (scipy.linalg.expm), the
 one general route; ``displacement_matrix`` and ``squeeze_matrix`` also
 serve the test-suite as oracles.
@@ -36,7 +37,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammainc
 
 from .phase_space import PhaseVector
 
@@ -176,13 +176,6 @@ def default_dim(n_bar: float, r: float = 0.0) -> int:
     return int(math.ceil(n_bar + 10.0 * math.exp(abs(r)) * math.sqrt(n_bar + 1.0) + 20.0))
 
 
-def _poisson_tail(dim: int, mu: float) -> float:
-    """P(X >= dim) for X ~ Poisson(mu)."""
-    if mu == 0.0:
-        return 0.0
-    return float(gammainc(dim, mu))
-
-
 # Largest growth the ladder recurrence carries before it rescales; far
 # enough below overflow that one more step cannot reach it.
 _LADDER_RANGE = 1e150
@@ -247,21 +240,14 @@ def _truncation_error(
 def coherent_state(
     alpha: complex, dim: int | None = None, tail_budget: float = DEFAULT_TAIL_BUDGET
 ) -> FockVector:
-    """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
+    """Coherent state D(alpha)|0>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The ladder recurrence at r = 0, c_n = c_{n-1} alpha / sqrt(n), avoids
-    overflow of the separate factors.  The truncated weight is the
-    analytic Poisson tail.
+    The vacuum member of the measurement family, from ``displaced_seed``.
     """
     alpha = complex(alpha)
-    mu = abs(alpha) ** 2
     if dim is None:
-        dim = default_dim(mu)
-    tail = _poisson_tail(dim, mu)
-    if tail > tail_budget:
-        family = partial(_ladder_amplitudes, alpha, 0.0)
-        raise _truncation_error(family, dim, tail, tail_budget, max(dim, default_dim(mu)))
-    return FockVector(amps=_ladder_amplitudes(alpha, 0.0, dim), dim=dim, tail_mass=tail)
+        dim = default_dim(abs(alpha) ** 2)
+    return displaced_seed(MeasurementSpec.vacuum(), alpha, dim, tail_budget)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:

@@ -23,13 +23,14 @@ would share streams); step ``j`` consumes uniforms
 ``2j`` and ``2j + 1`` of that stream, turned into normals by Box-Muller.
 Results are therefore bit-identical however trajectories are chunked.
 
-Ensembles of chains of at most 64 steps evaluate Philox4x64-10, a pure
-function of (key, counter), in numpy across a whole chunk of trajectories;
-longer chains, and ``run_trajectory``, draw from one ``np.random.Philox``
-generator per trajectory.  In an ensemble each generator fills its own
-contiguous row of uniform pairs, and blocks of rows are transposed into
-the step-major layout the chain loop reads.  Both samplers give the same
-bits.
+One chain sampler serves any range of trajectory indices: the whole
+ensemble, one trajectory, or the recorded paths of an experiment.  Chains
+of at most 64 steps evaluate Philox4x64-10, a pure function of (key,
+counter), in numpy across a whole chunk of trajectories; longer chains
+draw from one ``np.random.Philox`` generator per trajectory.  Each
+generator fills its own contiguous row of uniform pairs, and blocks of
+rows are transposed into the step-major layout the chain loop reads.  Both
+ways of drawing give the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
+    _det_2x2,
     accumulate_covariance,
     is_covariance,
     rotation_matrix,
@@ -108,7 +110,11 @@ class UnsupportedSeedError(ValueError):
 
 
 def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
-    """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t."""
+    """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t.
+
+    Raises ValueError when the determinant overflows.
+    """
+    _det_2x2(c)  # the overflow check; s keeps np.linalg.det's rounding
     s = math.sqrt(float(np.linalg.det(c)))
     t = math.sqrt(float(c[0, 0] + c[1, 1]) + 2.0 * s)
     return (c + s * np.eye(2)) / t
@@ -185,22 +191,10 @@ class TrajectoryRecord:
 
 def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two standard normals per uniform pair; the one expression tree shared
-    by the per-trajectory and the vectorized streams."""
+    by the generator and the vectorized streams."""
     radius = np.sqrt(-2.0 * np.log1p(-u0))
     angle = 2.0 * math.pi * u1
     return radius * np.cos(angle), radius * np.sin(angle)
-
-
-def _trajectory_normals(master_seed: int, trajectory_index: int, n_steps: int) -> np.ndarray:
-    """(n_steps, 2) standard normals from the (seed, index) Philox stream.
-
-    Box-Muller over counter-ordered uniforms keeps the draw count per step
-    fixed at two, so step j is a pure function of (seed, index, j).
-    """
-    key = (int(master_seed), int(trajectory_index))
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random((n_steps, 2))
-    return np.stack(_box_muller(u[:, 0], u[:, 1]), axis=1)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +237,8 @@ def _philox_uniforms(
 
 
 def _color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
-    """Componentwise coloring; one fixed expression tree per element so
-    batched and single-trajectory paths round identically."""
+    """Componentwise coloring; one fixed expression tree per element, so a
+    trajectory rounds alike in a chunk of any size."""
     return (
         sqrt_cov[0, 0] * n0 + sqrt_cov[0, 1] * n1,
         sqrt_cov[1, 0] * n0 + sqrt_cov[1, 1] * n1,
@@ -264,32 +258,13 @@ def _chain_points(zq, zp, rotation: np.ndarray, xi_q, xi_p):
     return out_q, out_p
 
 
-def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryRecord:
-    """One realization of the observed chain, reproducible from its keys."""
-    if not 0 <= trajectory_index:
-        raise ValueError("trajectory_index must be >= 0")
-    kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
-    n = cfg.params.n_steps
-    normals = _trajectory_normals(cfg.master_seed, trajectory_index, n)
-    xi_q, xi_p = _color_noise(normals[:, 0], normals[:, 1], kernel.sqrt_cov)
-    out_q, out_p = _chain_points(cfg.z0.q, cfg.z0.p, kernel.rotation, xi_q, xi_p)
-    steps = np.arange(1, n + 1)
-    return TrajectoryRecord(
-        steps=steps,
-        times=steps * cfg.params.tau,
-        points=np.stack([out_q, out_p], axis=1),
-        master_seed=cfg.master_seed,
-        trajectory_index=trajectory_index,
-    )
-
-
 def _generator_normals(master_seed: int, indices: np.ndarray, n_steps: int):
     """Normals of the streams (master_seed, i), i in indices, in pieces.
 
     Yields (first step, n0, n1) with (span, len(indices)) arrays, where
     span * len(indices) <= _CHUNK_ELEMENTS.  Each stream is one generator
     drawn piece after piece into its own contiguous row, so the pieces join
-    to what ``_trajectory_normals`` draws at once.
+    to what one draw of the whole chain gives.
     """
     gens = [
         np.random.Generator(np.random.Philox(key=(int(master_seed), int(i))))
@@ -317,31 +292,59 @@ def _stream_rows(gens: list[np.random.Generator], span: int) -> np.ndarray:
     return u
 
 
-def _ensemble_block(
-    cfg: ObservedRunConfig,
-    kernel: GaussianKernel,
-    indices: np.ndarray,
-    finals: np.ndarray,
-    paths: np.ndarray | None,
-) -> None:
+def _sample_chains(
+    cfg: ObservedRunConfig, lo: int, hi: int, keep_paths: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Finals (hi - lo, 2) of trajectories lo..hi-1, and with ``keep_paths``
+    their paths (hi - lo, n_steps, 2); trajectory i lands at row i - lo.
+
+    The one chain sampler, behind ``run_ensemble`` (0..n_trajectories-1),
+    ``run_trajectory`` (one index) and the recorded paths of the
+    ``trajectories`` experiment (one batched call); see ``run_ensemble``.
+    """
+    kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
     n = cfg.params.n_steps
-    if n <= _VECTOR_MAX_STEPS:
-        pieces = [(0, *_box_muller(*_philox_uniforms(cfg.master_seed, indices, n)))]
-    else:
-        pieces = _generator_normals(cfg.master_seed, indices, n)
-    lo, hi = indices[0], indices[-1] + 1
-    zq, zp = cfg.z0.q, cfg.z0.p
-    for first, n0, n1 in pieces:
-        xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
-        out_q, out_p = _chain_points(zq, zp, kernel.rotation, xi_q, xi_p)
-        if paths is not None:
-            paths[lo:hi, first : first + len(out_q), 0] = out_q.T
-            paths[lo:hi, first : first + len(out_q), 1] = out_p.T
-        zq, zp = out_q[-1].copy(), out_p[-1].copy()
-        # free this piece before the next one is drawn
-        del n0, n1, xi_q, xi_p, out_q, out_p
-    finals[lo:hi, 0] = zq
-    finals[lo:hi, 1] = zp
+    finals = np.empty((hi - lo, 2))
+    paths = np.empty((hi - lo, n, 2)) if keep_paths else None
+    for start in range(lo, hi, _CHUNK_ROWS):
+        indices = np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.uint64)
+        rows = slice(start - lo, start - lo + len(indices))
+        if n <= _VECTOR_MAX_STEPS:
+            pieces = [(0, *_box_muller(*_philox_uniforms(cfg.master_seed, indices, n)))]
+        else:
+            pieces = _generator_normals(cfg.master_seed, indices, n)
+        zq, zp = cfg.z0.q, cfg.z0.p
+        for first, n0, n1 in pieces:
+            xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
+            out_q, out_p = _chain_points(zq, zp, kernel.rotation, xi_q, xi_p)
+            if paths is not None:
+                paths[rows, first : first + len(out_q), 0] = out_q.T
+                paths[rows, first : first + len(out_q), 1] = out_p.T
+            zq, zp = out_q[-1].copy(), out_p[-1].copy()
+            # free this piece before the next one is drawn
+            del n0, n1, xi_q, xi_p, out_q, out_p
+        finals[rows, 0] = zq
+        finals[rows, 1] = zp
+    return finals, paths
+
+
+def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryRecord:
+    """One realization of the observed chain, reproducible from its keys.
+
+    The ensemble sampler over the single index, so the record holds the
+    bits ``run_ensemble(cfg, keep_paths=True)`` gives for that trajectory.
+    """
+    if not 0 <= trajectory_index:
+        raise ValueError("trajectory_index must be >= 0")
+    _, paths = _sample_chains(cfg, trajectory_index, trajectory_index + 1, keep_paths=True)
+    steps = np.arange(1, cfg.params.n_steps + 1)
+    return TrajectoryRecord(
+        steps=steps,
+        times=steps * cfg.params.tau,
+        points=paths[0],
+        master_seed=cfg.master_seed,
+        trajectory_index=trajectory_index,
+    )
 
 
 def run_ensemble(
@@ -359,16 +362,11 @@ def run_ensemble(
     bounded however long the chain; a generator drawn piece by piece gives
     the same stream.  Within a piece each generator draws into its own
     contiguous row, blocks of 64 rows are transposed into the step-major
-    layout, and a piece is freed before the next is drawn.  Both samplers
-    give the same bits.
+    layout, and a piece is freed before the next is drawn.  Both ways of
+    drawing give the same bits, and ``run_trajectory`` runs this same
+    sampler on one index.
     """
-    kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
-    n_traj = cfg.n_trajectories
-    finals = np.empty((n_traj, 2))
-    paths = np.empty((n_traj, cfg.params.n_steps, 2)) if keep_paths else None
-    for lo in range(0, n_traj, _CHUNK_ROWS):
-        chunk = np.arange(lo, min(lo + _CHUNK_ROWS, n_traj))
-        _ensemble_block(cfg, kernel, chunk, finals, paths)
+    finals, paths = _sample_chains(cfg, 0, cfg.n_trajectories, keep_paths)
     return (finals, paths) if keep_paths else finals
 
 

@@ -43,7 +43,7 @@ taken as the transpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "PhaseVector",
     "GaussianState2D",
     "EvolutionParams",
-    "ValidityReport",
     "UncertaintyCheck",
     "rotation_matrix",
     "classical_evolve",
@@ -61,7 +60,6 @@ __all__ = [
     "accumulate_covariance",
     "det_cn_asymptotic",
     "rs_uncertainty_check",
-    "validity_report",
     "is_covariance",
 ]
 
@@ -322,60 +320,3 @@ def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
         raise ValueError("c must be symmetric")
     margin = _det_2x2(arr) - 0.25
     return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Advisory linear-regime flags; nothing here is enforced."""
-
-    omega_tau: float
-    n_bar: float
-    relative_spread: float
-    omega_tau_small: bool
-    nbar_large: bool
-    relative_spread_small: bool
-    thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_THRESHOLDS)
-    )
-
-    @property
-    def ok(self) -> bool:
-        return self.omega_tau_small and self.nbar_large and self.relative_spread_small
-
-
-_DEFAULT_THRESHOLDS = {
-    "omega_tau_max": 0.1,
-    "n_bar_min": 10.0,
-    "relative_spread_max": 0.3,
-}
-
-
-def validity_report(
-    params: EvolutionParams,
-    delta_n_over_nbar: float,
-    *,
-    omega_tau_max: float = _DEFAULT_THRESHOLDS["omega_tau_max"],
-    n_bar_min: float = _DEFAULT_THRESHOLDS["n_bar_min"],
-    relative_spread_max: float = _DEFAULT_THRESHOLDS["relative_spread_max"],
-) -> ValidityReport:
-    """Flag how far the parameters are inside the linearized regime.
-
-    The regime wants a small per-step angle, a large mean photon number
-    and a small relative number spread; the default thresholds are
-    conventional choices and can be overridden per call.
-    """
-    spread = _require_finite(delta_n_over_nbar, "delta_n_over_nbar")
-    theta = abs(params.theta)
-    return ValidityReport(
-        omega_tau=theta,
-        n_bar=params.n_bar,
-        relative_spread=spread,
-        omega_tau_small=theta < omega_tau_max,
-        nbar_large=params.n_bar > n_bar_min,
-        relative_spread_small=spread < relative_spread_max,
-        thresholds={
-            "omega_tau_max": omega_tau_max,
-            "n_bar_min": n_bar_min,
-            "relative_spread_max": relative_spread_max,
-        },
-    )

@@ -144,22 +144,26 @@ def test_trajectories_summary_consistent():
 
 
 def test_trajectories_rows_are_the_recorded_outcomes():
-    params = {"q0": 2.5, "p0": -0.5, "n_steps": 7, "r": 0.3, "n_trajectories": 50,
-              "record_paths": 4}
-    envelope = run_experiment(make_config("trajectories", params, master_seed=13))
-    cfg = ObservedRunConfig(
-        z0=PhaseVector(2.5, -0.5),
-        params=EvolutionParams(0.1, 0.5 * (2.5**2 + 0.5**2), 0.1, 7),
-        spec=MeasurementSpec.squeezed(0.3),
-        n_trajectories=50,
-        master_seed=13,
-    )
-    expected = [
-        [ti, j, t, z.q, z.p] for ti in range(4) for j, t, z in run_trajectory(cfg, ti).outcomes
-    ]
-    assert envelope.rows == expected
-    for row in envelope.rows:
-        assert [type(v) for v in row] == [int, int, float, float, float]
+    # 7 and 65 steps sit on either side of the vectorized-sampler threshold
+    for n_steps in (7, 65):
+        params = {"q0": 2.5, "p0": -0.5, "n_steps": n_steps, "r": 0.3,
+                  "n_trajectories": 50, "record_paths": 4}
+        envelope = run_experiment(make_config("trajectories", params, master_seed=13))
+        cfg = ObservedRunConfig(
+            z0=PhaseVector(2.5, -0.5),
+            params=EvolutionParams(0.1, 0.5 * (2.5**2 + 0.5**2), 0.1, n_steps),
+            spec=MeasurementSpec.squeezed(0.3),
+            n_trajectories=50,
+            master_seed=13,
+        )
+        expected = [
+            [ti, j, t, z.q, z.p]
+            for ti in range(4)
+            for j, t, z in run_trajectory(cfg, ti).outcomes
+        ]
+        assert envelope.rows == expected
+        for row in envelope.rows:
+            assert [type(v) for v in row] == [int, int, float, float, float]
 
 
 def test_zeno_continuous_constancy():
@@ -413,12 +417,22 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n_steps", [20, 65])
-def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, n_steps):
-    # a quarter turn of (1.7e308, 1.7e308) overflows on the first step, on
-    # either side of the vectorized-sampler threshold
-    parameters = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
-                  "tau": math.pi / 4, "n_steps": n_steps}
+QUARTER_TURN_OF_MAX = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
+                       "tau": math.pi / 4}
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        # a quarter turn of (1.7e308, 1.7e308) overflows on the first step, on
+        # either side of the vectorized-sampler threshold
+        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 20}, id="20"),
+        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 65}, id="65"),
+        # a finite chain whose sample moments overflow in the summary
+        pytest.param({"q0": 1e200, "n_bar": 1.0, "n_steps": 3}, id="moments"),
+    ],
+)
+def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, parameters):
     config_path = write_config(
         tmp_path, {"experiment": "trajectories", "parameters": parameters}
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ def make_config(
     )
 
 
+def reference_normals(seed, index, n_steps):
+    """Oracle normals: one numpy Philox generator keyed (seed, index), its
+    uniforms 2j and 2j + 1 turned into step j's pair by Box-Muller."""
+    u = np.random.Generator(np.random.Philox(key=(seed, index))).random((n_steps, 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    angle = 2.0 * math.pi * u[:, 1]
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def reference_path(cfg, index):
+    """Oracle path of one trajectory: z -> M (z + sqrt(C_1) n_j), step by step."""
+    n0, n1 = reference_normals(cfg.master_seed, index, cfg.params.n_steps)
+    root = symmetric_sqrt_2x2(step_covariance(cfg.spec.seed_r, cfg.params.theta))
+    rot = rotation_matrix(cfg.params.theta)
+    z = cfg.z0.as_array()
+    points = []
+    for a, b in zip(n0, n1):
+        z = rot @ (z + root @ np.array([a, b]))
+        points.append(z)
+    return np.array(points)
+
+
 # --- step kernel --------------------------------------------------------------
 
 
@@ -88,6 +111,13 @@ def test_symmetric_sqrt():
     root = symmetric_sqrt_2x2(c)
     np.testing.assert_allclose(root @ root, c, atol=1e-14)
     np.testing.assert_allclose(root, root.T, atol=1e-15)
+
+
+def test_symmetric_sqrt_rejects_overflowing_determinant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="determinant overflows"):
+            symmetric_sqrt_2x2(np.diag([1e200, 1e200]))
 
 
 # --- single step -----------------------------------------------------------------
@@ -220,9 +250,24 @@ def test_generator_pieces_of_partial_chunk_keep_stream_bits():
     n0 = np.concatenate([piece[1] for piece in pieces])
     n1 = np.concatenate([piece[2] for piece in pieces])
     for row, index in enumerate(indices):
-        normals = observed._trajectory_normals(21, int(index), n_steps)
-        assert np.array_equal(n0[:, row], normals[:, 0])
-        assert np.array_equal(n1[:, row], normals[:, 1])
+        ref0, ref1 = reference_normals(21, int(index), n_steps)
+        assert np.array_equal(n0[:, row], ref0)
+        assert np.array_equal(n1[:, row], ref1)
+
+
+@pytest.mark.parametrize("n_steps", [3, observed._VECTOR_MAX_STEPS + 1])
+def test_trajectory_and_ensemble_paths_match_reference(n_steps):
+    # both samplers against the scalar oracle, and the single-index call
+    # against the ensemble bit for bit
+    cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=5, master_seed=17)
+    finals, paths = run_ensemble(cfg, keep_paths=True)
+    for index in range(cfg.n_trajectories):
+        expected = reference_path(cfg, index)
+        record = run_trajectory(cfg, index)
+        np.testing.assert_allclose(record.points, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(paths[index], expected, rtol=0, atol=1e-12)
+        assert np.array_equal(record.points, paths[index])
+        assert np.array_equal(finals[index], paths[index, -1])
 
 
 # --- vectorized Philox sampler ------------------------------------------------------
@@ -239,9 +284,9 @@ def assert_chunk_matches_generators(seed, offset, length, n_steps):
         u = gen.random((n_steps, 2))
         assert np.array_equal(u0[:, row], u[:, 0])
         assert np.array_equal(u1[:, row], u[:, 1])
-        normals = observed._trajectory_normals(seed, int(index), n_steps)
-        assert np.array_equal(n0[:, row], normals[:, 0])
-        assert np.array_equal(n1[:, row], normals[:, 1])
+        ref0, ref1 = reference_normals(seed, int(index), n_steps)
+        assert np.array_equal(n0[:, row], ref0)
+        assert np.array_equal(n1[:, row], ref1)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])

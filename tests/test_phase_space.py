@@ -1,4 +1,4 @@
-"""Rotation algebra, covariance accumulation laws, and regime flags."""
+"""Rotation algebra, covariance accumulation laws, and uncertainty checks."""
 
 import math
 import warnings
@@ -19,7 +19,6 @@ from kerrzeno.phase_space import (
     rs_uncertainty_check,
     seed_covariance,
     step_covariance,
-    validity_report,
 )
 
 angles = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
@@ -298,30 +297,6 @@ def test_rs_check_rejects_overflowing_determinant():
 def test_rs_check_rejects_asymmetric():
     with pytest.raises(ValueError):
         rs_uncertainty_check(np.array([[1.0, 0.3], [0.0, 1.0]]))
-
-
-# --- validity report ---------------------------------------------------------
-
-
-def test_validity_report_coherent_regime():
-    params = EvolutionParams(chi=0.0003125, n_bar=16.0, tau=1.0, n_steps=10)
-    assert abs(params.theta - 0.01) < 1e-15
-    report = validity_report(params, delta_n_over_nbar=0.25)
-    assert report.ok
-
-
-def test_validity_report_small_field_fails():
-    params = EvolutionParams(chi=0.005, n_bar=1.0, tau=1.0, n_steps=10)
-    report = validity_report(params, delta_n_over_nbar=1.0)
-    assert not report.nbar_large
-    assert not report.relative_spread_small
-    assert report.omega_tau_small
-
-
-def test_validity_report_large_angle_fails():
-    params = EvolutionParams(chi=1.0, n_bar=1.0, tau=1.0, n_steps=10)
-    report = validity_report(params, delta_n_over_nbar=0.1)  # omega tau = 2
-    assert not report.omega_tau_small
 
 
 # --- value types --------------------------------------------------------------
