@@ -63,7 +63,6 @@ from .observed import (
     GaussianKernel,
     ObservedRunConfig,
     TrajectoryRecord,
-    UnsupportedSeedError,
     analytic_final_distribution,
     chain_convolution_check,
     gaussian_step_kernel,

@@ -233,10 +233,6 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
 # runners
 
 
-def _spec_from_r(r: float) -> fock.MeasurementSpec:
-    return fock.MeasurementSpec.vacuum() if r == 0.0 else fock.MeasurementSpec.squeezed(r)
-
-
 def _run_revival(p: dict, master_seed: int) -> RunnerResult:
     dim = p["dim"] if p["dim"] is not None else fock.default_dim(p["alpha"] ** 2)
     psi0 = fock.coherent_state(p["alpha"], dim)
@@ -272,7 +268,7 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
     cfg = observed.ObservedRunConfig(
         z0=phase_space.PhaseVector(q0, p0),
         params=phase_space.EvolutionParams(p["chi"], n_bar, p["tau"], p["n_steps"]),
-        spec=_spec_from_r(p["r"]),
+        spec=fock.MeasurementSpec(p["r"]),
         n_trajectories=p["n_trajectories"],
         master_seed=master_seed,
     )
@@ -324,7 +320,7 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
         cfg = observed.ObservedRunConfig(
             z0=phase_space.PhaseVector(2.0, 0.0),
             params=phase_space.EvolutionParams(0.5, 1.0, tau, n),
-            spec=_spec_from_r(p["r"]),
+            spec=fock.MeasurementSpec(p["r"]),
         )
         density = observed.survival_density_continuous(cfg)
         rows.append([n, density, n * density])
@@ -333,8 +329,8 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
 
 def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
     alpha0 = complex(p["alpha0_re"], p["alpha0_im"])
-    spec = _spec_from_r(p["r"])
-    r = spec.seed_r
+    r = p["r"]
+    spec = fock.MeasurementSpec(r)
     dim = p["dim"] if p["dim"] is not None else fock.default_dim(
         abs(alpha0) ** 2 + math.sinh(r) ** 2, r
     )
@@ -369,7 +365,7 @@ def _run_two_level_sweep(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
-    spec = _spec_from_r(p["r"])
+    spec = fock.MeasurementSpec(p["r"])
     scales = [1, 2] if p["include_doubled"] else [1]
     rows = []
     for scale in scales:

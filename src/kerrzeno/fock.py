@@ -19,14 +19,12 @@ Conventions
   renormalization); the weight lost beyond the cutoff is tracked as
   ``tail_mass`` and must stay below the construction ``tail_budget``.
 
-Vacuum and squeezed family members |alpha, r> = D(alpha) S(r)|0>,
-coherent states (r = 0) among them, all come from ``displaced_seed`` and
-the three-term recurrence of their number amplitudes (Yuen, PRA 13, 2226
-(1976)), so every amplitude below the cutoff is exact and the tail is
-1 - sum_{n<dim} |c_n|^2.  A custom seed is displaced by the dense
-matrix exponential of the truncated generator (scipy.linalg.expm), the
-one general route; ``displacement_matrix`` and ``squeeze_matrix`` also
-serve the test-suite as oracles.
+Measurement family members |alpha, r> = D(alpha) S(r)|0>, coherent states
+(r = 0) among them, all come from ``displaced_seed`` and the three-term
+recurrence of their number amplitudes (Yuen, PRA 13, 2226 (1976)), so
+every amplitude below the cutoff is exact and the tail is
+1 - sum_{n<dim} |c_n|^2.  ``displacement_matrix`` and ``squeeze_matrix``
+are dense test oracles for that recurrence, not a construction route.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .phase_space import PhaseVector
 
@@ -99,62 +96,29 @@ class FockVector:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Seed state of the displaced measurement family.
+    """Seed S(r)|0> of the displaced measurement family; r = 0 is the vacuum.
 
-    ``vacuum`` and ``squeezed`` seeds admit the closed Gaussian kernel used
-    by the observed-dynamics layer; ``custom`` seeds are supported only by
-    the exact Fock operations.
+    Every seed admits both the exact ladder construction and the closed
+    Gaussian kernel of the observed-dynamics layer.
     """
 
-    kind: str
     r: float = 0.0
-    state: FockVector | None = None
-
-    _KINDS = ("vacuum", "squeezed", "custom")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.kind == "custom" and self.state is None:
-            raise ValueError("custom spec requires a seed FockVector")
         if not abs(self.r) <= 700.0:
             raise ValueError(f"r must satisfy |r| <= 700 (cosh r finite), got {self.r}")
 
     @classmethod
     def vacuum(cls) -> MeasurementSpec:
-        return cls(kind="vacuum")
+        return cls()
 
     @classmethod
     def squeezed(cls, r: float) -> MeasurementSpec:
-        return cls(kind="squeezed", r=float(r))
-
-    @classmethod
-    def custom(cls, state: FockVector) -> MeasurementSpec:
-        return cls(kind="custom", state=state)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind in ("vacuum", "squeezed")
-
-    @property
-    def seed_r(self) -> float:
-        """Squeezing parameter of a Gaussian seed (0 for the vacuum)."""
-        if not self.is_gaussian:
-            raise ValueError("custom seeds have no squeezing parameter")
-        return self.r if self.kind == "squeezed" else 0.0
+        return cls(float(r))
 
     def seed_vector(self, dim: int) -> np.ndarray:
         """Seed amplitudes at the requested cutoff."""
-        if self.is_gaussian:
-            return _ladder_amplitudes(0.0, self.seed_r, dim)
-        assert self.state is not None
-        if self.state.dim > dim:
-            raise ValueError(
-                f"custom seed has dim {self.state.dim} > requested dim {dim}"
-            )
-        vec = np.zeros(dim, dtype=complex)
-        vec[: self.state.dim] = self.state.amps
-        return vec
+        return _ladder_amplitudes(0.0, self.r, dim)
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -222,7 +186,7 @@ def _truncation_error(
 
     ``family(rows)`` gives c_0..c_{rows-1}; rows grow until their weight
     reaches 1 - tail_budget.  If it stops growing first (a budget below the
-    rounding floor, or a custom seed short of norm), no cutoff fits.
+    rounding floor), no cutoff fits.
     """
     mass, last = np.cumsum(np.abs(family(rows)) ** 2), -1.0
     while last < mass[-1] < 1.0 - tail_budget:
@@ -250,16 +214,28 @@ def coherent_state(
     return displaced_seed(MeasurementSpec.vacuum(), alpha, dim, tail_budget)
 
 
+def _expm_anti_hermitian(g: np.ndarray) -> np.ndarray:
+    """exp(g) for anti-Hermitian g: V e^{-i w} V^dag with (w, V) = eigh(i g)."""
+    w, v = np.linalg.eigh(1j * g)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """exp(alpha a^dag - alpha^* a) on the truncated basis."""
+    """exp(alpha a^dag - alpha^* a) on the truncated basis.
+
+    A dense test oracle for the ladder recurrence of ``displaced_seed``.
+    """
     a = annihilation_matrix(dim)
-    return expm(alpha * a.T - np.conj(alpha) * a)
+    return _expm_anti_hermitian(alpha * a.T - np.conj(alpha) * a)
 
 
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
-    """exp(r (a^dag a^dag - a a)/2); amplifies q for r > 0."""
+    """exp(r (a^dag a^dag - a a)/2); amplifies q for r > 0.
+
+    A dense test oracle for the squeezed seed of the ladder recurrence.
+    """
     a = annihilation_matrix(dim)
-    return expm(0.5 * r * (a.T @ a.T - a @ a))
+    return _expm_anti_hermitian(0.5 * r * (a.T @ a.T - a @ a))
 
 
 def displaced_seed(
@@ -268,29 +244,17 @@ def displaced_seed(
     dim: int,
     tail_budget: float = DEFAULT_TAIL_BUDGET,
 ) -> FockVector:
-    """Member |z> = D(alpha)|seed> of the measurement family.
+    """Member |z> = D(alpha) S(r)|0> of the measurement family.
 
-    The tail 1 - sum_{n<dim} |c_n|^2 must fit the budget.  Vacuum and
-    squeezed seeds come from the exact ladder recurrence.  A custom seed is
-    displaced by the truncated-generator exponential in a working space with
-    headroom: that exponential is unitary, so at the cutoff itself it would
-    hide the truncation loss.
+    The amplitudes come from the exact ladder recurrence, and the tail
+    1 - sum_{n<dim} |c_n|^2 must fit the budget.
     """
     alpha = complex(alpha)
-    if spec.is_gaussian:
-        r = spec.seed_r
-        family = partial(_ladder_amplitudes, alpha, r)
-        rows = max(dim, default_dim(abs(alpha) ** 2 + math.sinh(r) ** 2, r))
-        amps = family(dim)
-    else:
-        assert spec.state is not None
-        def family(n_rows: int) -> np.ndarray:
-            return displacement_matrix(alpha, n_rows) @ spec.seed_vector(n_rows)
-        span = (abs(alpha) + math.sqrt(number_moment(spec.state, 1))) ** 2
-        rows = max(dim, default_dim(span), spec.state.dim)
-        amps = family(rows)[:dim]
+    family = partial(_ladder_amplitudes, alpha, spec.r)
+    amps = family(dim)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > tail_budget:
+        rows = max(dim, default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r))
         raise _truncation_error(family, dim, tail, tail_budget, rows)
     return FockVector(amps=amps, dim=dim, tail_mass=tail)
 
@@ -419,33 +383,24 @@ _GRAM_BLOCK_ELEMENTS = 2**16
 
 
 def _family_gram(
-    spec: MeasurementSpec, dim: int, n_rows: int, grid: QuadratureGrid, r_max: float
+    spec: MeasurementSpec, n_rows: int, grid: QuadratureGrid, r_max: float
 ) -> np.ndarray:
     """Grid estimate of (1/2pi) integral dq dp |z><z|, rows and columns < n_rows.
 
     The measure is dq dp = 2 d^2 alpha = 2 rho dr dphi, summed one ring of
-    radius rho at a time, in order of rho.  Vacuum and squeezed members
-    come from the ladder recurrence, run once for a block of rings of at
-    most _GRAM_BLOCK_ELEMENTS amplitudes (one ring if a ring alone is
-    larger).  The recurrence acts node by node, so a block gives each ring
-    the bits it would get alone, and the ring-ordered sum keeps the gram's
-    bits too.  A custom seed uses D(rho e^{i phi}) = R(phi) D(rho) R(-phi)
-    with R(phi) = e^{i phi n}, one ``dim``-level exponential per ring.
+    radius rho at a time, in order of rho.  The members come from the
+    ladder recurrence, run once for a block of rings of at most
+    _GRAM_BLOCK_ELEMENTS amplitudes (one ring if a ring alone is larger).
+    The recurrence acts node by node, so a block gives each ring the bits
+    it would get alone, and the ring-ordered sum keeps the gram's bits too.
     """
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
-    if not spec.is_gaussian:
-        for rho in radii:
-            turns = np.exp(1j * np.outer(np.arange(dim), angles))
-            rotated_seed = turns.conj() * spec.seed_vector(dim)[:, None]
-            ring = (turns * (displacement_matrix(rho, dim) @ rotated_seed))[:n_rows]
-            gram += (rho * dr * dphi) * (ring @ ring.conj().T)
-        return gram / math.pi
     per_block = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * len(angles)))
     phases = np.exp(1j * angles)
     for lo in range(0, len(radii), per_block):
         block = radii[lo : lo + per_block]
-        rings = _ladder_amplitudes(block[:, None] * phases, spec.seed_r, n_rows)
+        rings = _ladder_amplitudes(block[:, None] * phases, spec.r, n_rows)
         for k, rho in enumerate(block):
             ring = rings[:, k]
             gram += (rho * dr * dphi) * (ring @ ring.conj().T)
@@ -462,19 +417,18 @@ def identity_resolution_defect(
 
     The integral is accumulated over a midpoint polar grid in alpha
     (measure dq dp = 2 d^2 alpha) for matrix elements m, n <= dim_check,
-    and the maximum absolute deviation from delta_mn is returned.  Vacuum
-    and squeezed family members are exact, so the grid alone limits the
-    result and doubling it must shrink it; ``dim`` only has to exceed
-    ``dim_check``.  Their ladder recurrence runs over blocks of rings, and
-    the rings are summed one by one in order of radius, so the result has
-    the same bits as a ring-by-ring evaluation.  A custom seed is displaced
-    within ``dim`` levels, so that truncation enters too.
+    and the maximum absolute deviation from delta_mn is returned.  The
+    family members are exact, so the grid alone limits the result and
+    doubling it must shrink it; ``dim`` only has to exceed ``dim_check``.
+    The ladder recurrence runs over blocks of rings, and the rings are
+    summed one by one in order of radius, so the result has the same bits
+    as a ring-by-ring evaluation.
     """
     if not 0 < dim_check < dim:
         raise ValueError("need 0 < dim_check < dim")
     grid = grid or QuadratureGrid()
     r_max = grid.r_max if grid.r_max is not None else math.sqrt(2.0 * dim_check) + 5.0
-    gram = _family_gram(spec, dim, dim_check + 1, grid, r_max)
+    gram = _family_gram(spec, dim_check + 1, grid, r_max)
     return float(np.max(np.abs(gram - np.eye(dim_check + 1))))
 
 
@@ -515,7 +469,7 @@ def transition_normalization(
     r_max = grid.r_max if grid.r_max is not None else abs(alpha_from) + 6.0
     psi = displaced_seed(spec, alpha_from, dim, tail_budget)
     evolved = kerr_propagate(psi, chi_tau).amps
-    gram = _family_gram(spec, dim, dim, grid, r_max)
+    gram = _family_gram(spec, dim, grid, r_max)
     return float(np.vdot(evolved, gram @ evolved).real)
 
 
@@ -538,8 +492,7 @@ def dichotomic_survival_exact(
         raise ValueError("n_steps must be >= 1")
     alpha0 = complex(alpha0)
     if dim is None:
-        r = spec.seed_r if spec.is_gaussian else 0.0
-        dim = default_dim(abs(alpha0) ** 2 + math.sinh(r) ** 2, r)
+        dim = default_dim(abs(alpha0) ** 2 + math.sinh(spec.r) ** 2, spec.r)
     psi0 = displaced_seed(spec, alpha0, dim, tail_budget)
     return _dichotomic_survival(psi0, chi * t, n_steps)
 

@@ -17,8 +17,8 @@ that rebuilds the chained kernels numerically.
 Randomness
 ----------
 Trajectory ``i`` of a run keyed by ``master_seed`` owns the Philox
-counter stream keyed ``(master_seed, i)``, with ``0 <= master_seed < 2**63``
-(numpy reads larger tuple keys through float64, so distinct seeds there
+counter stream keyed ``(master_seed, i)``, with both keys in ``[0, 2**63)``
+(numpy reads larger tuple keys through float64, so distinct keys there
 would share streams); step ``j`` consumes uniforms
 ``2j`` and ``2j + 1`` of that stream, turned into normals by Box-Muller.
 Results are therefore bit-identical however trajectories are chunked.
@@ -54,7 +54,6 @@ from .phase_space import (
 )
 
 __all__ = [
-    "UnsupportedSeedError",
     "GaussianKernel",
     "ObservedRunConfig",
     "TrajectoryRecord",
@@ -69,8 +68,8 @@ __all__ = [
     "SEED_LIMIT",
 ]
 
-# Exclusive upper bound of master_seed: below it every (seed, index) tuple
-# key reaches Philox exactly.
+# Exclusive upper bound of master_seed and of trajectory indices: below it
+# every (seed, index) tuple key reaches Philox exactly.
 SEED_LIMIT = 2**63
 
 # Ensembles of chains up to this many steps evaluate Philox in numpy across
@@ -105,10 +104,6 @@ _DRAW_BLOCK = 64
 _RETURN_ANGLE_TOL = 1e-9
 
 
-class UnsupportedSeedError(ValueError):
-    """Raised when an operation needs a Gaussian (vacuum/squeezed) seed."""
-
-
 def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t.
 
@@ -138,13 +133,9 @@ class GaussianKernel:
 
 
 def gaussian_step_kernel(spec: MeasurementSpec, theta: float) -> GaussianKernel:
-    """Closed-form step kernel for a Gaussian measurement seed."""
-    if not spec.is_gaussian:
-        raise UnsupportedSeedError(
-            "closed-form step kernels exist only for vacuum or squeezed seeds"
-        )
+    """Closed-form step kernel of the measurement seed."""
     return GaussianKernel(
-        rotation=rotation_matrix(theta), cov=step_covariance(spec.seed_r, theta)
+        rotation=rotation_matrix(theta), cov=step_covariance(spec.r, theta)
     )
 
 
@@ -333,9 +324,10 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryR
 
     The ensemble sampler over the single index, so the record holds the
     bits ``run_ensemble(cfg, keep_paths=True)`` gives for that trajectory.
+    Raises ValueError unless ``0 <= trajectory_index < SEED_LIMIT``.
     """
-    if not 0 <= trajectory_index:
-        raise ValueError("trajectory_index must be >= 0")
+    if not 0 <= trajectory_index < SEED_LIMIT:
+        raise ValueError(f"trajectory_index must be in [0, 2**63), got {trajectory_index}")
     _, paths = _sample_chains(cfg, trajectory_index, trajectory_index + 1, keep_paths=True)
     steps = np.arange(1, cfg.params.n_steps + 1)
     return TrajectoryRecord(
@@ -376,13 +368,9 @@ def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:
     Mean M(N theta) z0 follows the undisturbed drift; covariance is the
     accumulated step noise carried through the total rotation.
     """
-    if not cfg.spec.is_gaussian:
-        raise UnsupportedSeedError(
-            "closed-form final distributions exist only for Gaussian seeds"
-        )
     theta = cfg.params.theta
     n = cfg.params.n_steps
-    c_n = accumulate_covariance(step_covariance(cfg.spec.seed_r, theta), theta, n)
+    c_n = accumulate_covariance(step_covariance(cfg.spec.r, theta), theta, n)
     m_total = rotation_matrix(n * theta)
     return GaussianState2D(
         mean=PhaseVector.from_array(m_total @ cfg.z0.as_array()),
@@ -400,11 +388,9 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     Away from full turns the zero-mean Gaussian of covariance C_N is
     evaluated at the drift mismatch.
     """
-    if not cfg.spec.is_gaussian:
-        raise UnsupportedSeedError("survival density needs a Gaussian seed")
     theta = cfg.params.theta
     n = cfg.params.n_steps
-    c_n = accumulate_covariance(step_covariance(cfg.spec.seed_r, theta), theta, n)
+    c_n = accumulate_covariance(step_covariance(cfg.spec.r, theta), theta, n)
     total = n * theta
     distance = abs(math.remainder(total, 2.0 * math.pi))
     if distance < _RETURN_ANGLE_TOL:
@@ -468,8 +454,6 @@ def chain_convolution_check(
     kernel j (1 <= j < n_steps), a broken-chain control that must inflate
     the defect by orders of magnitude.
     """
-    if not cfg.spec.is_gaussian:
-        raise UnsupportedSeedError("the convolution check needs a Gaussian seed")
     n = cfg.params.n_steps
     if n > 3:
         raise ValueError("chain_convolution_check is meant for n_steps <= 3")
@@ -477,7 +461,7 @@ def chain_convolution_check(
         raise ValueError("omit_rotation_step must satisfy 1 <= step < n_steps")
     grid = grid or ConvolutionGrid()
     theta = cfg.params.theta
-    r = cfg.spec.seed_r
+    r = cfg.spec.r
     c1 = step_covariance(r, theta)
     c_n = accumulate_covariance(c1, theta, n)
     half_width = grid.half_width_sigmas * math.sqrt(

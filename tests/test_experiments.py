@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,3 +506,52 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
+
+
+# Runs the CLI with every scipy import failing, as in an install without it.
+_NO_SCIPY_RUNNER = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from kerrzeno import cli
+print(json.dumps([cli.main(["run", path]) for path in sys.argv[1:]]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    configs = [
+        write_config(
+            tmp_path,
+            {
+                "experiment": "identity-check",
+                "parameters": {"n_r": 8, "n_phi": 8},
+                "output": {"path": str(tmp_path / "identity.json")},
+            },
+            "identity.json.in",
+        ),
+        write_config(
+            tmp_path,
+            {
+                "experiment": "trajectories",
+                "parameters": {"n_trajectories": 50, "n_steps": 70, "record_paths": 2},
+                "output": {"path": str(tmp_path / "trajectories.csv"), "format": "csv"},
+            },
+            "trajectories.json.in",
+        ),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUNNER, *configs],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 0], done.stderr

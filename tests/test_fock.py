@@ -362,38 +362,6 @@ def test_transition_density_squeezed_zero_matches_vacuum():
     assert abs(a - b) < 1e-12
 
 
-def test_transition_density_custom_seed_matches_squeezed():
-    dim = 60
-    seed = FockVector(
-        amps=squeeze_matrix(0.5, dim)[:, 0].astype(complex), dim=dim, tail_mass=0.0
-    )
-    z1 = PhaseVector.from_alpha(0.6 + 0.3j)
-    z2 = PhaseVector.from_alpha(-0.2 + 0.5j)
-    a = transition_density(z1, z2, 0.01, MeasurementSpec.custom(seed), dim=dim)
-    b = transition_density(z1, z2, 0.01, MeasurementSpec.squeezed(0.5), dim=dim)
-    assert abs(a - b) < 1e-12
-
-
-def squeezed_custom_seed(r: float, dim: int) -> FockVector:
-    """The squeezed seed carried as a custom one, built by the expm oracle."""
-    return FockVector(
-        amps=squeeze_matrix(r, dim)[:, 0].astype(complex), dim=dim, tail_mass=0.0
-    )
-
-
-def test_grid_integrals_custom_seed_match_squeezed():
-    dim, grid = 80, QuadratureGrid(n_r=48, n_phi=32)
-    custom = MeasurementSpec.custom(squeezed_custom_seed(0.5, dim))
-    squeezed = MeasurementSpec.squeezed(0.5)
-    a = identity_resolution_defect(custom, dim, grid, dim_check=8)
-    b = identity_resolution_defect(squeezed, dim, grid, dim_check=8)
-    assert abs(a - b) < 1e-12
-    z_from = PhaseVector.from_alpha(1.0 + 0.5j)
-    a = transition_normalization(z_from, 0.01, custom, dim, grid)
-    b = transition_normalization(z_from, 0.01, squeezed, dim, grid)
-    assert abs(a - b) < 1e-12
-
-
 def test_transition_normalization_unit():
     z_from = PhaseVector.from_alpha(3.0 + 0.0j)
     total = transition_normalization(
@@ -435,7 +403,7 @@ def ring_by_ring_gram(spec, n_rows, grid, r_max):
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
     for rho in radii:
-        ring = fock._ladder_amplitudes(rho * np.exp(1j * angles), spec.seed_r, n_rows)
+        ring = fock._ladder_amplitudes(rho * np.exp(1j * angles), spec.r, n_rows)
         gram += (rho * dr * dphi) * (ring @ ring.conj().T)
     return gram / math.pi
 
@@ -452,8 +420,8 @@ def ring_by_ring_gram(spec, n_rows, grid, r_max):
 )
 def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
     assert max(1, fock._GRAM_BLOCK_ELEMENTS // (n_rows * grid.n_phi)) == per_block
-    spec = MeasurementSpec.squeezed(r) if r else MeasurementSpec.vacuum()
-    blocked = fock._family_gram(spec, n_rows + 1, n_rows, grid, 9.5)
+    spec = MeasurementSpec(r)
+    blocked = fock._family_gram(spec, n_rows, grid, 9.5)
     assert np.array_equal(blocked, ring_by_ring_gram(spec, n_rows, grid, 9.5))
 
 
@@ -499,25 +467,9 @@ def test_dichotomic_survival_respects_gaussian_bound():
 
 
 def test_measurement_spec_validation():
-    with pytest.raises(ValueError):
-        MeasurementSpec(kind="custom")
-    with pytest.raises(ValueError):
-        MeasurementSpec(kind="thermal")
     for r in (math.nan, 800.0, -800.0):
         with pytest.raises(ValueError):
             MeasurementSpec.squeezed(r)
-    spec = MeasurementSpec.custom(
-        FockVector(amps=np.array([1.0 + 0j]), dim=1, tail_mass=0.0)
-    )
-    with pytest.raises(ValueError):
-        _ = spec.seed_r
-    assert not spec.is_gaussian
-
-
-def test_custom_seed_dim_mismatch():
-    seed = FockVector(amps=np.zeros(90, dtype=complex), dim=90, tail_mass=0.0)
-    with pytest.raises(ValueError):
-        MeasurementSpec.custom(seed).seed_vector(60)
 
 
 def test_fock_vector_validation():

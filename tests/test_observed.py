@@ -14,7 +14,6 @@ from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact
 from kerrzeno.observed import (
     ConvolutionGrid,
     ObservedRunConfig,
-    UnsupportedSeedError,
     analytic_final_distribution,
     chain_convolution_check,
     gaussian_step_kernel,
@@ -46,7 +45,7 @@ def make_config(
     z0 = PhaseVector.from_alpha(complex(alpha0))
     if n_bar is None:
         n_bar = abs(complex(alpha0)) ** 2
-    spec = MeasurementSpec.vacuum() if r == 0.0 else MeasurementSpec.squeezed(r)
+    spec = MeasurementSpec(r)
     return ObservedRunConfig(
         z0=z0,
         params=EvolutionParams(chi=chi, n_bar=n_bar, tau=tau, n_steps=n_steps),
@@ -68,7 +67,7 @@ def reference_normals(seed, index, n_steps):
 def reference_path(cfg, index):
     """Oracle path of one trajectory: z -> M (z + sqrt(C_1) n_j), step by step."""
     n0, n1 = reference_normals(cfg.master_seed, index, cfg.params.n_steps)
-    root = symmetric_sqrt_2x2(step_covariance(cfg.spec.seed_r, cfg.params.theta))
+    root = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, cfg.params.theta))
     rot = rotation_matrix(cfg.params.theta)
     z = cfg.z0.as_array()
     points = []
@@ -96,14 +95,6 @@ def test_kernel_squeezed_zero_equals_vacuum():
 def test_kernel_squeezed_matches_step_covariance():
     kernel = gaussian_step_kernel(MeasurementSpec.squeezed(0.5), 0.1)
     np.testing.assert_allclose(kernel.cov, step_covariance(0.5, 0.1), atol=1e-15)
-
-
-def test_kernel_rejects_custom_seed():
-    from kerrzeno.fock import FockVector
-
-    seed = FockVector(amps=np.array([1.0 + 0j]), dim=1, tail_mass=0.0)
-    with pytest.raises(UnsupportedSeedError):
-        gaussian_step_kernel(MeasurementSpec.custom(seed), 0.1)
 
 
 def test_symmetric_sqrt():
@@ -370,21 +361,6 @@ def test_analytic_distribution_mean_is_classical_drift():
     np.testing.assert_allclose(target.mean.as_array(), drift.as_array(), atol=1e-12)
 
 
-def test_analytic_distribution_rejects_custom_seed():
-    from kerrzeno.fock import FockVector
-
-    cfg = make_config(n_steps=2)
-    bad = ObservedRunConfig(
-        z0=cfg.z0,
-        params=cfg.params,
-        spec=MeasurementSpec.custom(
-            FockVector(amps=np.array([1.0 + 0j]), dim=1, tail_mass=0.0)
-        ),
-    )
-    with pytest.raises(UnsupportedSeedError):
-        analytic_final_distribution(bad)
-
-
 # --- survival density --------------------------------------------------------------------
 
 
@@ -491,3 +467,11 @@ def test_run_config_validation():
         )
     with pytest.raises(ValueError):
         run_trajectory(cfg, -1)
+
+
+@pytest.mark.parametrize("n_steps", [10, 70])
+@pytest.mark.parametrize("index", [2**63, 2**64 - 2])
+def test_run_trajectory_rejects_index_beyond_seed_limit(index, n_steps):
+    # both ways of drawing read the exact key only below 2**63
+    with pytest.raises(ValueError, match="trajectory_index"):
+        run_trajectory(make_config(n_steps=n_steps), index)
