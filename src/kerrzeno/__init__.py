@@ -43,7 +43,6 @@ from .fock import (
     MeasurementSpec,
     QuadratureGrid,
     TruncationError,
-    coherent_state,
     default_dim,
     dichotomic_survival_exact,
     displaced_seed,
@@ -54,7 +53,6 @@ from .fock import (
     number_moment,
     number_squared_variance,
     quadrature_mean_cov,
-    squeezed_coherent_state,
     transition_density,
     transition_normalization,
 )

@@ -28,7 +28,6 @@ from .experiments import (
     validate_config,
     write_csv,
 )
-from .fock import TruncationError
 from .version import __version__
 
 EXIT_OK = 0
@@ -74,10 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         envelope = run_experiment(config)
-    except TruncationError as exc:
-        hint = f" (try dim >= {exc.required_dim})" if exc.required_dim else ""
-        print(f"numeric error: {exc}{hint}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValueError, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -234,8 +234,7 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
 
 
 def _run_revival(p: dict, master_seed: int) -> RunnerResult:
-    dim = p["dim"] if p["dim"] is not None else fock.default_dim(p["alpha"] ** 2)
-    psi0 = fock.coherent_state(p["alpha"], dim)
+    psi0 = fock.displaced_seed(fock.MeasurementSpec(), p["alpha"], p["dim"])
     chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], p["n_points"])
     rows = []
     for chi_t in chi_ts:
@@ -329,18 +328,14 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
 
 def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
     alpha0 = complex(p["alpha0_re"], p["alpha0_im"])
-    r = p["r"]
-    spec = fock.MeasurementSpec(r)
-    dim = p["dim"] if p["dim"] is not None else fock.default_dim(
-        abs(alpha0) ** 2 + math.sinh(r) ** 2, r
-    )
-    psi0 = fock.displaced_seed(spec, alpha0, dim)
+    psi0 = fock.displaced_seed(fock.MeasurementSpec(p["r"]), alpha0, p["dim"])
     var_n2 = fock.number_squared_variance(psi0)
     rows = []
     for n in p["n_list"]:
-        survival = fock._dichotomic_survival(psi0, p["chi_t"], n)
+        survival = fock.dichotomic_survival_exact(psi0, p["chi_t"], n)
         rows.append([n, survival, math.exp(-var_n2 * p["chi_t"] ** 2 / n)])
-    return ["n", "survival", "gaussian_bound"], rows, {"var_n2": var_n2, "dim": dim}
+    summary = {"var_n2": var_n2, "dim": psi0.dim}
+    return ["n", "survival", "gaussian_bound"], rows, summary
 
 
 def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
@@ -372,9 +367,7 @@ def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
         grid = fock.QuadratureGrid(
             n_r=scale * p["n_r"], n_phi=scale * p["n_phi"], r_max=p["r_max"]
         )
-        defect = fock.identity_resolution_defect(
-            spec, p["dim"], grid, dim_check=p["dim_check"]
-        )
+        defect = fock.identity_resolution_defect(spec, grid, dim_check=p["dim_check"])
         rows.append([scale, grid.n_r, grid.n_phi, defect])
     return ["grid_scale", "n_r", "n_phi", "defect"], rows, None
 
@@ -482,8 +475,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "polar quadrature grid, optionally with a doubled grid.",
             (
                 Field("r", "float", 0.0),
-                Field("dim", "int", 60, minimum=2,
-                      help="must exceed dim_check; does not limit the defect"),
                 Field("dim_check", "int", 10, minimum=1),
                 Field("n_r", "int", 200, minimum=1),
                 Field("n_phi", "int", 128, minimum=1),

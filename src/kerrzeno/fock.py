@@ -17,14 +17,16 @@ Conventions
   amplitude by exp(-i chi_t n^2).
 * Truncation: constructed states keep their raw amplitudes (no
   renormalization); the weight lost beyond the cutoff is tracked as
-  ``tail_mass`` and must stay below the construction ``tail_budget``.
+  ``tail_mass`` and must stay below ``DEFAULT_TAIL_BUDGET``.
 
 Measurement family members |alpha, r> = D(alpha) S(r)|0>, coherent states
 (r = 0) among them, all come from ``displaced_seed`` and the three-term
 recurrence of their number amplitudes (Yuen, PRA 13, 2226 (1976)), so
 every amplitude below the cutoff is exact and the tail is
-1 - sum_{n<dim} |c_n|^2.  ``displacement_matrix`` and ``squeeze_matrix``
-are dense test oracles for that recurrence, not a construction route.
+1 - sum_{n<dim} |c_n|^2.  ``displaced_seed`` is the one constructor and
+the one place that knows the default cutoff rule.  ``displacement_matrix``
+and ``squeeze_matrix`` are dense test oracles for that recurrence, not a
+construction route.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ __all__ = [
     "QuadratureGrid",
     "annihilation_matrix",
     "default_dim",
-    "coherent_state",
-    "squeezed_coherent_state",
     "displacement_matrix",
     "squeeze_matrix",
     "displaced_seed",
@@ -112,14 +112,6 @@ class MeasurementSpec:
     def vacuum(cls) -> MeasurementSpec:
         return cls()
 
-    @classmethod
-    def squeezed(cls, r: float) -> MeasurementSpec:
-        return cls(float(r))
-
-    def seed_vector(self, dim: int) -> np.ndarray:
-        """Seed amplitudes at the requested cutoff."""
-        return _ladder_amplitudes(0.0, self.r, dim)
-
 
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Matrix of a on the truncated basis: a|n> = sqrt(n)|n-1>."""
@@ -179,39 +171,19 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     return out
 
 
-def _truncation_error(
-    family, dim: int, tail: float, tail_budget: float, rows: int
-) -> TruncationError:
-    """The error for a tail over budget, naming the smallest cutoff that fits.
+def _required_dim(family, rows: int) -> int | None:
+    """Smallest cutoff whose weight reaches 1 - DEFAULT_TAIL_BUDGET.
 
     ``family(rows)`` gives c_0..c_{rows-1}; rows grow until their weight
-    reaches 1 - tail_budget.  If it stops growing first (a budget below the
-    rounding floor), no cutoff fits.
+    reaches the target.  If it stops growing first (the budget is below
+    the rounding floor), no cutoff fits and the result is None.
     """
     mass, last = np.cumsum(np.abs(family(rows)) ** 2), -1.0
-    while last < mass[-1] < 1.0 - tail_budget:
+    while last < mass[-1] < 1.0 - DEFAULT_TAIL_BUDGET:
         last, rows = mass[-1], int(1.5 * rows) + 1
         mass = np.cumsum(np.abs(family(rows)) ** 2)
-    fits = mass >= 1.0 - tail_budget
-    need = int(np.argmax(fits)) + 1 if fits[-1] else None
-    hint = f"need dim >= {need}" if need else "no cutoff meets it in double precision"
-    return TruncationError(
-        f"dim={dim} leaves tail mass {tail:.3e} > budget {tail_budget:.1e}; {hint}",
-        required_dim=need,
-    )
-
-
-def coherent_state(
-    alpha: complex, dim: int | None = None, tail_budget: float = DEFAULT_TAIL_BUDGET
-) -> FockVector:
-    """Coherent state D(alpha)|0>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
-
-    The vacuum member of the measurement family, from ``displaced_seed``.
-    """
-    alpha = complex(alpha)
-    if dim is None:
-        dim = default_dim(abs(alpha) ** 2)
-    return displaced_seed(MeasurementSpec.vacuum(), alpha, dim, tail_budget)
+    fits = mass >= 1.0 - DEFAULT_TAIL_BUDGET
+    return int(np.argmax(fits)) + 1 if fits[-1] else None
 
 
 def _expm_anti_hermitian(g: np.ndarray) -> np.ndarray:
@@ -239,37 +211,38 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
 
 
 def displaced_seed(
-    spec: MeasurementSpec,
-    alpha: complex,
-    dim: int,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
+    spec: MeasurementSpec, alpha: complex, dim: int | None = None
 ) -> FockVector:
     """Member |z> = D(alpha) S(r)|0> of the measurement family.
 
     The amplitudes come from the exact ladder recurrence, and the tail
-    1 - sum_{n<dim} |c_n|^2 must fit the budget.
+    1 - sum_{n<dim} |c_n|^2 must fit ``DEFAULT_TAIL_BUDGET``.  With
+    ``dim=None`` the cutoff is ``default_dim(|alpha|^2 + sinh(r)^2, r)``,
+    widened to the smallest cutoff that fits when that rule leaves too
+    much tail.  An explicit ``dim`` that is too small raises a
+    ``TruncationError`` naming that smallest cutoff.
     """
     alpha = complex(alpha)
     family = partial(_ladder_amplitudes, alpha, spec.r)
-    amps = family(dim)
+    rule = default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r)
+    cutoff = rule if dim is None else dim
+    amps = family(cutoff)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > tail_budget:
-        rows = max(dim, default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r))
-        raise _truncation_error(family, dim, tail, tail_budget, rows)
-    return FockVector(amps=amps, dim=dim, tail_mass=tail)
-
-
-def squeezed_coherent_state(
-    alpha: complex,
-    r: float,
-    dim: int | None = None,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
-) -> FockVector:
-    """Displaced squeezed vacuum D(alpha) S(r)|0>."""
-    alpha = complex(alpha)
-    if dim is None:
-        dim = default_dim(abs(alpha) ** 2 + math.sinh(r) ** 2, r)
-    return displaced_seed(MeasurementSpec.squeezed(r), alpha, dim, tail_budget)
+    if tail > DEFAULT_TAIL_BUDGET:
+        need = _required_dim(family, max(cutoff, rule))
+        if dim is None and need is not None:
+            cutoff, amps = need, family(need)
+            tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+        if tail > DEFAULT_TAIL_BUDGET:
+            hint = (
+                f"need dim >= {need}" if need else "no cutoff meets it in double precision"
+            )
+            raise TruncationError(
+                f"dim={cutoff} leaves tail mass {tail:.3e} > budget "
+                f"{DEFAULT_TAIL_BUDGET:.1e}; {hint}",
+                required_dim=need,
+            )
+    return FockVector(amps=amps, dim=cutoff, tail_mass=tail)
 
 
 def kerr_propagate(psi: FockVector, chi_t: float) -> FockVector:
@@ -409,7 +382,6 @@ def _family_gram(
 
 def identity_resolution_defect(
     spec: MeasurementSpec,
-    dim: int,
     grid: QuadratureGrid | None = None,
     dim_check: int = 10,
 ) -> float:
@@ -418,14 +390,14 @@ def identity_resolution_defect(
     The integral is accumulated over a midpoint polar grid in alpha
     (measure dq dp = 2 d^2 alpha) for matrix elements m, n <= dim_check,
     and the maximum absolute deviation from delta_mn is returned.  The
-    family members are exact, so the grid alone limits the result and
-    doubling it must shrink it; ``dim`` only has to exceed ``dim_check``.
-    The ladder recurrence runs over blocks of rings, and the rings are
-    summed one by one in order of radius, so the result has the same bits
-    as a ring-by-ring evaluation.
+    family members are exact at every row, so the gram needs only
+    dim_check + 1 rows, the grid alone limits the result, and doubling it
+    must shrink it.  The ladder recurrence runs over blocks of rings, and
+    the rings are summed one by one in order of radius, so the result has
+    the same bits as a ring-by-ring evaluation.
     """
-    if not 0 < dim_check < dim:
-        raise ValueError("need 0 < dim_check < dim")
+    if dim_check < 1:
+        raise ValueError(f"dim_check must be >= 1, got {dim_check}")
     grid = grid or QuadratureGrid()
     r_max = grid.r_max if grid.r_max is not None else math.sqrt(2.0 * dim_check) + 5.0
     gram = _family_gram(spec, dim_check + 1, grid, r_max)
@@ -438,15 +410,14 @@ def transition_density(
     chi_tau: float,
     spec: MeasurementSpec,
     dim: int,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
 ) -> float:
     """One-step outcome density |<z_to| U(tau) |z_from>|^2 / (2 pi).
 
     This is a probability density per dq dp of the outcome label z_to.
     """
-    psi = displaced_seed(spec, z_from.to_alpha(), dim, tail_budget)
+    psi = displaced_seed(spec, z_from.to_alpha(), dim)
     evolved = kerr_propagate(psi, chi_tau)
-    target = displaced_seed(spec, z_to.to_alpha(), dim, tail_budget)
+    target = displaced_seed(spec, z_to.to_alpha(), dim)
     overlap = complex(np.vdot(target.amps, evolved.amps))
     return abs(overlap) ** 2 / (2.0 * math.pi)
 
@@ -457,7 +428,6 @@ def transition_normalization(
     spec: MeasurementSpec,
     dim: int,
     grid: QuadratureGrid | None = None,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
 ) -> float:
     """Grid integral of the one-step density over all outcomes.
 
@@ -467,38 +437,23 @@ def transition_normalization(
     grid = grid or QuadratureGrid()
     alpha_from = z_from.to_alpha()
     r_max = grid.r_max if grid.r_max is not None else abs(alpha_from) + 6.0
-    psi = displaced_seed(spec, alpha_from, dim, tail_budget)
+    psi = displaced_seed(spec, alpha_from, dim)
     evolved = kerr_propagate(psi, chi_tau).amps
     gram = _family_gram(spec, dim, grid, r_max)
     return float(np.vdot(evolved, gram @ evolved).real)
 
 
-def dichotomic_survival_exact(
-    alpha0: complex,
-    spec: MeasurementSpec,
-    chi: float,
-    t: float,
-    n_steps: int,
-    dim: int | None = None,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
-) -> float:
-    """Survival under a yes/no check of |z_0> repeated n_steps times.
+def dichotomic_survival_exact(psi0: FockVector, chi_t: float, n_steps: int) -> float:
+    """Survival under a yes/no check of psi0 repeated n_steps times.
 
-    Every intermediate outcome is assumed to confirm |z_0>, so the result
-    is s^N with s = |<z_0| U(t/N) |z_0>|^2.  Frequent checking drives this
-    to one, the opposite of the continuous-family behaviour.
+    Every intermediate outcome is assumed to confirm psi0, so the result
+    is s^N with s = |<psi0| U(chi_t/N) |psi0>|^2 / <psi0|psi0>^2.  Frequent
+    checking drives this to one, the opposite of the continuous-family
+    behaviour.  Build psi0 once with ``displaced_seed`` and pass it to
+    every N.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    alpha0 = complex(alpha0)
-    if dim is None:
-        dim = default_dim(abs(alpha0) ** 2 + math.sinh(spec.r) ** 2, spec.r)
-    psi0 = displaced_seed(spec, alpha0, dim, tail_budget)
-    return _dichotomic_survival(psi0, chi * t, n_steps)
-
-
-def _dichotomic_survival(psi0: FockVector, chi_t: float, n_steps: int) -> float:
-    """s^N with s = |<psi0| U(chi_t/N) |psi0>|^2, for a seed built once."""
     stepped = kerr_propagate(psi0, chi_t / n_steps)
     norm_sq = psi0.norm_sq
     s = abs(complex(np.vdot(psi0.amps, stepped.amps))) ** 2 / (norm_sq * norm_sq)

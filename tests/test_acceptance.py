@@ -32,8 +32,6 @@ import pytest
 from kerrzeno.experiments import run_experiment, validate_config, write_csv
 from kerrzeno.fock import (
     MeasurementSpec,
-    coherent_state,
-    default_dim,
     dichotomic_survival_exact,
     displaced_seed,
     identity_resolution_defect,
@@ -192,7 +190,7 @@ def test_criterion_3_final_distribution_desk_scale():
     defects = {}
     stats = {}
     for r in (0.0, 0.5):
-        spec = MeasurementSpec.vacuum() if r == 0.0 else MeasurementSpec.squeezed(r)
+        spec = MeasurementSpec(r)
         cfg = ObservedRunConfig(
             z0=PhaseVector.from_alpha(3.0 + 0.0j),
             params=EvolutionParams(chi=0.1, n_bar=1.0, tau=1.0, n_steps=2),
@@ -244,13 +242,12 @@ def test_criterion_4_zeno_contrast():
         product = n * survival_density_continuous(cfg) * 2.0 * math.pi
         worst = max(worst, abs(product - 1.0))
 
-    spec = MeasurementSpec.vacuum()
+    psi0 = displaced_seed(MeasurementSpec.vacuum(), 2.0)
     chi_t = 0.1
     survivals = {
-        n: dichotomic_survival_exact(2.0, spec, chi=1.0, t=chi_t, n_steps=n)
-        for n in (1, 10, 100, 1000)
+        n: dichotomic_survival_exact(psi0, chi_t, n) for n in (1, 10, 100, 1000)
     }
-    var_n2 = number_squared_variance(displaced_seed(spec, 2.0, default_dim(4.0)))
+    var_n2 = number_squared_variance(psi0)
     bound_ok = all(
         survivals[n] >= math.exp(-var_n2 * chi_t**2 / n) * (1.0 - 1e-9)
         for n in (100, 1000)
@@ -313,10 +310,10 @@ def test_criterion_5_two_level_model():
 def test_criterion_6_identity_resolution(r):
     from kerrzeno.fock import QuadratureGrid
 
-    spec = MeasurementSpec.vacuum() if r == 0.0 else MeasurementSpec.squeezed(r)
-    base = identity_resolution_defect(spec, dim=60, dim_check=10)
+    spec = MeasurementSpec(r)
+    base = identity_resolution_defect(spec, dim_check=10)
     doubled = identity_resolution_defect(
-        spec, dim=60, grid=QuadratureGrid().doubled(), dim_check=10
+        spec, grid=QuadratureGrid().doubled(), dim_check=10
     )
     ok = base < 1e-3 and doubled < base
     _report(
@@ -349,7 +346,7 @@ def test_criterion_7_property_suite():
         povm_ok &= bool(np.allclose(t.sum(axis=0), 1.0, atol=1e-12))
 
     # Kerr propagation preserves the norm exactly
-    psi = coherent_state(3.0, dim=120)
+    psi = displaced_seed(MeasurementSpec.vacuum(), 3.0, dim=120)
     kerr_ok = all(
         abs(kerr_propagate(psi, chi_t).norm_sq - psi.norm_sq) < 1e-14
         for chi_t in (0.01, 0.7, 2.9)
@@ -371,7 +368,7 @@ def test_criterion_7_property_suite():
     cfg = ObservedRunConfig(
         z0=PhaseVector(2.0, -1.0),
         params=EvolutionParams(0.05, 4.0, 0.5, 6),
-        spec=MeasurementSpec.squeezed(0.3),
+        spec=MeasurementSpec(0.3),
         n_trajectories=2000,
         master_seed=123,
     )

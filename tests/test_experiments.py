@@ -156,7 +156,7 @@ def test_trajectories_rows_are_the_recorded_outcomes():
         cfg = ObservedRunConfig(
             z0=PhaseVector(2.5, -0.5),
             params=EvolutionParams(0.1, 0.5 * (2.5**2 + 0.5**2), 0.1, n_steps),
-            spec=MeasurementSpec.squeezed(0.3),
+            spec=MeasurementSpec(0.3),
             n_trajectories=50,
             master_seed=13,
         )
@@ -212,7 +212,6 @@ def test_identity_check_rows():
     config = make_config(
         "identity-check",
         {
-            "dim": 40,
             "dim_check": 6,
             "n_r": 24,
             "n_phi": 16,
@@ -373,19 +372,40 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
         {"experiment": "zeno-dichotomic", "parameters": {"alpha0_re": 4.0, "dim": 12}},
     )
     assert cli.main(["run", config_path]) == 3
-    assert "numeric error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error" in err
+    # one hint, naming the smallest cutoff within budget
+    assert err.count("need dim >= 48") == 1
+    assert "try dim" not in err
 
 
 def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
-    # the default cutoff rule picks dim 130, which drops 3.8e-7 of this state
+    # the default cutoff rule picks dim 130, which drops 3.8e-7 of this state:
+    # a null dim widens to the smallest cutoff within budget, an explicit
+    # dim 130 still exits 3 and names that cutoff
+    parameters = {"alpha0_re": 0.0, "r": 1.5}
+    config_path = write_config(
+        tmp_path, {"experiment": "zeno-dichotomic", "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["dim"] == 211
     config_path = write_config(
         tmp_path,
-        {"experiment": "zeno-dichotomic", "parameters": {"alpha0_re": 0.0, "r": 1.5}},
+        {"experiment": "zeno-dichotomic", "parameters": {**parameters, "dim": 130}},
     )
     assert cli.main(["run", config_path]) == 3
     err = capsys.readouterr().err
-    assert "dim=130" in err and "need dim >=" in err
+    assert "dim=130" in err and "need dim >= 211" in err
     assert "Traceback" not in err
+
+
+def test_cli_identity_check_has_no_dim(tmp_path, capsys):
+    # the ladder is exact, so the gram needs only dim_check + 1 rows
+    config_path = write_config(
+        tmp_path, {"experiment": "identity-check", "parameters": {"dim": 60}}
+    )
+    assert cli.main(["run", config_path]) == 2
+    assert "parameters.dim: unknown parameter" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -393,7 +413,7 @@ def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
     [
         ("trajectories", {"tau": 0}),
         ("two-level-sweep", {"c": 10, "beta": 0}),
-        ("identity-check", {"dim": 5, "dim_check": 10}),
+        ("identity-check", {"r": -800.0}),
         ("revival", {"chi_t_min": 1e308, "chi_t_max": 1e308, "n_points": 2}),
         ("identity-check", {"r": 800.0}),
         # cosh/sinh overflow in the Gaussian step covariance or the bound

@@ -16,7 +16,6 @@ from kerrzeno.fock import (
     QuadratureGrid,
     TruncationError,
     annihilation_matrix,
-    coherent_state,
     default_dim,
     dichotomic_survival_exact,
     displaced_seed,
@@ -29,11 +28,12 @@ from kerrzeno.fock import (
     number_squared_variance,
     quadrature_mean_cov,
     squeeze_matrix,
-    squeezed_coherent_state,
     transition_density,
     transition_normalization,
 )
 from kerrzeno.phase_space import PhaseVector
+
+VACUUM = MeasurementSpec.vacuum()
 
 
 def dense_quadrature_moments(psi: FockVector):
@@ -61,19 +61,19 @@ def dense_quadrature_moments(psi: FockVector):
 
 
 def test_coherent_vacuum():
-    psi = coherent_state(0.0, dim=8)
+    psi = displaced_seed(VACUUM, 0.0, dim=8)
     np.testing.assert_array_equal(psi.amps[0], 1.0)
     np.testing.assert_array_equal(psi.amps[1:], np.zeros(7))
     assert psi.tail_mass == 0.0
 
 
 def test_coherent_ground_overlap():
-    psi = coherent_state(2.0)
+    psi = displaced_seed(VACUUM, 2.0)
     assert abs(abs(psi.amps[0]) ** 2 - math.exp(-4.0)) < 1e-15
 
 
 def test_coherent_moments_alpha_4():
-    psi = coherent_state(4.0, dim=160)
+    psi = displaced_seed(VACUUM, 4.0, dim=160)
     assert abs(number_moment(psi, 1) - 16.0) < 1e-8
     var = number_moment(psi, 2) - number_moment(psi, 1) ** 2
     assert abs(var - 16.0) < 1e-8
@@ -81,22 +81,22 @@ def test_coherent_moments_alpha_4():
 
 def test_coherent_mean_amplitude_contract():
     alpha = 1.5 + 0.5j
-    psi = coherent_state(alpha, dim=60)
+    psi = displaced_seed(VACUUM, alpha, dim=60)
     assert abs(number_moment(psi, 1) - abs(alpha) ** 2) < 1e-10 * (1 + abs(alpha) ** 2)
     assert abs(mean_a(psi) - alpha) < 1e-10
 
 
 def test_coherent_truncation_error_suggests_dim():
     with pytest.raises(TruncationError) as err:
-        coherent_state(4.0, dim=20)
+        displaced_seed(VACUUM, 4.0, dim=20)
     assert err.value.required_dim is not None
-    psi = coherent_state(4.0, dim=err.value.required_dim)
+    psi = displaced_seed(VACUUM, 4.0, dim=err.value.required_dim)
     assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
 
 
 def test_norm_within_tail_budget():
     for alpha in (0.5, 2.0, 4.0):
-        psi = coherent_state(alpha)
+        psi = displaced_seed(VACUUM, alpha)
         assert 1.0 - DEFAULT_TAIL_BUDGET <= psi.norm_sq <= 1.0 + 1e-14
         assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
 
@@ -105,21 +105,25 @@ def test_norm_within_tail_budget():
 
 
 def test_squeezed_r0_equals_coherent():
+    # closed form of the coherent amplitudes: e^{-|alpha|^2/2} alpha^n / sqrt(n!)
     alpha = 1.3 + 0.4j
-    a = squeezed_coherent_state(alpha, 0.0, dim=70)
-    b = coherent_state(alpha, dim=70)
-    np.testing.assert_allclose(a.amps, b.amps, atol=1e-10)
+    a = displaced_seed(MeasurementSpec(0.0), alpha, dim=70)
+    b = [
+        math.exp(-abs(alpha) ** 2 / 2.0) * alpha**n / math.sqrt(math.factorial(n))
+        for n in range(70)
+    ]
+    np.testing.assert_allclose(a.amps, b, atol=1e-10)
 
 
 def test_squeezed_zero_spec_builds_vacuum_family_states():
     alpha = 0.9 - 0.6j
-    a = displaced_seed(MeasurementSpec.squeezed(0.0), alpha, dim=60)
+    a = displaced_seed(MeasurementSpec(-0.0), alpha, dim=60)
     b = displaced_seed(MeasurementSpec.vacuum(), alpha, dim=60)
     np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
 
 
 def test_squeezed_vacuum_quadrature_variances():
-    psi = squeezed_coherent_state(0.0, 0.5, dim=60)
+    psi = displaced_seed(MeasurementSpec(0.5), 0.0, dim=60)
     _, cov = dense_quadrature_moments(psi)
     assert abs(cov[0, 0] - math.e / 2.0) < 1e-8
     assert abs(cov[1, 1] - math.exp(-1.0) / 2.0) < 1e-8
@@ -139,7 +143,7 @@ def test_squeezed_vacuum_closed_form_amplitudes():
             / (2**m * math.factorial(m))
             / math.sqrt(math.cosh(r))
         )
-    seed = MeasurementSpec.squeezed(r).seed_vector(head)
+    seed = fock._ladder_amplitudes(0.0, r, head)
     np.testing.assert_allclose(seed, expected, atol=1e-14)
     np.testing.assert_allclose(squeeze_matrix(r, dim)[:head, 0], expected, atol=1e-10)
 
@@ -181,11 +185,11 @@ def test_ladder_amplitudes_property(modulus, phase, r):
 def test_large_amplitudes_survive_vacuum_underflow():
     # e^{-|alpha|^2/2} underflows for |alpha|^2 > ~1490, and for strongly
     # squeezed seeds far earlier; the rescaled recurrence still normalizes
-    psi = coherent_state(40.0)
+    psi = displaced_seed(VACUUM, 40.0)
     assert abs(psi.norm_sq - 1.0) < 1e-10
     assert abs(mean_a(psi) - 40.0) < 1e-8
     alpha, r = 30.0j, 2.0
-    psi = squeezed_coherent_state(alpha, r)
+    psi = displaced_seed(MeasurementSpec(r), alpha)
     assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
     mean, cov = quadrature_mean_cov(psi)
     np.testing.assert_allclose(mean, [0.0, math.sqrt(2.0) * 30.0], atol=1e-8)
@@ -195,14 +199,14 @@ def test_large_amplitudes_survive_vacuum_underflow():
 
 
 def test_squeezed_norm_within_budget():
-    psi = squeezed_coherent_state(3.0, 0.8, dim=200)
+    psi = displaced_seed(MeasurementSpec(0.8), 3.0, dim=200)
     assert psi.norm_sq >= 1.0 - DEFAULT_TAIL_BUDGET
     assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
 
 
 def test_displaced_squeezed_moments_match_seed_law():
     alpha, r = 1.2 - 0.7j, 0.4
-    psi = squeezed_coherent_state(alpha, r, dim=90)
+    psi = displaced_seed(MeasurementSpec(r), alpha, dim=90)
     mean, cov = quadrature_mean_cov(psi)
     np.testing.assert_allclose(
         mean, [math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag], atol=1e-9
@@ -217,39 +221,73 @@ def test_displaced_squeezed_moments_match_seed_law():
 
 def test_squeezed_truncation_error():
     with pytest.raises(TruncationError):
-        squeezed_coherent_state(4.0, 1.0, dim=30)
+        displaced_seed(MeasurementSpec(1.0), 4.0, dim=30)
 
 
 def test_squeezed_default_cutoff_reports_its_tail():
-    # the default rule gives dim 130 here, which drops 3.8e-7 of the weight
-    with pytest.raises(TruncationError) as err:
-        squeezed_coherent_state(0.0, 1.5)
-    need = err.value.required_dim
-    assert need is not None and need > 130
-    assert f"need dim >= {need}" in str(err.value)
-    psi = squeezed_coherent_state(0.0, 1.5, dim=need)
+    # the default rule gives dim 130 here, which drops 3.8e-7 of the weight,
+    # so the default cutoff widens to the smallest one within budget
+    spec = MeasurementSpec(1.5)
+    assert default_dim(math.sinh(1.5) ** 2, 1.5) == 130
+    psi = displaced_seed(spec, 0.0)
+    assert psi.dim == 211
     assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
     assert abs(psi.norm_sq + psi.tail_mass - 1.0) < 1e-13
-    with pytest.raises(TruncationError):
-        squeezed_coherent_state(0.0, 1.5, dim=need - 1)
+    for dim in (130, psi.dim - 1):
+        with pytest.raises(TruncationError, match="need dim >= 211") as err:
+            displaced_seed(spec, 0.0, dim=dim)
+        assert err.value.required_dim == 211
+
+
+@pytest.mark.parametrize(
+    "alpha, r, rule",
+    [
+        (2.0, 0.0, 47),
+        (2.0, 0.5, 63),
+        (0.0, 0.0, 30),
+        (1.5 - 0.5j, -0.3, 49),
+        (2.0, -0.8, 79),
+    ],
+)
+def test_default_cutoff_is_the_rule_when_it_fits(alpha, r, rule):
+    # the rule's cutoff is kept wherever it meets the budget, so every run
+    # that fits it keeps its dim and its bytes
+    assert default_dim(abs(alpha) ** 2 + math.sinh(r) ** 2, r) == rule
+    psi = displaced_seed(MeasurementSpec(r), alpha)
+    assert psi.dim == rule
+    np.testing.assert_array_equal(psi.amps, fock._ladder_amplitudes(alpha, r, rule))
+
+
+@pytest.mark.parametrize(
+    "alpha, r, need", [(2.0, 0.8, 82), (2.0, 1.2, 158), (0.0, 1.5, 211)]
+)
+def test_default_cutoff_widens_to_required_dim(alpha, r, need):
+    spec = MeasurementSpec(r)
+    assert default_dim(abs(alpha) ** 2 + math.sinh(r) ** 2, r) < need
+    with pytest.raises(TruncationError) as err:
+        displaced_seed(spec, alpha, dim=need - 1)
+    assert err.value.required_dim == need
+    psi = displaced_seed(spec, alpha)
+    assert psi.dim == need
+    assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
 
 
 # --- Kerr propagation ------------------------------------------------------------
 
 
 def test_kerr_full_revival_is_identity():
-    psi = coherent_state(2.0, dim=60)
+    psi = displaced_seed(VACUUM, 2.0, dim=60)
     back = kerr_propagate(psi, 2.0 * math.pi)
     np.testing.assert_allclose(back.amps, psi.amps, atol=1e-12)
 
 
 def test_kerr_zero_time_identity():
-    psi = squeezed_coherent_state(1.0, 0.3, dim=60)
+    psi = displaced_seed(MeasurementSpec(0.3), 1.0, dim=60)
     np.testing.assert_array_equal(kerr_propagate(psi, 0.0).amps, psi.amps)
 
 
 def test_kerr_preserves_norm_and_mean_n():
-    psi = coherent_state(4.0, dim=160)
+    psi = displaced_seed(VACUUM, 4.0, dim=160)
     for chi_t in (0.01, 0.4, 1.9, 3.0):
         out = kerr_propagate(psi, chi_t)
         assert abs(out.norm_sq - psi.norm_sq) < 1e-14
@@ -258,7 +296,7 @@ def test_kerr_preserves_norm_and_mean_n():
 
 def test_kerr_rejects_overflowing_phase_without_warnings():
     # chi_t * n**2 overflows at n = 59: refuse before numpy evaluates exp on inf
-    psi = coherent_state(4.0, 60)
+    psi = displaced_seed(VACUUM, 4.0, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="dim=60"):
@@ -276,12 +314,12 @@ def test_kerr_rejects_non_finite_chi_t_at_dim_one():
 
 
 def test_mean_a_vacuum_zero():
-    assert mean_a(coherent_state(0.0, dim=10)) == 0.0
+    assert mean_a(displaced_seed(VACUUM, 0.0, dim=10)) == 0.0
 
 
 @pytest.mark.parametrize("alpha,dim", [(1.0, 60), (2.0, 80), (4.0, 200)])
 def test_mean_a_collapse_revival_curve(alpha, dim):
-    psi = coherent_state(alpha, dim=dim)
+    psi = displaced_seed(VACUUM, alpha, dim=dim)
     for chi_t in np.linspace(0.0, math.pi, 65):
         exact = mean_a(kerr_propagate(psi, float(chi_t)))
         closed = mean_a_closed_form(alpha, float(chi_t))
@@ -299,13 +337,13 @@ def test_mean_a_closed_form_values():
 
 
 def test_number_moments_vacuum():
-    psi = coherent_state(0.0, dim=10)
+    psi = displaced_seed(VACUUM, 0.0, dim=10)
     for k in (1, 2, 3, 4):
         assert number_moment(psi, k) == 0.0
 
 
 def test_number_moments_poisson():
-    psi = coherent_state(2.0, dim=80)
+    psi = displaced_seed(VACUUM, 2.0, dim=80)
     assert abs(number_moment(psi, 1) - 4.0) < 1e-10
     assert abs(number_moment(psi, 2) - 20.0) < 1e-9
     # oracle: Poisson <n^4> = mu^4 + 6 mu^3 + 7 mu^2 + mu
@@ -316,7 +354,7 @@ def test_number_moments_poisson():
 
 
 def test_number_moment_rejects_bad_order():
-    psi = coherent_state(1.0, dim=30)
+    psi = displaced_seed(VACUUM, 1.0, dim=30)
     for k in (0, 5, -1):
         with pytest.raises(ValueError):
             number_moment(psi, k)
@@ -357,7 +395,7 @@ def test_transition_density_exchange_symmetry():
 def test_transition_density_squeezed_zero_matches_vacuum():
     z1 = PhaseVector.from_alpha(0.8 + 0.1j)
     z2 = PhaseVector.from_alpha(0.1 - 0.4j)
-    a = transition_density(z1, z2, 0.02, MeasurementSpec.squeezed(0.0), dim=60)
+    a = transition_density(z1, z2, 0.02, MeasurementSpec(0.0), dim=60)
     b = transition_density(z1, z2, 0.02, MeasurementSpec.vacuum(), dim=60)
     assert abs(a - b) < 1e-12
 
@@ -374,28 +412,24 @@ def test_transition_normalization_unit():
 
 
 def test_identity_defect_vacuum():
-    defect = identity_resolution_defect(MeasurementSpec.vacuum(), dim=60, dim_check=10)
+    defect = identity_resolution_defect(MeasurementSpec.vacuum(), dim_check=10)
     assert defect < 1e-3
 
 
 def test_identity_defect_squeezed():
-    defect = identity_resolution_defect(
-        MeasurementSpec.squeezed(0.5), dim=60, dim_check=10
-    )
+    defect = identity_resolution_defect(MeasurementSpec(0.5), dim_check=10)
     assert defect < 1e-2
 
 
 def test_identity_defect_degenerate_grid():
     grid = QuadratureGrid(n_r=1, n_phi=1)
-    defect = identity_resolution_defect(
-        MeasurementSpec.vacuum(), dim=60, grid=grid, dim_check=10
-    )
+    defect = identity_resolution_defect(VACUUM, grid=grid, dim_check=10)
     assert defect > 0.5
 
 
 def test_identity_defect_validates_dims():
-    with pytest.raises(ValueError):
-        identity_resolution_defect(MeasurementSpec.vacuum(), dim=10, dim_check=10)
+    with pytest.raises(ValueError, match="dim_check must be >= 1"):
+        identity_resolution_defect(MeasurementSpec.vacuum(), dim_check=0)
 
 
 def ring_by_ring_gram(spec, n_rows, grid, r_max):
@@ -429,36 +463,32 @@ def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
 
 
 def test_dichotomic_survival_zero_time():
-    spec = MeasurementSpec.vacuum()
-    assert dichotomic_survival_exact(2.0, spec, chi=1.0, t=0.0, n_steps=5) == 1.0
+    psi0 = displaced_seed(VACUUM, 2.0)
+    assert dichotomic_survival_exact(psi0, 0.0, 5) == 1.0
+    with pytest.raises(ValueError, match="n_steps"):
+        dichotomic_survival_exact(psi0, 0.1, 0)
 
 
 def test_dichotomic_survival_freezes_with_frequency():
-    spec = MeasurementSpec.vacuum()
-    values = [
-        dichotomic_survival_exact(2.0, spec, chi=1.0, t=0.1, n_steps=n)
-        for n in (1, 10, 100, 1000)
-    ]
+    psi0 = displaced_seed(VACUUM, 2.0)
+    values = [dichotomic_survival_exact(psi0, 0.1, n) for n in (1, 10, 100, 1000)]
     assert values[0] < values[1] < values[2] < values[3]
     assert values[3] > 0.99
 
 
 def test_dichotomic_survival_nonincreasing_in_time():
-    spec = MeasurementSpec.vacuum()
+    psi0 = displaced_seed(VACUUM, 2.0)
     times = (0.001, 0.003, 0.01, 0.03)
-    values = [
-        dichotomic_survival_exact(2.0, spec, chi=1.0, t=t, n_steps=4) for t in times
-    ]
+    values = [dichotomic_survival_exact(psi0, t, 4) for t in times]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_dichotomic_survival_respects_gaussian_bound():
-    spec = MeasurementSpec.vacuum()
-    psi0 = displaced_seed(spec, 2.0, dim=default_dim(4.0))
+    psi0 = displaced_seed(VACUUM, 2.0)
     var_n2 = number_squared_variance(psi0)
     chi_t = 0.1
     for n in (1, 10, 100, 1000):
-        survival = dichotomic_survival_exact(2.0, spec, chi=1.0, t=chi_t, n_steps=n)
+        survival = dichotomic_survival_exact(psi0, chi_t, n)
         bound = math.exp(-var_n2 * chi_t**2 / n)
         assert survival >= bound * (1.0 - 1e-9)
 
@@ -469,7 +499,7 @@ def test_dichotomic_survival_respects_gaussian_bound():
 def test_measurement_spec_validation():
     for r in (math.nan, 800.0, -800.0):
         with pytest.raises(ValueError):
-            MeasurementSpec.squeezed(r)
+            MeasurementSpec(r)
 
 
 def test_fock_vector_validation():

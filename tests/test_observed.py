@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrzeno import observed
-from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact
+from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact, displaced_seed
 from kerrzeno.observed import (
     ConvolutionGrid,
     ObservedRunConfig,
@@ -87,13 +87,13 @@ def test_kernel_vacuum_has_unit_covariance(theta):
 
 
 def test_kernel_squeezed_zero_equals_vacuum():
-    a = gaussian_step_kernel(MeasurementSpec.squeezed(0.0), 0.3)
+    a = gaussian_step_kernel(MeasurementSpec(0.0), 0.3)
     b = gaussian_step_kernel(MeasurementSpec.vacuum(), 0.3)
     np.testing.assert_array_equal(a.cov, b.cov)
 
 
 def test_kernel_squeezed_matches_step_covariance():
-    kernel = gaussian_step_kernel(MeasurementSpec.squeezed(0.5), 0.1)
+    kernel = gaussian_step_kernel(MeasurementSpec(0.5), 0.1)
     np.testing.assert_allclose(kernel.cov, step_covariance(0.5, 0.1), atol=1e-15)
 
 
@@ -116,7 +116,7 @@ def test_symmetric_sqrt_rejects_overflowing_determinant():
 
 def test_sample_step_noiseless_is_pure_drift():
     # the production step z' = M (z + xi) with zero normals is the drift M z
-    kernel = gaussian_step_kernel(MeasurementSpec.squeezed(0.4), 0.7)
+    kernel = gaussian_step_kernel(MeasurementSpec(0.4), 0.7)
     z = PhaseVector(1.5, -0.5)
     zeros = np.zeros(1)
     xi_q, xi_p = observed._color_noise(zeros, zeros, kernel.sqrt_cov)
@@ -406,14 +406,11 @@ def test_survival_density_off_peak_matches_gaussian():
 
 def test_no_freeze_out_versus_dichotomic_freeze():
     # the continuous family keeps spreading while the yes/no check locks in
-    spec = MeasurementSpec.vacuum()
+    psi0 = displaced_seed(MeasurementSpec.vacuum(), 2.0)
     continuous = [
         survival_density_continuous(survival_config(n)) for n in (1, 10, 100, 1000)
     ]
-    dichotomic = [
-        dichotomic_survival_exact(2.0, spec, chi=1.0, t=0.1, n_steps=n)
-        for n in (1, 10, 100, 1000)
-    ]
+    dichotomic = [dichotomic_survival_exact(psi0, 0.1, n) for n in (1, 10, 100, 1000)]
     assert all(a > b for a, b in zip(continuous, continuous[1:]))
     assert all(a < b for a, b in zip(dichotomic, dichotomic[1:]))
     assert continuous[-1] < 1e-3
