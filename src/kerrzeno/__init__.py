@@ -11,9 +11,10 @@ Layers
     construction, Kerr propagation, moments, measurement kernels, and
     completeness/normalization quadratures.
 ``observed``
-    The observed Markov chain: seeded trajectory sampling, the closed-form
-    final-outcome distribution, the survival density of the continuous
-    measurement family, and a numerical kernel-chaining check.
+    The observed Markov chain: seeded trajectory sampling into plain
+    arrays (final outcomes of an ensemble, or one trajectory's path), the
+    closed-form final-outcome distribution, the survival density of the
+    continuous measurement family, and a numerical kernel-chaining check.
 ``two_level``
     Discrete two-outcome model isolating measurement-element overlap as
     the switch between freezing and non-freezing behaviour.
@@ -57,13 +58,9 @@ from .fock import (
     transition_normalization,
 )
 from .observed import (
-    ConvolutionGrid,
-    GaussianKernel,
     ObservedRunConfig,
-    TrajectoryRecord,
     analytic_final_distribution,
     chain_convolution_check,
-    gaussian_step_kernel,
     run_ensemble,
     run_trajectory,
     survival_density_continuous,

@@ -273,10 +273,11 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
     )
     n = cfg.n_trajectories
     # an overflowing chain or moment exits 3 through FloatingPointError, not
-    # as warnings
+    # as warnings; the closed form goes first, so a step covariance that is
+    # not positive-definite is refused before anything is sampled
     with np.errstate(over="raise", invalid="raise"):
-        finals = observed.run_ensemble(cfg)
         target = observed.analytic_final_distribution(cfg)
+        finals = observed.run_ensemble(cfg)
         # the recorded paths come from one batched call of the same sampler
         _, paths = observed._sample_chains(
             cfg, 0, min(p["record_paths"], n), keep_paths=True
@@ -298,12 +299,6 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         "sample_cov": [[float(x) for x in row] for row in sample_cov],
         "max_cov_deviation_se": max_dev_se,
     }
-    finite = np.isfinite(paths).all(axis=2)
-    if not finite.all():
-        # the first bad point raises PhaseVector's own ValueError
-        phase_space.PhaseVector.from_array(
-            paths[np.unravel_index(np.argmin(finite), finite.shape)]
-        )
     steps = np.arange(1, cfg.params.n_steps + 1)
     columns = (steps.tolist(), (steps * cfg.params.tau).tolist())
     rows = []
@@ -361,12 +356,11 @@ def _run_two_level_sweep(p: dict, master_seed: int) -> RunnerResult:
 
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
     spec = fock.MeasurementSpec(p["r"])
-    scales = [1, 2] if p["include_doubled"] else [1]
+    grids = [fock.QuadratureGrid(n_r=p["n_r"], n_phi=p["n_phi"], r_max=p["r_max"])]
+    if p["include_doubled"]:
+        grids.append(grids[0].doubled())
     rows = []
-    for scale in scales:
-        grid = fock.QuadratureGrid(
-            n_r=scale * p["n_r"], n_phi=scale * p["n_phi"], r_max=p["r_max"]
-        )
+    for scale, grid in enumerate(grids, start=1):
         defect = fock.identity_resolution_defect(spec, grid, dim_check=p["dim_check"])
         rows.append([scale, grid.n_r, grid.n_phi, defect])
     return ["grid_scale", "n_r", "n_phi", "defect"], rows, None

@@ -14,6 +14,12 @@ like 1/N.  This module provides the trajectory sampler, the closed-form
 final distribution, that survival density, and a quadrature instrument
 that rebuilds the chained kernels numerically.
 
+The sampler hands out plain arrays: ``run_ensemble`` the
+(n_trajectories, 2) final outcomes and ``run_trajectory`` one
+(n_steps, 2) path, whose row j - 1 is the outcome of step j at time
+j * tau.  Its step is the two matrices M(theta) = ``rotation_matrix`` and
+the symmetric square root of ``step_covariance(r, theta)``.
+
 Randomness
 ----------
 Trajectory ``i`` of a run keyed by ``master_seed`` owns the Philox
@@ -24,13 +30,18 @@ would share streams); step ``j`` consumes uniforms
 Results are therefore bit-identical however trajectories are chunked.
 
 One chain sampler serves any range of trajectory indices: the whole
-ensemble, one trajectory, or the recorded paths of an experiment.  Chains
-of at most 64 steps evaluate Philox4x64-10, a pure function of (key,
-counter), in numpy across a whole chunk of trajectories; longer chains
-draw from one ``np.random.Philox`` generator per trajectory.  Each
-generator fills its own contiguous row of uniform pairs, and blocks of
-rows are transposed into the step-major layout the chain loop reads.  Both
-ways of drawing give the same bits.
+ensemble, one trajectory, or the recorded paths of an experiment.
+Trajectories run in chunks of 4096, each landing at its own index.
+Chains of at most 64 steps evaluate Philox4x64-10, a pure function of
+(key, counter), in numpy across a whole chunk of trajectories.  Longer
+chains draw from one ``np.random.Philox`` generator per trajectory and
+advance the chunk at most 2**20 trajectory-steps at a time (256 steps of
+4096 trajectories), so the working arrays stay bounded however long the
+chain; a piece is freed before the next is drawn.  Within a piece each
+generator fills its own contiguous row of uniform pairs, and blocks of 64
+rows are transposed into the step-major layout the chain loop reads.  A
+generator drawn piece by piece gives the same stream, and both ways of
+drawing give the same bits.
 """
 
 from __future__ import annotations
@@ -47,19 +58,14 @@ from .phase_space import (
     PhaseVector,
     _det_2x2,
     accumulate_covariance,
-    is_covariance,
     rotation_matrix,
     seed_covariance,
     step_covariance,
 )
 
 __all__ = [
-    "GaussianKernel",
     "ObservedRunConfig",
-    "TrajectoryRecord",
-    "ConvolutionGrid",
     "symmetric_sqrt_2x2",
-    "gaussian_step_kernel",
     "run_trajectory",
     "run_ensemble",
     "analytic_final_distribution",
@@ -73,9 +79,10 @@ __all__ = [
 SEED_LIMIT = 2**63
 
 # Ensembles of chains up to this many steps evaluate Philox in numpy across
-# the chunk; above it one C generator per trajectory is faster (measured
-# crossover near 96 steps at 8192 trajectories: 27 vs 38 us per trajectory
-# at 64 steps, 70 vs 49 us at 128).
+# the chunk; above it one C generator per trajectory drawing contiguous rows
+# is faster.  Normals of a 4096-trajectory chunk, median of 7, one pinned
+# core of a 2-core Xeon with numpy 2.4.6: 16 vs 26 us per trajectory at 64
+# steps, 34 vs 30 at 128 and 83 vs 48 at 256, a crossover near 110 steps.
 _VECTOR_MAX_STEPS = 64
 
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.,
@@ -103,6 +110,12 @@ _DRAW_BLOCK = 64
 # treated as exact returns when evaluating the survival density.
 _RETURN_ANGLE_TOL = 1e-9
 
+# The kernel-chain check convolves on a square grid of this many points per
+# axis, centered on the drifted mean, whose half-width is this many times
+# the largest standard deviation of the final covariance.
+_CHAIN_GRID_POINTS = 256
+_CHAIN_GRID_HALF_WIDTH_SIGMAS = 6.0
+
 
 def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t.
@@ -113,30 +126,6 @@ def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
     s = math.sqrt(float(np.linalg.det(c)))
     t = math.sqrt(float(c[0, 0] + c[1, 1]) + 2.0 * s)
     return (c + s * np.eye(2)) / t
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """One observed step: rotation M plus zero-mean noise covariance C_1.
-
-    The derived attribute ``sqrt_cov`` holds the symmetric square root
-    used to color standard-normal draws.
-    """
-
-    rotation: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not is_covariance(self.cov):
-            raise ValueError("kernel covariance must be symmetric positive-definite")
-        object.__setattr__(self, "sqrt_cov", symmetric_sqrt_2x2(self.cov))
-
-
-def gaussian_step_kernel(spec: MeasurementSpec, theta: float) -> GaussianKernel:
-    """Closed-form step kernel of the measurement seed."""
-    return GaussianKernel(
-        rotation=rotation_matrix(theta), cov=step_covariance(spec.r, theta)
-    )
 
 
 @dataclass(frozen=True)
@@ -156,28 +145,6 @@ class ObservedRunConfig:
             raise ValueError("master_seed must be an integer")
         if not 0 <= self.master_seed < SEED_LIMIT:
             raise ValueError(f"master_seed must be in [0, 2**63), got {self.master_seed}")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Outcomes (j, t_j, z_j) of one realization plus its stream identity."""
-
-    steps: np.ndarray
-    times: np.ndarray
-    points: np.ndarray
-    master_seed: int
-    trajectory_index: int
-
-    @property
-    def final(self) -> PhaseVector:
-        return PhaseVector.from_array(self.points[-1])
-
-    @property
-    def outcomes(self) -> list[tuple[int, float, PhaseVector]]:
-        return [
-            (int(j), float(t), PhaseVector.from_array(zp))
-            for j, t, zp in zip(self.steps, self.times, self.points)
-        ]
 
 
 def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,9 +258,11 @@ def _sample_chains(
 
     The one chain sampler, behind ``run_ensemble`` (0..n_trajectories-1),
     ``run_trajectory`` (one index) and the recorded paths of the
-    ``trajectories`` experiment (one batched call); see ``run_ensemble``.
+    ``trajectories`` experiment (one batched call).
     """
-    kernel = gaussian_step_kernel(cfg.spec, cfg.params.theta)
+    theta = cfg.params.theta
+    rotation = rotation_matrix(theta)
+    sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, theta))
     n = cfg.params.n_steps
     finals = np.empty((hi - lo, 2))
     paths = np.empty((hi - lo, n, 2)) if keep_paths else None
@@ -306,8 +275,8 @@ def _sample_chains(
             pieces = _generator_normals(cfg.master_seed, indices, n)
         zq, zp = cfg.z0.q, cfg.z0.p
         for first, n0, n1 in pieces:
-            xi_q, xi_p = _color_noise(n0, n1, kernel.sqrt_cov)
-            out_q, out_p = _chain_points(zq, zp, kernel.rotation, xi_q, xi_p)
+            xi_q, xi_p = _color_noise(n0, n1, sqrt_cov)
+            out_q, out_p = _chain_points(zq, zp, rotation, xi_q, xi_p)
             if paths is not None:
                 paths[rows, first : first + len(out_q), 0] = out_q.T
                 paths[rows, first : first + len(out_q), 1] = out_p.T
@@ -319,47 +288,25 @@ def _sample_chains(
     return finals, paths
 
 
-def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> TrajectoryRecord:
-    """One realization of the observed chain, reproducible from its keys.
+def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> np.ndarray:
+    """The (n_steps, 2) outcome path of one trajectory; row j - 1 is step j.
 
-    The ensemble sampler over the single index, so the record holds the
-    bits ``run_ensemble(cfg, keep_paths=True)`` gives for that trajectory.
+    Bit for bit the path that trajectory has in any ensemble of ``cfg``.
     Raises ValueError unless ``0 <= trajectory_index < SEED_LIMIT``.
     """
     if not 0 <= trajectory_index < SEED_LIMIT:
         raise ValueError(f"trajectory_index must be in [0, 2**63), got {trajectory_index}")
     _, paths = _sample_chains(cfg, trajectory_index, trajectory_index + 1, keep_paths=True)
-    steps = np.arange(1, cfg.params.n_steps + 1)
-    return TrajectoryRecord(
-        steps=steps,
-        times=steps * cfg.params.tau,
-        points=paths[0],
-        master_seed=cfg.master_seed,
-        trajectory_index=trajectory_index,
-    )
+    return paths[0]
 
 
-def run_ensemble(
-    cfg: ObservedRunConfig, keep_paths: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def run_ensemble(cfg: ObservedRunConfig) -> np.ndarray:
     """Final outcomes of all trajectories, shape (n_trajectories, 2).
 
-    With ``keep_paths`` the full (n_trajectories, n_steps, 2) history is
-    returned as well.  Trajectories run in chunks of 4096; each draws from
-    its own stream and lands at its own index, so chunking changes no value.
-    For chains of at most 64 steps a chunk's streams are evaluated together
-    by a numpy Philox4x64-10.  Longer chains build one generator per
-    trajectory and advance the chunk at most 2**20 trajectory-steps at a
-    time (256 steps of 4096 trajectories), so the working arrays stay
-    bounded however long the chain; a generator drawn piece by piece gives
-    the same stream.  Within a piece each generator draws into its own
-    contiguous row, blocks of 64 rows are transposed into the step-major
-    layout, and a piece is freed before the next is drawn.  Both ways of
-    drawing give the same bits, and ``run_trajectory`` runs this same
-    sampler on one index.
+    Row i is trajectory i's last outcome, drawn from its own stream, so the
+    rows do not depend on how the ensemble is chunked.
     """
-    finals, paths = _sample_chains(cfg, 0, cfg.n_trajectories, keep_paths)
-    return (finals, paths) if keep_paths else finals
+    return _sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=False)[0]
 
 
 def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:
@@ -400,24 +347,6 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     return GaussianState2D(PhaseVector(0.0, 0.0), c_n).density(offset)
 
 
-@dataclass(frozen=True)
-class ConvolutionGrid:
-    """Square grid for the numerical kernel chain.
-
-    The half-width is ``half_width_sigmas`` times the largest standard
-    deviation of the final covariance, centered on the drifted mean.
-    """
-
-    n_points: int = 256
-    half_width_sigmas: float = 6.0
-
-    def __post_init__(self) -> None:
-        if self.n_points < 16:
-            raise ValueError("n_points must be >= 16")
-        if self.half_width_sigmas <= 0:
-            raise ValueError("half_width_sigmas must be > 0")
-
-
 def _centered_axis(n: int, half_width: float) -> tuple[np.ndarray, float]:
     """n grid points with exact origin membership at index n // 2."""
     h = 2.0 * half_width / n
@@ -434,9 +363,7 @@ def _convolve_same(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
 
 def chain_convolution_check(
-    cfg: ObservedRunConfig,
-    grid: ConvolutionGrid | None = None,
-    omit_rotation_step: int | None = None,
+    cfg: ObservedRunConfig, omit_rotation_step: int | None = None
 ) -> float:
     """Rebuild the N-step outcome density by chained quadrature.
 
@@ -459,15 +386,14 @@ def chain_convolution_check(
         raise ValueError("chain_convolution_check is meant for n_steps <= 3")
     if omit_rotation_step is not None and not 1 <= omit_rotation_step < n:
         raise ValueError("omit_rotation_step must satisfy 1 <= step < n_steps")
-    grid = grid or ConvolutionGrid()
     theta = cfg.params.theta
     r = cfg.spec.r
     c1 = step_covariance(r, theta)
     c_n = accumulate_covariance(c1, theta, n)
-    half_width = grid.half_width_sigmas * math.sqrt(
+    half_width = _CHAIN_GRID_HALF_WIDTH_SIGMAS * math.sqrt(
         float(np.max(np.linalg.eigvalsh(c_n)))
     )
-    x, h = _centered_axis(grid.n_points, half_width)
+    x, h = _centered_axis(_CHAIN_GRID_POINTS, half_width)
     points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
     origin = PhaseVector(0.0, 0.0)
 

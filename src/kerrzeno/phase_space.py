@@ -60,7 +60,6 @@ __all__ = [
     "accumulate_covariance",
     "det_cn_asymptotic",
     "rs_uncertainty_check",
-    "is_covariance",
 ]
 
 # Leading-principal-minor floor for declaring a 2x2 matrix positive definite.
@@ -104,24 +103,10 @@ def _det_2x2(c: np.ndarray) -> float:
     return det
 
 
-def _is_spd(c: np.ndarray) -> bool:
-    if not _is_symmetric(c):
-        return False
-    return c[0, 0] > _MINOR_FLOOR and _det_2x2(c) > _MINOR_FLOOR
-
-
-def is_covariance(c: np.ndarray) -> bool:
-    """True when c is a symmetric positive-definite (2, 2) matrix.
-
-    Raises ValueError when c is not a finite (2, 2) matrix or its
-    determinant overflows.
-    """
-    return _is_spd(_as_matrix(c, "c"))
-
-
 def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
     arr = _as_matrix(c, name)
-    if not _is_spd(arr):
+    spd = _is_symmetric(arr) and arr[0, 0] > _MINOR_FLOOR and _det_2x2(arr) > _MINOR_FLOOR
+    if not spd:
         raise ValueError(f"{name} must be symmetric positive-definite")
     return arr
 
@@ -211,10 +196,6 @@ class EvolutionParams:
     @property
     def total_time(self) -> float:
         return self.n_steps * self.tau
-
-    @property
-    def total_angle(self) -> float:
-        return self.omega * self.total_time
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

@@ -22,7 +22,6 @@ beta = 1/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +40,10 @@ __all__ = [
 ]
 
 
-def _fold_alpha(alpha: float) -> float:
-    """Fold the overlap angle into [0, pi/2] using the model symmetries."""
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    a = math.fmod(abs(alpha), math.pi)
-    if a > math.pi / 2.0:
-        a = math.pi - a
-    if abs(a - alpha) > 1e-15:
-        warnings.warn(
-            f"overlap angle {alpha!r} folded to {a!r} (model is pi-periodic and "
-            "symmetric about pi/2)",
-            stacklevel=3,
-        )
-    return a
+def _require_angle(alpha: float) -> None:
+    """The overlap angle's one rule: 0 <= alpha <= pi/2 (NaN fails it)."""
+    if not 0.0 <= alpha <= math.pi / 2.0:
+        raise ValueError(f"alpha must be in [0, pi/2], got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,7 @@ class TwoLevelModel:
     n_steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _fold_alpha(self.alpha))
+        _require_angle(self.alpha)
         if not (math.isfinite(self.omega) and math.isfinite(self.tau)):
             raise ValueError("omega and tau must be finite")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
@@ -77,20 +66,17 @@ class TwoLevelModel:
 def povm_elements(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The two measurement elements; the second is built as the exact
     complement so completeness holds to the last bit."""
-    alpha = _fold_alpha(alpha)
     e1 = np.diag([math.cos(alpha) ** 2, 0.0])
     return e1, np.eye(2) - e1
 
 
 def povm_overlap(alpha: float) -> float:
     """tr(E_1 E_2) = sin^2(2 alpha) / 4; zero only for orthogonal elements."""
-    alpha = _fold_alpha(alpha)
     return 0.25 * math.sin(2.0 * alpha) ** 2
 
 
 def reduced_states(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Post-measurement states for outcomes 1 and 2 (rho_1 = |1><1|)."""
-    alpha = _fold_alpha(alpha)
     sa = math.sin(alpha) ** 2
     rho1 = np.diag([1.0, 0.0])
     rho2 = np.diag([sa, 1.0]) / (1.0 + sa)
@@ -144,9 +130,10 @@ def survival_asymptotic(alpha: float, omega: float, t: float, n_steps: int) -> f
 
         (1 + exp(-2 N a^2) exp(-2 w^2 t^2 / N)) / 2.
 
-    Advisory regime N >> 1, a << 1; nothing is enforced.
+    Raises ValueError unless 0 <= a <= pi/2; the regime N >> 1, a << 1 is
+    advisory.
     """
-    alpha = _fold_alpha(alpha)
+    _require_angle(alpha)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return 0.5 * (

@@ -160,10 +160,13 @@ def test_trajectories_rows_are_the_recorded_outcomes():
             n_trajectories=50,
             master_seed=13,
         )
+        steps = np.arange(1, n_steps + 1)
         expected = [
-            [ti, j, t, z.q, z.p]
+            [ti, j, t, q, p]
             for ti in range(4)
-            for j, t, z in run_trajectory(cfg, ti).outcomes
+            for j, t, (q, p) in zip(
+                steps.tolist(), (steps * 0.1).tolist(), run_trajectory(cfg, ti).tolist()
+            )
         ]
         assert envelope.rows == expected
         for row in envelope.rows:
@@ -465,6 +468,20 @@ def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, 
         assert cli.main(["run", config_path]) == 3
     err = capsys.readouterr().err
     assert "numeric error" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert caught == []
+
+
+def test_cli_two_level_angle_outside_quarter_turn_exits_numeric(tmp_path, capsys):
+    # the overlap angle is refused, not folded with a warning
+    config_path = write_config(
+        tmp_path, {"experiment": "two-level", "parameters": {"alpha": 4.0}}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "alpha must be in [0, pi/2]" in err
     assert "Warning" not in err and "Traceback" not in err
     assert caught == []
 

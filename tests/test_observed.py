@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from kerrzeno import observed
 from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact, displaced_seed
 from kerrzeno.observed import (
-    ConvolutionGrid,
     ObservedRunConfig,
     analytic_final_distribution,
     chain_convolution_check,
-    gaussian_step_kernel,
     run_ensemble,
     run_trajectory,
     survival_density_continuous,
@@ -82,19 +80,9 @@ def reference_path(cfg, index):
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, 1.2])
 def test_kernel_vacuum_has_unit_covariance(theta):
-    kernel = gaussian_step_kernel(MeasurementSpec.vacuum(), theta)
-    np.testing.assert_allclose(kernel.cov, np.eye(2), atol=1e-15)
-
-
-def test_kernel_squeezed_zero_equals_vacuum():
-    a = gaussian_step_kernel(MeasurementSpec(0.0), 0.3)
-    b = gaussian_step_kernel(MeasurementSpec.vacuum(), 0.3)
-    np.testing.assert_array_equal(a.cov, b.cov)
-
-
-def test_kernel_squeezed_matches_step_covariance():
-    kernel = gaussian_step_kernel(MeasurementSpec(0.5), 0.1)
-    np.testing.assert_allclose(kernel.cov, step_covariance(0.5, 0.1), atol=1e-15)
+    np.testing.assert_allclose(
+        step_covariance(MeasurementSpec.vacuum().r, theta), np.eye(2), atol=1e-15
+    )
 
 
 def test_symmetric_sqrt():
@@ -116,11 +104,12 @@ def test_symmetric_sqrt_rejects_overflowing_determinant():
 
 def test_sample_step_noiseless_is_pure_drift():
     # the production step z' = M (z + xi) with zero normals is the drift M z
-    kernel = gaussian_step_kernel(MeasurementSpec(0.4), 0.7)
+    rotation = rotation_matrix(0.7)
+    sqrt_cov = symmetric_sqrt_2x2(step_covariance(0.4, 0.7))
     z = PhaseVector(1.5, -0.5)
     zeros = np.zeros(1)
-    xi_q, xi_p = observed._color_noise(zeros, zeros, kernel.sqrt_cov)
-    out_q, out_p = observed._chain_points(z.q, z.p, kernel.rotation, xi_q, xi_p)
+    xi_q, xi_p = observed._color_noise(zeros, zeros, sqrt_cov)
+    out_q, out_p = observed._chain_points(z.q, z.p, rotation, xi_q, xi_p)
     np.testing.assert_allclose(
         [out_q[0], out_p[0]], rotation_matrix(0.7) @ z.as_array(), atol=1e-15
     )
@@ -155,7 +144,7 @@ def test_single_step_ensemble_moments():
 
 def test_single_step_trajectory_reduces_to_sample_step():
     cfg = make_config(n_steps=1, tau=0.5, r=0.4, master_seed=5)
-    record = run_trajectory(cfg, 3)
+    path = run_trajectory(cfg, 3)
 
     # independent reconstruction of the documented noise derivation
     gen = np.random.Generator(np.random.Philox(key=(5, 3)))
@@ -169,33 +158,28 @@ def test_single_step_trajectory_reduces_to_sample_step():
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(0.4, cfg.params.theta))
     rot = rotation_matrix(cfg.params.theta)
     expected = rot @ (cfg.z0.as_array() + sqrt_cov @ normals)
-    np.testing.assert_allclose(record.final.as_array(), expected, atol=1e-14)
+    np.testing.assert_allclose(path[-1], expected, atol=1e-14)
 
 
 def test_trajectory_record_shape_and_times():
     cfg = make_config(n_steps=7, tau=0.25)
-    record = run_trajectory(cfg, 0)
-    assert record.points.shape == (7, 2)
-    np.testing.assert_array_equal(record.steps, np.arange(1, 8))
-    np.testing.assert_allclose(record.times, 0.25 * np.arange(1, 8), rtol=1e-15)
-    assert len(record.outcomes) == 7
+    assert run_trajectory(cfg, 0).shape == (7, 2)
 
 
 def test_trajectory_reruns_bit_identical():
     cfg = make_config(n_steps=12, master_seed=99)
     a = run_trajectory(cfg, 4)
     b = run_trajectory(cfg, 4)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
     c = run_trajectory(cfg, 5)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_ensemble_matches_individual_trajectories():
     cfg = make_config(n_steps=5, n_trajectories=1000, master_seed=42)
     finals = run_ensemble(cfg)
     for index in (0, 17, 999):
-        record = run_trajectory(cfg, index)
-        np.testing.assert_array_equal(finals[index], record.points[-1])
+        np.testing.assert_array_equal(finals[index], run_trajectory(cfg, index)[-1])
 
 
 @pytest.mark.parametrize("n_steps", [4, observed._VECTOR_MAX_STEPS + 1])
@@ -209,7 +193,7 @@ def test_ensemble_chunking_invariance(n_steps):
         prefix = run_ensemble(dataclasses.replace(cfg, n_trajectories=k))
         assert np.array_equal(finals[:k], prefix)
     for index in (4095, 4096, 8191, 8192):
-        assert np.array_equal(finals[index], run_trajectory(cfg, index).points[-1])
+        assert np.array_equal(finals[index], run_trajectory(cfg, index)[-1])
 
 
 def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
@@ -221,11 +205,12 @@ def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
     cfg = make_config(
         n_steps=observed._VECTOR_MAX_STEPS + 1, r=0.4, n_trajectories=8, master_seed=5
     )
-    finals, paths = run_ensemble(cfg, keep_paths=True)
+    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    assert np.array_equal(finals, run_ensemble(cfg))
     for index in range(cfg.n_trajectories):
-        record = run_trajectory(cfg, index)
-        assert np.array_equal(paths[index], record.points)
-        assert np.array_equal(finals[index], record.points[-1])
+        path = run_trajectory(cfg, index)
+        assert np.array_equal(paths[index], path)
+        assert np.array_equal(finals[index], path[-1])
 
 
 def test_generator_pieces_of_partial_chunk_keep_stream_bits():
@@ -251,13 +236,13 @@ def test_trajectory_and_ensemble_paths_match_reference(n_steps):
     # both samplers against the scalar oracle, and the single-index call
     # against the ensemble bit for bit
     cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=5, master_seed=17)
-    finals, paths = run_ensemble(cfg, keep_paths=True)
+    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
     for index in range(cfg.n_trajectories):
         expected = reference_path(cfg, index)
-        record = run_trajectory(cfg, index)
-        np.testing.assert_allclose(record.points, expected, rtol=0, atol=1e-12)
+        path = run_trajectory(cfg, index)
+        np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(paths[index], expected, rtol=0, atol=1e-12)
-        assert np.array_equal(record.points, paths[index])
+        assert np.array_equal(path, paths[index])
         assert np.array_equal(finals[index], paths[index, -1])
 
 
@@ -326,7 +311,7 @@ def test_ensemble_final_covariance_vacuum():
 def test_chain_has_no_memory():
     # the step residual must be uncorrelated with the previous outcome
     cfg = make_config(n_steps=3, tau=1.1, r=0.3, n_trajectories=20_000, master_seed=3)
-    _, paths = run_ensemble(cfg, keep_paths=True)
+    _, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
     m_inv = rotation_matrix(cfg.params.theta).T
     residual = paths[:, 2, :] @ m_inv.T - paths[:, 1, :]
     previous = paths[:, 0, :]
@@ -449,8 +434,6 @@ def test_chain_check_validates_arguments():
         chain_convolution_check(make_config(n_steps=4))
     with pytest.raises(ValueError):
         chain_convolution_check(make_config(n_steps=2), omit_rotation_step=2)
-    with pytest.raises(ValueError):
-        ConvolutionGrid(n_points=8)
 
 
 # --- configuration ----------------------------------------------------------------------------

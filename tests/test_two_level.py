@@ -225,11 +225,18 @@ def test_sweep_rejects_out_of_range_angle():
 # --- model validation -----------------------------------------------------------------
 
 
-def test_alpha_folding_warns():
-    with pytest.warns(UserWarning):
-        model = TwoLevelModel(2.0, 1.0, 0.1, 1)
-    assert 0.0 <= model.alpha <= math.pi / 2
-    assert abs(model.alpha - (math.pi - 2.0)) < 1e-15
+@pytest.mark.parametrize("alpha", [2.0, -0.3, float("nan")])
+def test_alpha_outside_quarter_turn_rejected(alpha):
+    # one rule for the overlap angle, no folding: 0 <= alpha <= pi/2
+    with pytest.raises(ValueError, match="alpha must be in"):
+        TwoLevelModel(alpha, 1.0, 0.1, 1)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        survival_asymptotic(alpha, 1.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 2])
+def test_alpha_in_quarter_turn_kept(alpha):
+    assert TwoLevelModel(alpha, 1.0, 0.1, 1).alpha == alpha
 
 
 def test_model_validation():
