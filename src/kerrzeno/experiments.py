@@ -245,19 +245,22 @@ def _run_revival(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
-    c1 = phase_space.step_covariance(p["r"], p["theta"])
-    rows = []
+    """C_N for every N from the float kernel of ``accumulate_covariance``,
+    stacked, then one batched ``np.linalg.det`` (the same LAPACK call per
+    matrix, so each row keeps its rounding) and one ``np.sqrt``."""
+    r, theta = p["r"], p["theta"]
+    c00, c01, c11 = phase_space._step_entries(r, theta)
+    phase_space._check_covariance(c00, c01, c01, c11, "c1")
+    entries = np.empty((p["n_max"], 4))
     for n in range(1, p["n_max"] + 1):
-        c_n = phase_space.accumulate_covariance(c1, p["theta"], n)
-        # raises on overflow; the row keeps np.linalg.det's rounding
-        phase_space._det_2x2(c_n)
-        rows.append(
-            [
-                n,
-                float(np.sqrt(np.linalg.det(c_n))),
-                phase_space.det_cn_asymptotic(p["r"], n),
-            ]
-        )
+        e00, e01, e11 = phase_space._dirichlet_sum(c00, c01, c11, theta, n)
+        phase_space._det_2x2(e00, e01, e01, e11)  # raises on overflow
+        entries[n - 1] = e00, e01, e01, e11
+    sqrt_det = np.sqrt(np.linalg.det(entries.reshape(-1, 2, 2))).tolist()
+    rows = [
+        [n, s, phase_space.det_cn_asymptotic(r, n)]
+        for n, s in enumerate(sqrt_det, start=1)
+    ]
     return ["n", "sqrt_det_cn", "n_cosh_2r"], rows, None
 
 
@@ -308,16 +311,24 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
-    rows = []
-    for n in range(1, p["n_max"] + 1):
-        tau = 2.0 * math.pi * p["m"] / n  # omega = 1 below
-        cfg = observed.ObservedRunConfig(
-            z0=phase_space.PhaseVector(2.0, 0.0),
-            params=phase_space.EvolutionParams(0.5, 1.0, tau, n),
-            spec=fock.MeasurementSpec(p["r"]),
+    """``survival_density_continuous`` at tau = 2 pi m / N for every N: the
+    per-N floats of its one helper, then one ``np.exp`` over the column."""
+    turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
+    # the N = 1 run has the longest step, so its config validates the sweep
+    cfg = observed.ObservedRunConfig(
+        z0=phase_space.PhaseVector(2.0, 0.0),
+        params=phase_space.EvolutionParams(0.5, 1.0, turns, 1),
+        spec=fock.MeasurementSpec(p["r"]),
+    )
+    z0, r = cfg.z0, cfg.spec.r
+    ns = range(1, p["n_max"] + 1)
+    exponents, norms = np.empty((2, p["n_max"]))
+    for n in ns:
+        exponents[n - 1], norms[n - 1] = observed._survival_terms(
+            z0.q, z0.p, r, turns / n, n
         )
-        density = observed.survival_density_continuous(cfg)
-        rows.append([n, density, n * density])
+    densities = (np.exp(exponents) / norms).tolist()
+    rows = [[n, d, n * d] for n, d in zip(ns, densities)]
     return ["n", "survival_density", "n_times_survival_density"], rows, None
 
 

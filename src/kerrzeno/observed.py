@@ -56,7 +56,11 @@ from .phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
+    _check_covariance,
     _det_2x2,
+    _dirichlet_sum,
+    _gaussian_terms,
+    _step_entries,
     accumulate_covariance,
     rotation_matrix,
     seed_covariance,
@@ -122,7 +126,7 @@ def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
 
     Raises ValueError when the determinant overflows.
     """
-    _det_2x2(c)  # the overflow check; s keeps np.linalg.det's rounding
+    _det_2x2(*c.ravel().tolist())  # overflow check; s keeps np.linalg.det's rounding
     s = math.sqrt(float(np.linalg.det(c)))
     t = math.sqrt(float(c[0, 0] + c[1, 1]) + 2.0 * s)
     return (c + s * np.eye(2)) / t
@@ -325,6 +329,29 @@ def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:
     )
 
 
+def _survival_terms(
+    q0: float, p0: float, r: float, theta: float, n: int
+) -> tuple[float, float]:
+    """Exponent and normaliser of p_N(z0 | z0) = exp(exponent) / normaliser.
+
+    Raises ValueError when C_1 or C_N is not SPD or its determinant
+    overflows, with the messages of ``accumulate_covariance`` ("c1") and
+    ``GaussianState2D`` ("cov").
+    """
+    c00, c01, c11 = _step_entries(r, theta)
+    _check_covariance(c00, c01, c01, c11, "c1")
+    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, n)
+    total = n * theta
+    if abs(math.remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL:
+        d0 = d1 = 0.0
+    else:
+        # the drift mismatch M(-total) z0 - z0
+        c, s = math.cos(-total), math.sin(-total)
+        d0, d1 = c * q0 + s * p0 - q0, -s * q0 + c * p0 - p0
+    _check_covariance(c00, c01, c01, c11, "cov")
+    return _gaussian_terms(c00, c01, c01, c11, d0, d1)
+
+
 def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     """Final-outcome density at the starting point, p_N(z = z0 | z0).
 
@@ -334,17 +361,15 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     the peak 1 / (2 pi sqrt(det C_N)) -- for a vacuum seed, 1 / (2 pi N).
     Away from full turns the zero-mean Gaussian of covariance C_N is
     evaluated at the drift mismatch.
+
+    Everything up to the exponential runs on Python floats, through the
+    same C_N kernel as ``accumulate_covariance``; the ``zeno-continuous``
+    sweep makes the same per-N call and exponentiates its column at once.
     """
-    theta = cfg.params.theta
-    n = cfg.params.n_steps
-    c_n = accumulate_covariance(step_covariance(cfg.spec.r, theta), theta, n)
-    total = n * theta
-    distance = abs(math.remainder(total, 2.0 * math.pi))
-    if distance < _RETURN_ANGLE_TOL:
-        offset = np.zeros(2)
-    else:
-        offset = rotation_matrix(-total) @ cfg.z0.as_array() - cfg.z0.as_array()
-    return GaussianState2D(PhaseVector(0.0, 0.0), c_n).density(offset)
+    exponent, norm = _survival_terms(
+        cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, int(cfg.params.n_steps)
+    )
+    return float(np.exp(exponent) / norm)
 
 
 def _centered_axis(n: int, half_width: float) -> tuple[np.ndarray, float]:

@@ -86,14 +86,13 @@ def _as_matrix(c: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _is_symmetric(c: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(c))))
-    return abs(c[0, 1] - c[1, 0]) <= _SYMMETRY_RTOL * scale
+def _is_symmetric(c00: float, c01: float, c10: float, c11: float) -> bool:
+    scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
+    return abs(c01 - c10) <= _SYMMETRY_RTOL * scale
 
 
-def _det_2x2(c: np.ndarray) -> float:
+def _det_2x2(c00: float, c01: float, c10: float, c11: float) -> float:
     """Closed-form determinant on Python floats; ValueError if it overflows."""
-    (c00, c01), (c10, c11) = c.tolist()
     det = c00 * c11 - c01 * c10
     if not math.isfinite(det):
         scale = max(abs(c00), abs(c01), abs(c10), abs(c11))
@@ -103,12 +102,35 @@ def _det_2x2(c: np.ndarray) -> float:
     return det
 
 
-def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
-    arr = _as_matrix(c, name)
-    spd = _is_symmetric(arr) and arr[0, 0] > _MINOR_FLOOR and _det_2x2(arr) > _MINOR_FLOOR
+def _check_covariance(c00: float, c01: float, c10: float, c11: float, name: str):
+    """Raise ValueError unless the entries form a finite SPD matrix."""
+    finite = math.isfinite
+    if not (finite(c00) and finite(c01) and finite(c10) and finite(c11)):
+        raise ValueError(f"{name} must have finite entries")
+    spd = (
+        _is_symmetric(c00, c01, c10, c11)
+        and c00 > _MINOR_FLOOR
+        and _det_2x2(c00, c01, c10, c11) > _MINOR_FLOOR
+    )
     if not spd:
         raise ValueError(f"{name} must be symmetric positive-definite")
+
+
+def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
+    arr = _as_matrix(c, name)
+    _check_covariance(*arr.ravel().tolist(), name)
     return arr
+
+
+def _gaussian_terms(c00, c01, c10, c11, d0, d1):
+    """Exponent and normaliser of a 2D Gaussian density at offset (d0, d1).
+
+    The density is exp(exponent) / normaliser; the offsets may be floats or
+    arrays, the covariance entries are floats.
+    """
+    det = _det_2x2(c00, c01, c10, c11)
+    quad = (c11 * (d0 * d0) - (c01 + c10) * d0 * d1 + c00 * (d1 * d1)) / det
+    return -0.5 * quad, 2.0 * math.pi * math.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -155,12 +177,9 @@ class GaussianState2D:
         pts = np.asarray(points, dtype=float)
         scalar = pts.shape == (2,)
         d = pts - self.mean.as_array()
-        (c00, c01), (c10, c11) = self.cov.tolist()
-        det = _det_2x2(self.cov)
-        quad = (
-            c11 * d[..., 0] ** 2 - (c01 + c10) * d[..., 0] * d[..., 1] + c00 * d[..., 1] ** 2
-        ) / det
-        out = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+        entries = self.cov.ravel().tolist()
+        exponent, norm = _gaussian_terms(*entries, d[..., 0], d[..., 1])
+        out = np.exp(exponent) / norm
         return float(out) if scalar else out
 
 
@@ -222,6 +241,15 @@ def seed_covariance(r: float) -> np.ndarray:
     return 0.5 * np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
 
 
+def _step_entries(r: float, theta: float) -> tuple[float, float, float]:
+    """Entries (C11, C12, C22) of the step covariance; see step_covariance."""
+    r = _require_finite(r, "r")
+    theta = _require_finite(theta, "theta")
+    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    c2 = math.cos(theta) ** 2
+    return ch + c2 * sh, 0.5 * math.sin(2.0 * theta) * sh, ch - c2 * sh
+
+
 def step_covariance(r: float, theta: float) -> np.ndarray:
     """Covariance C_1 of one observed step.
 
@@ -233,12 +261,26 @@ def step_covariance(r: float, theta: float) -> np.ndarray:
     which coincides with seed + rotated-seed composition
     C + M^-1 C M^-T (an identity the test-suite re-derives numerically).
     """
-    r = _require_finite(r, "r")
-    theta = _require_finite(theta, "theta")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    c2 = math.cos(theta) ** 2
-    off = 0.5 * math.sin(2.0 * theta) * sh
-    return np.array([[ch + c2 * sh, off], [off, ch - c2 * sh]])
+    c00, c01, c11 = _step_entries(r, theta)
+    return np.array([[c00, c01], [c01, c11]])
+
+
+def _dirichlet_sum(
+    c00: float, c01: float, c11: float, theta: float, n: int
+) -> tuple[float, float, float]:
+    """Entries (C11, C12, C22) of C_N from those of C_1, on Python floats.
+
+    The one evaluation of the closed form; see accumulate_covariance.
+    """
+    if n == 1:
+        return c00, c01, c11
+    eps = math.remainder(theta, math.pi)
+    dirichlet = n if eps == 0.0 else math.sin(n * eps) / math.sin(eps)
+    turn = (n - 1) * eps
+    b = dirichlet * complex(0.5 * (c00 - c11), c01)
+    b *= complex(math.cos(turn), math.sin(turn))
+    a = 0.5 * (c00 + c11)
+    return n * a + b.real, b.imag, n * a - b.real
 
 
 def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
@@ -253,22 +295,18 @@ def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
     where rot_phi turns b through phi and eps = remainder(theta, pi).
     Reducing modulo pi first is exact and cancels the (-1)^k signs of
     theta = k pi + eps; as sin(eps) -> 0 the factor tends to N, which is
-    taken at eps == 0.  One step returns a copy of C_1 unchanged.
+    taken at eps == 0.  One step returns the entries of C_1 unchanged.
+
+    The formula is evaluated on Python floats by the same kernel that the
+    N-sweeps of the experiments call once per N, so a sweep and this
+    function agree bit for bit.
     """
-    c1 = _require_covariance(c1, "c1")
+    c00, c01, _, c11 = _require_covariance(c1, "c1").ravel().tolist()
     theta = _require_finite(theta, "theta")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    if n == 1:
-        return c1.copy()
-    eps = math.remainder(theta, math.pi)
-    dirichlet = n if eps == 0.0 else math.sin(n * eps) / math.sin(eps)
-    turn = (n - 1) * eps
-    b = dirichlet * complex(0.5 * (c1[0, 0] - c1[1, 1]), c1[0, 1])
-    b *= complex(math.cos(turn), math.sin(turn))
-    a = 0.5 * (c1[0, 0] + c1[1, 1])
-    return np.array([[n * a + b.real, b.imag], [b.imag, n * a - b.real]])
+    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, int(n))
+    return np.array([[c00, c01], [c01, c11]])
 
 
 def det_cn_asymptotic(r: float, n: int) -> float:
@@ -296,8 +334,8 @@ def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
     of the determinant by 1e-12 below 1/4.  Raises ValueError when the
     determinant overflows.
     """
-    arr = _as_matrix(c, "c")
-    if not _is_symmetric(arr):
+    entries = _as_matrix(c, "c").ravel().tolist()
+    if not _is_symmetric(*entries):
         raise ValueError("c must be symmetric")
-    margin = _det_2x2(arr) - 0.25
+    margin = _det_2x2(*entries) - 0.25
     return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)

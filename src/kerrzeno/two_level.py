@@ -40,10 +40,10 @@ __all__ = [
 ]
 
 
-def _require_angle(alpha: float) -> None:
+def _require_angle(alpha: float, name: str = "alpha") -> None:
     """The overlap angle's one rule: 0 <= alpha <= pi/2 (NaN fails it)."""
     if not 0.0 <= alpha <= math.pi / 2.0:
-        raise ValueError(f"alpha must be in [0, pi/2], got {alpha!r}")
+        raise ValueError(f"{name} must be in [0, pi/2], got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,14 @@ def scaling_sweep(
 
     Overlap shrinking faster than 1/sqrt(N) restores freezing (survival
     -> 1); slower decay leaves it pinned near 1/2.  Raises if any alpha(N)
-    leaves [0, pi/2).
+    leaves [0, pi/2], naming that N.
     """
     out: list[tuple[int, float]] = []
     for n in n_list:
         if n < 1:
             raise ValueError("entries of n_list must be >= 1")
         alpha_n = c / float(n) ** beta
-        if not 0.0 <= alpha_n < math.pi / 2.0:
-            raise ValueError(
-                f"alpha(N={n}) = {alpha_n:.4g} falls outside [0, pi/2)"
-            )
+        _require_angle(alpha_n, f"alpha(N={n})")
         model = TwoLevelModel(alpha=alpha_n, omega=omega, tau=t / n, n_steps=n)
         out.append((int(n), survival_closed_form(model)))
     return out

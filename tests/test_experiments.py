@@ -22,8 +22,18 @@ from kerrzeno.experiments import (
     write_csv,
 )
 from kerrzeno.fock import MeasurementSpec, mean_a_closed_form
-from kerrzeno.observed import ObservedRunConfig, run_trajectory
-from kerrzeno.phase_space import EvolutionParams, PhaseVector
+from kerrzeno.observed import (
+    ObservedRunConfig,
+    run_trajectory,
+    survival_density_continuous,
+)
+from kerrzeno.phase_space import (
+    EvolutionParams,
+    PhaseVector,
+    accumulate_covariance,
+    det_cn_asymptotic,
+    step_covariance,
+)
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
 
 
@@ -130,6 +140,41 @@ def test_covariance_growth_vacuum_rows():
     for n, sqrt_det, asymptote in envelope.rows:
         assert abs(sqrt_det - n) < 1e-12
         assert asymptote == float(n)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.45, -1.3])
+@pytest.mark.parametrize("theta", [0.0, 0.011, math.pi, 3.14159])
+def test_covariance_growth_rows_are_the_per_n_determinants(theta, r):
+    # the one-pass sweep keeps the bits of the single-N public functions;
+    # theta = 0 and pi take the Dirichlet limit eps == 0
+    n_max = 1200
+    config = make_config("covariance-growth", {"r": r, "theta": theta, "n_max": n_max})
+    rows = run_experiment(config).rows
+    assert [row[0] for row in rows] == list(range(1, n_max + 1))
+    c1 = step_covariance(r, theta)
+    for n, sqrt_det, asymptote in rows:
+        det = np.linalg.det(accumulate_covariance(c1, theta, n))
+        assert sqrt_det == float(np.sqrt(det)) == math.sqrt(det)
+        assert asymptote == det_cn_asymptotic(r, n)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.45, -1.3])
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_zeno_continuous_rows_are_the_per_n_densities(m, r):
+    # every N of the sweep returns to z0 within the exact-return tolerance
+    n_max = 1200
+    config = make_config("zeno-continuous", {"r": r, "m": m, "n_max": n_max})
+    rows = run_experiment(config).rows
+    assert [row[0] for row in rows] == list(range(1, n_max + 1))
+    for n, density, product in rows:
+        cfg = ObservedRunConfig(
+            z0=PhaseVector(2.0, 0.0),
+            params=EvolutionParams(0.5, 1.0, 2.0 * math.pi * m / n, n),
+            spec=MeasurementSpec(r),
+        )
+        expected = survival_density_continuous(cfg)
+        assert density == expected
+        assert product == n * expected
 
 
 def test_trajectories_summary_consistent():
@@ -442,6 +487,54 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
     err = capsys.readouterr().err
     assert "numeric error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, message",
+    [
+        # the determinant of C_1 overflows
+        ("covariance-growth", {"r": 300.0},
+         "2x2 determinant overflows double precision (largest entry 3.773e+260)"),
+        ("zeno-continuous", {"r": 300.0},
+         "2x2 determinant overflows double precision (largest entry 3.773e+260)"),
+        # C_1 is fine, and the determinant of C_N overflows further along
+        ("covariance-growth", {"r": 176.0},
+         "2x2 determinant overflows double precision (largest entry 3.915e+154)"),
+        # cosh(2r) overflows in the step covariance
+        ("covariance-growth", {"r": 400.0}, "math range error"),
+        ("zeno-continuous", {"r": 400.0}, "math range error"),
+        # the literal step covariance cancels to a non-positive determinant
+        ("covariance-growth", {"r": 10.0, "theta": 1e-8},
+         "c1 must be symmetric positive-definite"),
+        ("zeno-continuous", {"r": 10.0}, "c1 must be symmetric positive-definite"),
+    ],
+)
+def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numeric error: {message}\n"
+
+
+def test_cli_two_level_sweep_angle_rule(tmp_path, capsys):
+    # alpha(N) = pi/2 runs, as in two-level; an angle past it names its N
+    quarter = write_config(
+        tmp_path,
+        {"experiment": "two-level-sweep", "parameters": {"c": math.pi / 2, "beta": 0.0}},
+        "quarter.json",
+    )
+    assert cli.main(["run", quarter]) == 0
+    assert capsys.readouterr().err == ""
+    past = write_config(
+        tmp_path, {"experiment": "two-level-sweep", "parameters": {"c": 10, "beta": 0}}
+    )
+    assert cli.main(["run", past]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: alpha(N=1) must be in [0, pi/2], got 10.0\n"
+    )
 
 
 QUARTER_TURN_OF_MAX = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,

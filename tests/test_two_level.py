@@ -218,8 +218,19 @@ def test_sweep_constant_overlap():
 
 
 def test_sweep_rejects_out_of_range_angle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alpha\(N=1\) must be in \[0, pi/2\]"):
         scaling_sweep(2.0, 0.0, 1.0, 1.0, [1, 10])
+    with pytest.raises(ValueError, match=r"alpha\(N=4\) must be in"):
+        scaling_sweep(-1.0, 0.5, 1.0, 1.0, [4])
+
+
+def test_sweep_accepts_quarter_turn():
+    # the same rule as TwoLevelModel: alpha(N) = pi/2 is inside [0, pi/2]
+    series = scaling_sweep(math.pi / 2, 0.0, 1.0, 1.0, [1, 10])
+    assert [n for n, _ in series] == [1, 10]
+    for n, survival in series:
+        model = TwoLevelModel(math.pi / 2, 1.0, 1.0 / n, n)
+        assert survival == survival_closed_form(model)
 
 
 # --- model validation -----------------------------------------------------------------
