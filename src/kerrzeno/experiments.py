@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -51,6 +52,10 @@ __all__ = [
 
 RunnerResult = tuple[list[str], list[list], dict | None]
 
+# zeno-continuous turns its N = 1 step by 2 pi m and reads sin(4 pi m):
+# above this m that angle overflows.
+_TURNS_MAX = sys.float_info.max / (4.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class Field:
@@ -61,6 +66,7 @@ class Field:
     default: Any = None
     nullable: bool = False
     minimum: float | None = None
+    maximum: float | None = None  # "int" fields only
     help: str = ""
 
 
@@ -115,6 +121,8 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
             return None, f"expected an integer, got {type(value).__name__}"
         if f.minimum is not None and value < f.minimum:
             return None, f"must be >= {f.minimum:g}, got {value}"
+        if f.maximum is not None and value > f.maximum:
+            return None, f"must be <= {f.maximum:g}, got {value}"
         return value, None
     if f.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -431,7 +439,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             (
                 Field("r", "float", 0.0),
                 Field("n_max", "int", 1000, minimum=1),
-                Field("m", "int", 1, minimum=1, help="full turns per run"),
+                Field("m", "int", 1, minimum=1, maximum=_TURNS_MAX,
+                      help="full turns per run"),
             ),
             _run_zeno_continuous,
         ),

@@ -31,17 +31,15 @@ Results are therefore bit-identical however trajectories are chunked.
 
 One chain sampler serves any range of trajectory indices: the whole
 ensemble, one trajectory, or the recorded paths of an experiment.
-Trajectories run in chunks of 4096, each landing at its own index.
-Chains of at most 64 steps evaluate Philox4x64-10, a pure function of
-(key, counter), in numpy across a whole chunk of trajectories.  Longer
-chains draw from one ``np.random.Philox`` generator per trajectory and
-advance the chunk at most 2**20 trajectory-steps at a time (256 steps of
-4096 trajectories), so the working arrays stay bounded however long the
-chain; a piece is freed before the next is drawn.  Within a piece each
-generator fills its own contiguous row of uniform pairs, and blocks of 64
-rows are transposed into the step-major layout the chain loop reads.  A
-generator drawn piece by piece gives the same stream, and both ways of
-drawing give the same bits.
+Trajectories run in chunks of at most 4096 chains and 2**20
+trajectory-steps, each landing at its own index, so the working arrays
+stay bounded however long the chain.  Chains of at most 32 steps evaluate
+Philox4x64-10, a pure function of (key, counter), in numpy across a whole
+chunk.  Longer chains draw a chunk's whole streams from one
+``np.random.Philox`` re-keyed per stream through its public ``state``, in
+pieces only when a chain exceeds 2**20 steps.  Each stream fills its own
+contiguous row, and blocks of 64 rows are transposed into the step-major
+layout the chain loop reads.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -83,11 +81,11 @@ __all__ = [
 SEED_LIMIT = 2**63
 
 # Ensembles of chains up to this many steps evaluate Philox in numpy across
-# the chunk; above it one C generator per trajectory drawing contiguous rows
-# is faster.  Normals of a 4096-trajectory chunk, median of 7, one pinned
-# core of a 2-core Xeon with numpy 2.4.6: 16 vs 26 us per trajectory at 64
-# steps, 34 vs 30 at 128 and 83 vs 48 at 256, a crossover near 110 steps.
-_VECTOR_MAX_STEPS = 64
+# the chunk; above it re-keyed C generators drawing contiguous rows are
+# faster.  Normals of a 4096-trajectory chunk, median of 7, one pinned core
+# of a 2-core Xeon with numpy 2.4.6: 4.0 vs 5.0 us per trajectory at 16
+# steps, 7.0 vs 7.1 at 28, 7.8 vs 7.4 at 32 and 17.3 vs 12.0 at 64.
+_VECTOR_MAX_STEPS = 32
 
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.,
 # "Parallel random numbers: as easy as 1, 2, 3", SC'11), as in numpy.
@@ -98,16 +96,15 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-# Ensembles run in chunks of this many trajectories, and a chunk's chains
-# advance at most _CHUNK_ELEMENTS trajectory-steps at a time, so each
-# (steps, trajectories) float64 array stays within 8 MB whatever the chain
-# length.
+# Ensembles run in chunks of at most _CHUNK_ROWS trajectories and
+# _CHUNK_ELEMENTS trajectory-steps, so each float64 array stays within 8 MB;
+# only a chain longer than _CHUNK_ELEMENTS steps is drawn in pieces.
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
 
-# Long-chain generators draw in blocks of this many trajectories, and a
-# block's rows (256 KB in a full chunk) are transposed while still in cache:
-# 37 ms against 74 ms for a 4096 x 256-step piece drawn whole, then copied.
+# Long chains draw in blocks of this many streams, and a block's rows (1 MB
+# of 1000-step streams) are transposed while still in cache: 21-25 ms
+# against 26-41 ms for a 1048 x 1000-step piece drawn whole, then copied.
 _DRAW_BLOCK = 64
 
 # Total accumulated angles closer than this to a multiple of 2 pi are
@@ -224,33 +221,35 @@ def _generator_normals(master_seed: int, indices: np.ndarray, n_steps: int):
     """Normals of the streams (master_seed, i), i in indices, in pieces.
 
     Yields (first step, n0, n1) with (span, len(indices)) arrays, where
-    span * len(indices) <= _CHUNK_ELEMENTS.  Each stream is one generator
-    drawn piece after piece into its own contiguous row, so the pieces join
-    to what one draw of the whole chain gives.
+    span * len(indices) <= _CHUNK_ELEMENTS, keeping no reference to a piece
+    once yielded.  One generator draws every stream, so the pieces join to
+    what one draw of the whole chain gives.
     """
-    gens = [
-        np.random.Generator(np.random.Philox(key=(int(master_seed), int(i))))
-        for i in indices
-    ]
-    span = max(1, _CHUNK_ELEMENTS // len(gens))
+    generator = np.random.Generator(np.random.Philox(key=(int(master_seed), 0)))
+    state = generator.bit_generator.state  # counter 0, empty buffer
+    span = max(1, _CHUNK_ELEMENTS // len(indices))
     for first in range(0, n_steps, span):
-        yield first, *_box_muller(*_stream_rows(gens, min(span, n_steps - first)))
+        count = min(span, n_steps - first)
+        yield first, *_box_muller(*_stream_rows(generator, state, indices, first, count))
 
 
-def _stream_rows(gens: list[np.random.Generator], span: int) -> np.ndarray:
-    """The next ``span`` uniform pairs of each generator, as (2, span, n).
+def _stream_rows(generator, state: dict, indices: np.ndarray, first: int, span: int):
+    """Uniform pairs first .. first + span - 1 of each stream, as (2, span, n).
 
-    Every generator fills its own contiguous (span, 2) row, _DRAW_BLOCK
-    rows at a time, and each block is transposed into the step-major
-    layout while it is still in cache.
+    Per stream the generator takes ``state`` keyed (master_seed, i) at
+    counter first // 2; an odd ``first`` drops the pair before it.  Rows
+    are drawn _DRAW_BLOCK streams at a time and transposed while in cache.
     """
-    u = np.empty((2, span, len(gens)))
-    rows = np.empty((min(_DRAW_BLOCK, len(gens)), span, 2))
-    for lo in range(0, len(gens), _DRAW_BLOCK):
-        block = rows[: len(gens) - lo]
-        for gen, row in zip(gens[lo : lo + _DRAW_BLOCK], block):
-            gen.random(out=row)
-        u[:, :, lo : lo + len(block)] = block.transpose(2, 1, 0)
+    state["state"]["counter"][0] = first // 2
+    u = np.empty((2, span, len(indices)))
+    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span + first % 2, 2))
+    for lo in range(0, len(indices), _DRAW_BLOCK):
+        block = rows[: len(indices) - lo]
+        for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
+            state["state"]["key"][1] = index
+            generator.bit_generator.state = state
+            generator.random(out=row)
+        u[:, :, lo : lo + len(block)] = block[:, first % 2 :].transpose(2, 1, 0)
     return u
 
 
@@ -268,10 +267,11 @@ def _sample_chains(
     rotation = rotation_matrix(theta)
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, theta))
     n = cfg.params.n_steps
+    chunk = min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))
     finals = np.empty((hi - lo, 2))
     paths = np.empty((hi - lo, n, 2)) if keep_paths else None
-    for start in range(lo, hi, _CHUNK_ROWS):
-        indices = np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.uint64)
+    for start in range(lo, hi, chunk):
+        indices = np.arange(start, min(start + chunk, hi), dtype=np.uint64)
         rows = slice(start - lo, start - lo + len(indices))
         if n <= _VECTOR_MAX_STEPS:
             pieces = [(0, *_box_muller(*_philox_uniforms(cfg.master_seed, indices, n)))]

@@ -631,6 +631,26 @@ def test_cli_validate(tmp_path, capsys):
     assert cli.main(["validate", bad]) == 2
 
 
+@pytest.mark.parametrize("m", [3 * 10**307, 10**400], ids=["3e307", "400-digits"])
+def test_cli_zeno_continuous_refuses_overflowing_m_at_validate(tmp_path, capsys, m):
+    # 2 pi m, or the sin(4 pi m) of the N = 1 step, would overflow while running
+    config_path = write_config(
+        tmp_path, {"experiment": "zeno-continuous", "parameters": {"m": m}}
+    )
+    for command in ("validate", "run"):
+        assert cli.main([command, config_path]) == 2
+        assert "parameters.m: must be <=" in capsys.readouterr().err
+
+
+def test_cli_zeno_continuous_runs_up_to_the_largest_m(tmp_path):
+    out = str(tmp_path / "out.csv")
+    for m in (1, int(sys.float_info.max / (4.0 * math.pi))):
+        config_path = write_config(
+            tmp_path, {"experiment": "zeno-continuous", "parameters": {"m": m, "n_max": 50}}
+        )
+        assert cli.main(["run", config_path, "--output", out]) == 0
+
+
 def test_cli_list(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out

@@ -182,11 +182,12 @@ def test_ensemble_matches_individual_trajectories():
         np.testing.assert_array_equal(finals[index], run_trajectory(cfg, index)[-1])
 
 
-@pytest.mark.parametrize("n_steps", [4, observed._VECTOR_MAX_STEPS + 1])
+@pytest.mark.parametrize("n_steps", [4, 65])
 def test_ensemble_chunking_invariance(n_steps):
     # 9000 trajectories span two full 4096-trajectory chunks and a partial one;
     # a trajectory's final must not depend on the chunk it lands in.  The two
     # chain lengths sit on either side of the vectorized-sampler threshold.
+    assert 4 <= observed._VECTOR_MAX_STEPS < 65
     cfg = make_config(n_steps=n_steps, n_trajectories=9000, master_seed=8)
     finals = run_ensemble(cfg)
     for k in (4096, 4097, 5000):
@@ -197,20 +198,21 @@ def test_ensemble_chunking_invariance(n_steps):
 
 
 def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
-    # 3-trajectory chunks advanced 60 trajectory-steps at a time: 8 chains of
-    # 65 steps end chunks mid-ensemble and pieces mid-chain (20 + 20 + 20 + 5
-    # steps, and 30 + 30 + 5 for the last chunk of two).
+    # chunks of at most 3 trajectories: at 3 n_steps trajectory-steps 8 chains
+    # run as whole streams in chunks of 3 + 3 + 2; at 25 each chain is its own
+    # chunk, drawn in 25-step pieces of which the second starts at an odd step
     monkeypatch.setattr(observed, "_CHUNK_ROWS", 3)
-    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 60)
     cfg = make_config(
         n_steps=observed._VECTOR_MAX_STEPS + 1, r=0.4, n_trajectories=8, master_seed=5
     )
-    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
-    assert np.array_equal(finals, run_ensemble(cfg))
-    for index in range(cfg.n_trajectories):
-        path = run_trajectory(cfg, index)
-        assert np.array_equal(paths[index], path)
-        assert np.array_equal(finals[index], path[-1])
+    for elements in (3 * cfg.params.n_steps, 25):
+        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", elements)
+        finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+        assert np.array_equal(finals, run_ensemble(cfg))
+        for index in range(cfg.n_trajectories):
+            path = run_trajectory(cfg, index)
+            assert np.array_equal(paths[index], path)
+            assert np.array_equal(finals[index], path[-1])
 
 
 def test_generator_pieces_of_partial_chunk_keep_stream_bits():
@@ -231,10 +233,11 @@ def test_generator_pieces_of_partial_chunk_keep_stream_bits():
         assert np.array_equal(n1[:, row], ref1)
 
 
-@pytest.mark.parametrize("n_steps", [3, observed._VECTOR_MAX_STEPS + 1])
+@pytest.mark.parametrize("n_steps", [3, 65])
 def test_trajectory_and_ensemble_paths_match_reference(n_steps):
     # both samplers against the scalar oracle, and the single-index call
     # against the ensemble bit for bit
+    assert 3 <= observed._VECTOR_MAX_STEPS < 65
     cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=5, master_seed=17)
     finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
     for index in range(cfg.n_trajectories):
@@ -244,6 +247,58 @@ def test_trajectory_and_ensemble_paths_match_reference(n_steps):
         np.testing.assert_allclose(paths[index], expected, rtol=0, atol=1e-12)
         assert np.array_equal(path, paths[index])
         assert np.array_equal(finals[index], paths[index, -1])
+
+
+def test_long_chain_chunk_edges_match_trajectories():
+    # at the real constants 1000-step chains run as whole streams, 1048 to a
+    # chunk, so an ensemble of 2200 has chunk edges at 1048 and 2096
+    n_steps = 1000
+    assert min(observed._CHUNK_ROWS, observed._CHUNK_ELEMENTS // n_steps) == 1048
+    cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=2200, master_seed=23)
+    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    assert np.array_equal(finals, run_ensemble(cfg))
+    for index in (1047, 1048, 2095, 2096, 2199):
+        path = run_trajectory(cfg, index)
+        assert np.array_equal(paths[index], path)
+        assert np.array_equal(finals[index], path[-1])
+        np.testing.assert_allclose(path, reference_path(cfg, index), rtol=0, atol=1e-12)
+
+
+def test_split_stream_keeps_stream_bits(monkeypatch):
+    # at 37 trajectory-steps each 100-step chain is its own chunk, drawn in
+    # pieces of 37 + 37 + 26 steps; the second is re-keyed at an odd step
+    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 37)
+    cfg = make_config(n_steps=100, r=0.3, n_trajectories=3, master_seed=31)
+    for index in range(cfg.n_trajectories):
+        pieces = list(observed._generator_normals(31, np.array([index], dtype=np.uint64), 100))
+        assert [(first, n0.shape) for first, n0, _ in pieces] == [
+            (0, (37, 1)),
+            (37, (37, 1)),
+            (74, (26, 1)),
+        ]
+        ref0, ref1 = reference_normals(31, index, 100)
+        assert np.array_equal(np.concatenate([piece[1] for piece in pieces])[:, 0], ref0)
+        assert np.array_equal(np.concatenate([piece[2] for piece in pieces])[:, 0], ref1)
+    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    for index in range(cfg.n_trajectories):
+        np.testing.assert_allclose(paths[index], reference_path(cfg, index), rtol=0, atol=1e-12)
+        assert np.array_equal(finals[index], paths[index, -1])
+
+
+def test_long_chains_build_one_generator_per_chunk(monkeypatch):
+    # 5000 chains of 300 steps run in two chunks of at most 2**20 // 300
+    # trajectories; each chunk re-keys one Philox, not one per trajectory
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    cfg = make_config(n_steps=300, n_trajectories=5000, master_seed=3)
+    observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=False)
+    assert len(built) == 2
 
 
 # --- vectorized Philox sampler ------------------------------------------------------
@@ -266,10 +321,11 @@ def assert_chunk_matches_generators(seed, offset, length, n_steps):
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, observed._VECTOR_MAX_STEPS])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, observed._VECTOR_MAX_STEPS, 64])
 @pytest.mark.parametrize("offset", [0, 4090])
 def test_vectorized_philox_matches_generators(seed, n_steps, offset):
-    # offset 4090 with 12 trajectories crosses the 4096 chunk edge
+    # offset 4090 with 12 trajectories crosses the 4096 chunk edge; 64 steps
+    # lie beyond the sampler's threshold, where the function still holds
     assert_chunk_matches_generators(seed, offset, 12, n_steps)
 
 
