@@ -52,8 +52,9 @@ __all__ = [
 
 RunnerResult = tuple[list[str], list[list], dict | None]
 
-# zeno-continuous turns its N = 1 step by 2 pi m and reads sin(4 pi m):
-# above this m that angle overflows.
+# The step covariance reads sin(2 theta), so a step angle must keep 2 theta
+# finite: covariance-growth bounds theta by max_float / 2, and
+# zeno-continuous, whose N = 1 step turns by 2 pi m, bounds m by this.
 _TURNS_MAX = sys.float_info.max / (4.0 * math.pi)
 
 
@@ -66,7 +67,7 @@ class Field:
     default: Any = None
     nullable: bool = False
     minimum: float | None = None
-    maximum: float | None = None  # "int" fields only
+    maximum: float | None = None
     help: str = ""
 
 
@@ -119,19 +120,17 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
     if f.kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             return None, f"expected an integer, got {type(value).__name__}"
-        if f.minimum is not None and value < f.minimum:
-            return None, f"must be >= {f.minimum:g}, got {value}"
-        if f.maximum is not None and value > f.maximum:
-            return None, f"must be <= {f.maximum:g}, got {value}"
-        return value, None
-    if f.kind == "float":
+    elif f.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return None, f"expected a number, got {type(value).__name__}"
         value = float(value)
         if not math.isfinite(value):
             return None, "must be finite"
+    if f.kind in ("int", "float"):
         if f.minimum is not None and value < f.minimum:
             return None, f"must be >= {f.minimum:g}, got {value}"
+        if f.maximum is not None and value > f.maximum:
+            return None, f"must be <= {f.maximum:g}, got {value}"
         return value, None
     if f.kind == "int_list":
         if not isinstance(value, list) or not value:
@@ -322,19 +321,12 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
     """``survival_density_continuous`` at tau = 2 pi m / N for every N: the
     per-N floats of its one helper, then one ``np.exp`` over the column."""
     turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
-    # the N = 1 run has the longest step, so its config validates the sweep
-    cfg = observed.ObservedRunConfig(
-        z0=phase_space.PhaseVector(2.0, 0.0),
-        params=phase_space.EvolutionParams(0.5, 1.0, turns, 1),
-        spec=fock.MeasurementSpec(p["r"]),
-    )
-    z0, r = cfg.z0, cfg.spec.r
+    r = fock.MeasurementSpec(p["r"]).r  # refuses |r| > 700
     ns = range(1, p["n_max"] + 1)
     exponents, norms = np.empty((2, p["n_max"]))
     for n in ns:
-        exponents[n - 1], norms[n - 1] = observed._survival_terms(
-            z0.q, z0.p, r, turns / n, n
-        )
+        # the drift starts at z0 = (2, 0)
+        exponents[n - 1], norms[n - 1] = observed._survival_terms(2.0, 0.0, r, turns / n, n)
     densities = (np.exp(exponents) / norms).tolist()
     rows = [[n, d, n * d] for n, d in zip(ns, densities)]
     return ["n", "survival_density", "n_times_survival_density"], rows, None
@@ -408,7 +400,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "N cosh(2r) asymptote.",
             (
                 Field("r", "float", 0.0, help="seed squeezing parameter"),
-                Field("theta", "float", 0.01, help="rotation angle per step"),
+                Field("theta", "float", 0.01, minimum=-sys.float_info.max / 2,
+                      maximum=sys.float_info.max / 2, help="rotation angle per step"),
                 Field("n_max", "int", 500, minimum=1),
             ),
             _run_covariance_growth,

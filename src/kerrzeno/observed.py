@@ -30,16 +30,15 @@ would share streams); step ``j`` consumes uniforms
 Results are therefore bit-identical however trajectories are chunked.
 
 One chain sampler serves any range of trajectory indices: the whole
-ensemble, one trajectory, or the recorded paths of an experiment.
-Trajectories run in chunks of at most 4096 chains and 2**20
-trajectory-steps, each landing at its own index, so the working arrays
-stay bounded however long the chain.  Chains of at most 32 steps evaluate
-Philox4x64-10, a pure function of (key, counter), in numpy across a whole
-chunk.  Longer chains draw a chunk's whole streams from one
-``np.random.Philox`` re-keyed per stream through its public ``state``, in
-pieces only when a chain exceeds 2**20 steps.  Each stream fills its own
-contiguous row, and blocks of 64 rows are transposed into the step-major
-layout the chain loop reads.  Both ways give the same bits.
+ensemble, one trajectory, or the recorded paths of an experiment.  It runs
+chunks of whole streams, at most 4096 chains and 2**20 trajectory-steps,
+so the working arrays stay bounded; only a lone chain of more than 2**20
+steps is drawn in pieces of 2**20 steps.  Chains of at most 32 steps
+evaluate Philox4x64-10, a pure function of (key, counter), in numpy across
+a chunk.  Longer chains draw from one ``np.random.Philox`` per call,
+re-keyed per stream and piece through its public ``state``; each stream
+fills its own row, and blocks of 64 rows are transposed into the
+step-major layout the chain loop reads.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -98,7 +97,8 @@ _SHIFT32 = np.uint64(32)
 
 # Ensembles run in chunks of at most _CHUNK_ROWS trajectories and
 # _CHUNK_ELEMENTS trajectory-steps, so each float64 array stays within 8 MB;
-# only a chain longer than _CHUNK_ELEMENTS steps is drawn in pieces.
+# only a chain longer than _CHUNK_ELEMENTS steps is drawn in pieces, and as
+# _CHUNK_ELEMENTS is even each piece starts on a Philox pair.
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
 
@@ -146,6 +146,7 @@ class ObservedRunConfig:
             raise ValueError("master_seed must be an integer")
         if not 0 <= self.master_seed < SEED_LIMIT:
             raise ValueError(f"master_seed must be in [0, 2**63), got {self.master_seed}")
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
 def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,40 +218,29 @@ def _chain_points(zq, zp, rotation: np.ndarray, xi_q, xi_p):
     return out_q, out_p
 
 
-def _generator_normals(master_seed: int, indices: np.ndarray, n_steps: int):
-    """Normals of the streams (master_seed, i), i in indices, in pieces.
-
-    Yields (first step, n0, n1) with (span, len(indices)) arrays, where
-    span * len(indices) <= _CHUNK_ELEMENTS, keeping no reference to a piece
-    once yielded.  One generator draws every stream, so the pieces join to
-    what one draw of the whole chain gives.
-    """
-    generator = np.random.Generator(np.random.Philox(key=(int(master_seed), 0)))
-    state = generator.bit_generator.state  # counter 0, empty buffer
-    span = max(1, _CHUNK_ELEMENTS // len(indices))
-    for first in range(0, n_steps, span):
-        count = min(span, n_steps - first)
-        yield first, *_box_muller(*_stream_rows(generator, state, indices, first, count))
-
-
 def _stream_rows(generator, state: dict, indices: np.ndarray, first: int, span: int):
     """Uniform pairs first .. first + span - 1 of each stream, as (2, span, n).
 
     Per stream the generator takes ``state`` keyed (master_seed, i) at
-    counter first // 2; an odd ``first`` drops the pair before it.  Rows
-    are drawn _DRAW_BLOCK streams at a time and transposed while in cache.
+    counter first // 2, so ``first`` must be even.  Rows are drawn
+    _DRAW_BLOCK streams at a time and transposed while in cache.
     """
     state["state"]["counter"][0] = first // 2
     u = np.empty((2, span, len(indices)))
-    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span + first % 2, 2))
+    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span, 2))
     for lo in range(0, len(indices), _DRAW_BLOCK):
         block = rows[: len(indices) - lo]
         for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
             state["state"]["key"][1] = index
             generator.bit_generator.state = state
             generator.random(out=row)
-        u[:, :, lo : lo + len(block)] = block[:, first % 2 :].transpose(2, 1, 0)
+        u[:, :, lo : lo + len(block)] = block.transpose(2, 1, 0)
     return u
+
+
+def _chunk_layout(n: int) -> tuple[int, int]:
+    """Trajectories per chunk and steps per piece for chains of n steps."""
+    return min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n)), min(n, _CHUNK_ELEMENTS)
 
 
 def _sample_chains(
@@ -267,18 +257,22 @@ def _sample_chains(
     rotation = rotation_matrix(theta)
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, theta))
     n = cfg.params.n_steps
-    chunk = min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))
+    chunk, span = _chunk_layout(n)
+    if n > _VECTOR_MAX_STEPS:
+        generator = np.random.Generator(np.random.Philox(key=(cfg.master_seed, 0)))
+        state = generator.bit_generator.state  # counter 0, empty buffer
     finals = np.empty((hi - lo, 2))
     paths = np.empty((hi - lo, n, 2)) if keep_paths else None
     for start in range(lo, hi, chunk):
         indices = np.arange(start, min(start + chunk, hi), dtype=np.uint64)
         rows = slice(start - lo, start - lo + len(indices))
-        if n <= _VECTOR_MAX_STEPS:
-            pieces = [(0, *_box_muller(*_philox_uniforms(cfg.master_seed, indices, n)))]
-        else:
-            pieces = _generator_normals(cfg.master_seed, indices, n)
         zq, zp = cfg.z0.q, cfg.z0.p
-        for first, n0, n1 in pieces:
+        for first in range(0, n, span):
+            if n <= _VECTOR_MAX_STEPS:
+                n0, n1 = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
+            else:
+                count = min(span, n - first)
+                n0, n1 = _box_muller(*_stream_rows(generator, state, indices, first, count))
             xi_q, xi_p = _color_noise(n0, n1, sqrt_cov)
             out_q, out_p = _chain_points(zq, zp, rotation, xi_q, xi_p)
             if paths is not None:

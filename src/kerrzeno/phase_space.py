@@ -245,6 +245,8 @@ def _step_entries(r: float, theta: float) -> tuple[float, float, float]:
     """Entries (C11, C12, C22) of the step covariance; see step_covariance."""
     r = _require_finite(r, "r")
     theta = _require_finite(theta, "theta")
+    if math.isinf(2.0 * theta):
+        raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {theta!r}")
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     c2 = math.cos(theta) ** 2
     return ch + c2 * sh, 0.5 * math.sin(2.0 * theta) * sh, ch - c2 * sh

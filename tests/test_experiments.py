@@ -507,6 +507,9 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         ("covariance-growth", {"r": 10.0, "theta": 1e-8},
          "c1 must be symmetric positive-definite"),
         ("zeno-continuous", {"r": 10.0}, "c1 must be symmetric positive-definite"),
+        # the measurement seed refuses cosh(r) overflow
+        ("zeno-continuous", {"r": 701.0},
+         "r must satisfy |r| <= 700 (cosh r finite), got 701.0"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):
@@ -640,6 +643,38 @@ def test_cli_zeno_continuous_refuses_overflowing_m_at_validate(tmp_path, capsys,
     for command in ("validate", "run"):
         assert cli.main([command, config_path]) == 2
         assert "parameters.m: must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [1e308, -1e308], ids=["1e308", "-1e308"])
+def test_cli_covariance_growth_refuses_overflowing_theta_at_validate(tmp_path, capsys, theta):
+    # sin(2 theta) of the step covariance would overflow while running
+    config_path = write_config(
+        tmp_path, {"experiment": "covariance-growth", "parameters": {"theta": theta}}
+    )
+    bound = ">=" if theta < 0 else "<="
+    for command in ("validate", "run"):
+        assert cli.main([command, config_path]) == 2
+        assert f"parameters.theta: must be {bound}" in capsys.readouterr().err
+
+
+def test_cli_covariance_growth_runs_at_the_largest_theta(tmp_path):
+    out = str(tmp_path / "out.csv")
+    for theta in (sys.float_info.max / 2, -sys.float_info.max / 2):
+        config_path = write_config(
+            tmp_path, {"experiment": "covariance-growth", "parameters": {"theta": theta}}
+        )
+        assert cli.main(["run", config_path, "--output", out]) == 0
+
+
+def test_cli_trajectories_overflowing_angle_names_theta(tmp_path, capsys):
+    # theta = 2 chi n_bar tau = 9e307 is finite, but 2 theta is not
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": {"chi": 1e307, "tau": 1.0}}
+    )
+    assert cli.main(["run", config_path]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: theta must satisfy |theta| <= max_float / 2, got 9e+307\n"
+    )
 
 
 def test_cli_zeno_continuous_runs_up_to_the_largest_m(tmp_path):

@@ -199,13 +199,13 @@ def test_ensemble_chunking_invariance(n_steps):
 
 def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
     # chunks of at most 3 trajectories: at 3 n_steps trajectory-steps 8 chains
-    # run as whole streams in chunks of 3 + 3 + 2; at 25 each chain is its own
-    # chunk, drawn in 25-step pieces of which the second starts at an odd step
+    # run as whole streams in chunks of 3 + 3 + 2; at 26 each chain is its own
+    # chunk, drawn in pieces of 26 + 7 steps
     monkeypatch.setattr(observed, "_CHUNK_ROWS", 3)
     cfg = make_config(
         n_steps=observed._VECTOR_MAX_STEPS + 1, r=0.4, n_trajectories=8, master_seed=5
     )
-    for elements in (3 * cfg.params.n_steps, 25):
+    for elements in (3 * cfg.params.n_steps, 26):
         monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", elements)
         finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
         assert np.array_equal(finals, run_ensemble(cfg))
@@ -213,24 +213,6 @@ def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
             path = run_trajectory(cfg, index)
             assert np.array_equal(paths[index], path)
             assert np.array_equal(finals[index], path[-1])
-
-
-def test_generator_pieces_of_partial_chunk_keep_stream_bits():
-    # the last chunk of a 5904-trajectory ensemble holds 1808 streams, so at the
-    # real _CHUNK_ELEMENTS a piece spans 2**20 // 1808 = 579 steps: 579 + 121
-    indices = np.arange(observed._CHUNK_ROWS, observed._CHUNK_ROWS + 1808)
-    n_steps = 700
-    pieces = list(observed._generator_normals(21, indices, n_steps))
-    assert [(first, n0.shape) for first, n0, _ in pieces] == [
-        (0, (579, 1808)),
-        (579, (121, 1808)),
-    ]
-    n0 = np.concatenate([piece[1] for piece in pieces])
-    n1 = np.concatenate([piece[2] for piece in pieces])
-    for row, index in enumerate(indices):
-        ref0, ref1 = reference_normals(21, int(index), n_steps)
-        assert np.array_equal(n0[:, row], ref0)
-        assert np.array_equal(n1[:, row], ref1)
 
 
 @pytest.mark.parametrize("n_steps", [3, 65])
@@ -265,29 +247,48 @@ def test_long_chain_chunk_edges_match_trajectories():
 
 
 def test_split_stream_keeps_stream_bits(monkeypatch):
-    # at 37 trajectory-steps each 100-step chain is its own chunk, drawn in
-    # pieces of 37 + 37 + 26 steps; the second is re-keyed at an odd step
-    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 37)
+    # at 38 trajectory-steps each 100-step chain is its own chunk, drawn in
+    # pieces of 38 + 38 + 24 steps, each re-keyed at its own Philox pair
+    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 38)
+    drawn = []
+    stream_rows = observed._stream_rows
+
+    def recording_stream_rows(generator, state, indices, first, span):
+        u = stream_rows(generator, state, indices, first, span)
+        drawn.append((int(indices[0]), first, observed._box_muller(u[0], u[1])))
+        return u
+
+    monkeypatch.setattr(observed, "_stream_rows", recording_stream_rows)
     cfg = make_config(n_steps=100, r=0.3, n_trajectories=3, master_seed=31)
-    for index in range(cfg.n_trajectories):
-        pieces = list(observed._generator_normals(31, np.array([index], dtype=np.uint64), 100))
-        assert [(first, n0.shape) for first, n0, _ in pieces] == [
-            (0, (37, 1)),
-            (37, (37, 1)),
-            (74, (26, 1)),
-        ]
-        ref0, ref1 = reference_normals(31, index, 100)
-        assert np.array_equal(np.concatenate([piece[1] for piece in pieces])[:, 0], ref0)
-        assert np.array_equal(np.concatenate([piece[2] for piece in pieces])[:, 0], ref1)
     finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    assert [(index, first, n0.shape) for index, first, (n0, _) in drawn] == [
+        (index, first, (span, 1))
+        for index in range(cfg.n_trajectories)
+        for first, span in ((0, 38), (38, 38), (76, 24))
+    ]
     for index in range(cfg.n_trajectories):
+        ref0, ref1 = reference_normals(31, index, 100)
+        pieces = [normals for i, _, normals in drawn if i == index]
+        assert np.array_equal(np.concatenate([n0 for n0, _ in pieces])[:, 0], ref0)
+        assert np.array_equal(np.concatenate([n1 for _, n1 in pieces])[:, 0], ref1)
         np.testing.assert_allclose(paths[index], reference_path(cfg, index), rtol=0, atol=1e-12)
         assert np.array_equal(finals[index], paths[index, -1])
 
 
-def test_long_chains_build_one_generator_per_chunk(monkeypatch):
+@pytest.mark.parametrize("n_steps", [1, 32, 33, 256, 257, 1000, 2**20, 2**20 + 1])
+def test_chunk_layout_keeps_streams_whole(n_steps):
+    # a chunk holds whole streams unless it is one chain, whose pieces start
+    # on a Philox pair because _CHUNK_ELEMENTS is even
+    assert observed._CHUNK_ELEMENTS % 2 == 0
+    chunk, span = observed._chunk_layout(n_steps)
+    assert 1 <= chunk <= observed._CHUNK_ROWS
+    assert chunk * n_steps <= observed._CHUNK_ELEMENTS or chunk == 1
+    assert span == n_steps or (chunk == 1 and span == observed._CHUNK_ELEMENTS)
+
+
+def test_long_chains_build_one_generator_per_call(monkeypatch):
     # 5000 chains of 300 steps run in two chunks of at most 2**20 // 300
-    # trajectories; each chunk re-keys one Philox, not one per trajectory
+    # trajectories; one Philox is re-keyed for both, not one per trajectory
     built = []
     philox = np.random.Philox
 
@@ -298,7 +299,7 @@ def test_long_chains_build_one_generator_per_chunk(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     cfg = make_config(n_steps=300, n_trajectories=5000, master_seed=3)
     observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=False)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 # --- vectorized Philox sampler ------------------------------------------------------
@@ -344,6 +345,16 @@ def test_vectorized_philox_property(seed, offset, length, n_steps):
 def test_run_config_rejects_seed_outside_domain(seed):
     with pytest.raises(ValueError, match="master_seed"):
         make_config(master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [3.0, np.int64(3)], ids=["float", "int64"])
+@pytest.mark.parametrize("n_steps", [10, 40])
+def test_run_config_reads_integral_seeds_as_int(seed, n_steps):
+    # both sides of the vectorized-sampler threshold draw Philox key (3, i)
+    cfg = make_config(n_steps=n_steps, n_trajectories=20, master_seed=seed)
+    assert type(cfg.master_seed) is int
+    expected = run_ensemble(make_config(n_steps=n_steps, n_trajectories=20, master_seed=3))
+    assert np.array_equal(run_ensemble(cfg), expected)
 
 
 def test_ensemble_final_covariance_vacuum():

@@ -129,6 +129,13 @@ def test_step_covariance_zero_angle():
     assert abs(np.linalg.det(c) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [1e308, -1e308, 9e307])
+def test_step_covariance_names_overflowing_angle(theta):
+    # sin(2 theta) needs 2 theta finite, which fails just past max_float / 2
+    with pytest.raises(ValueError, match=r"theta must satisfy \|theta\| <= max_float / 2"):
+        step_covariance(0.3, theta)
+
+
 def test_step_covariance_matches_seed_composition():
     # independent construction: seed plus seed seen through one rotation
     for r in np.linspace(-1.0, 1.0, 9):
