@@ -5,7 +5,7 @@ Layers
 ------
 ``phase_space``
     Exact 2x2 algebra: the rotation of the linearized evolution, seed and
-    per-step covariances, their accumulation law, and uncertainty checks.
+    per-step covariances, and their accumulation law.
 ``fock``
     Truncated number-basis reference numerics: coherent/squeezed state
     construction, Kerr propagation, moments, measurement kernels, and
@@ -13,8 +13,8 @@ Layers
 ``observed``
     The observed Markov chain: seeded trajectory sampling into plain
     arrays (final outcomes of an ensemble, or one trajectory's path), the
-    closed-form final-outcome distribution, the survival density of the
-    continuous measurement family, and a numerical kernel-chaining check.
+    closed-form final-outcome distribution, and the survival density of the
+    continuous measurement family.
 ``two_level``
     Discrete two-outcome model isolating measurement-element overlap as
     the switch between freezing and non-freezing behaviour.
@@ -29,12 +29,9 @@ from .phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
-    UncertaintyCheck,
     accumulate_covariance,
-    classical_evolve,
     det_cn_asymptotic,
     rotation_matrix,
-    rs_uncertainty_check,
     seed_covariance,
     step_covariance,
 )
@@ -60,16 +57,12 @@ from .fock import (
 from .observed import (
     ObservedRunConfig,
     analytic_final_distribution,
-    chain_convolution_check,
     run_ensemble,
     run_trajectory,
     survival_density_continuous,
 )
 from .two_level import (
     TwoLevelModel,
-    povm_elements,
-    povm_overlap,
-    reduced_states,
     scaling_sweep,
     survival_asymptotic,
     survival_closed_form,

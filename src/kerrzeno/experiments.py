@@ -456,7 +456,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Two-outcome overlap model: matrix-power survival, its spectral "
             "closed form, and the large-N approximation.",
             (
-                Field("alpha", "float", 0.3, help="overlap angle"),
+                Field("alpha", "float", 0.3, minimum=0.0, maximum=math.pi / 2,
+                      help="overlap angle"),
                 Field("omega_tau", "float", 0.05),
                 Field("n_max", "int", 200, minimum=1),
             ),

@@ -25,8 +25,8 @@ recurrence of their number amplitudes (Yuen, PRA 13, 2226 (1976)), so
 every amplitude below the cutoff is exact and the tail is
 1 - sum_{n<dim} |c_n|^2.  ``displaced_seed`` is the one constructor and
 the one place that knows the default cutoff rule.  ``displacement_matrix``
-and ``squeeze_matrix`` are dense test oracles for that recurrence, not a
-construction route.
+and ``squeeze_matrix`` are dense test oracles for that recurrence, kept in
+the package only because the benchmark's layer tracer wraps them by name.
 """
 
 from __future__ import annotations

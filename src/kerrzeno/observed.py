@@ -11,8 +11,7 @@ M^N C_N M^N^T, with C_N the accumulated step covariance.  Observation
 never stalls the motion; it only broadens the cloud around the drift, and
 at matched return times the outcome density at the starting point falls
 like 1/N.  This module provides the trajectory sampler, the closed-form
-final distribution, that survival density, and a quadrature instrument
-that rebuilds the chained kernels numerically.
+final distribution and that survival density.
 
 The sampler hands out plain arrays: ``run_ensemble`` the
 (n_trajectories, 2) final outcomes and ``run_trajectory`` one
@@ -57,10 +56,10 @@ from .phase_space import (
     _det_2x2,
     _dirichlet_sum,
     _gaussian_terms,
+    _require_int,
     _step_entries,
     accumulate_covariance,
     rotation_matrix,
-    seed_covariance,
     step_covariance,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "run_ensemble",
     "analytic_final_distribution",
     "survival_density_continuous",
-    "chain_convolution_check",
     "SEED_LIMIT",
 ]
 
@@ -111,12 +109,6 @@ _DRAW_BLOCK = 64
 # treated as exact returns when evaluating the survival density.
 _RETURN_ANGLE_TOL = 1e-9
 
-# The kernel-chain check convolves on a square grid of this many points per
-# axis, centered on the drifted mean, whose half-width is this many times
-# the largest standard deviation of the final covariance.
-_CHAIN_GRID_POINTS = 256
-_CHAIN_GRID_HALF_WIDTH_SIGMAS = 6.0
-
 
 def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t.
@@ -140,13 +132,10 @@ class ObservedRunConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        if int(self.master_seed) != self.master_seed:
-            raise ValueError("master_seed must be an integer")
-        if not 0 <= self.master_seed < SEED_LIMIT:
-            raise ValueError(f"master_seed must be in [0, 2**63), got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        n_trajectories = _require_int(self.n_trajectories, "n_trajectories")
+        seed = _require_int(self.master_seed, "master_seed", 0, SEED_LIMIT)
+        object.__setattr__(self, "n_trajectories", n_trajectories)
+        object.__setattr__(self, "master_seed", seed)
 
 
 def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +279,11 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> np.ndarray:
     """The (n_steps, 2) outcome path of one trajectory; row j - 1 is step j.
 
     Bit for bit the path that trajectory has in any ensemble of ``cfg``.
-    Raises ValueError unless ``0 <= trajectory_index < SEED_LIMIT``.
+    Raises ValueError unless ``trajectory_index`` is an integer in
+    ``[0, SEED_LIMIT)``.
     """
-    if not 0 <= trajectory_index < SEED_LIMIT:
-        raise ValueError(f"trajectory_index must be in [0, 2**63), got {trajectory_index}")
-    _, paths = _sample_chains(cfg, trajectory_index, trajectory_index + 1, keep_paths=True)
+    index = _require_int(trajectory_index, "trajectory_index", 0, SEED_LIMIT)
+    _, paths = _sample_chains(cfg, index, index + 1, keep_paths=True)
     return paths[0]
 
 
@@ -361,74 +350,6 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     sweep makes the same per-N call and exponentiates its column at once.
     """
     exponent, norm = _survival_terms(
-        cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, int(cfg.params.n_steps)
+        cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, cfg.params.n_steps
     )
     return float(np.exp(exponent) / norm)
-
-
-def _centered_axis(n: int, half_width: float) -> tuple[np.ndarray, float]:
-    """n grid points with exact origin membership at index n // 2."""
-    h = 2.0 * half_width / n
-    return (np.arange(n) - n // 2) * h, h
-
-
-def _convolve_same(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """FFT linear convolution resampled on the shared centered grid."""
-    n = f.shape[0]
-    m = n // 2
-    shape = (2 * n, 2 * n)
-    full = np.fft.irfft2(np.fft.rfft2(f, shape) * np.fft.rfft2(g, shape), shape)
-    return full[m : m + n, m : m + n] * h * h
-
-
-def chain_convolution_check(
-    cfg: ObservedRunConfig, omit_rotation_step: int | None = None
-) -> float:
-    """Rebuild the N-step outcome density by chained quadrature.
-
-    A validation instrument for small chains (n_steps <= 3): the step
-    kernels are convolved numerically on a grid and the maximum deviation
-    from the closed-form final density, normalized by its peak, is
-    returned.  The chain is evaluated in co-rotating offset coordinates
-    u = M^-N z - z0, a unit-Jacobian relabeling of outcomes under which
-    each chained kernel j appears rotated by M^j; the defect is unchanged.
-
-    For a single step the seed noise itself is convolved with its rotated
-    image, probing the step covariance from one level deeper.
-
-    ``omit_rotation_step = j`` deliberately skips the rotation of chained
-    kernel j (1 <= j < n_steps), a broken-chain control that must inflate
-    the defect by orders of magnitude.
-    """
-    n = cfg.params.n_steps
-    if n > 3:
-        raise ValueError("chain_convolution_check is meant for n_steps <= 3")
-    if omit_rotation_step is not None and not 1 <= omit_rotation_step < n:
-        raise ValueError("omit_rotation_step must satisfy 1 <= step < n_steps")
-    theta = cfg.params.theta
-    r = cfg.spec.r
-    c1 = step_covariance(r, theta)
-    c_n = accumulate_covariance(c1, theta, n)
-    half_width = _CHAIN_GRID_HALF_WIDTH_SIGMAS * math.sqrt(
-        float(np.max(np.linalg.eigvalsh(c_n)))
-    )
-    x, h = _centered_axis(_CHAIN_GRID_POINTS, half_width)
-    points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
-    origin = PhaseVector(0.0, 0.0)
-
-    def grid_density(cov: np.ndarray) -> np.ndarray:
-        return GaussianState2D(origin, cov).density(points)
-
-    if n == 1:
-        seed = seed_covariance(r)
-        m_inv = rotation_matrix(theta).T
-        numeric = _convolve_same(
-            grid_density(m_inv @ seed @ m_inv.T), grid_density(seed), h
-        )
-    else:
-        numeric = grid_density(c1)
-        for j in range(1, n):
-            rot = np.eye(2) if omit_rotation_step == j else rotation_matrix(-j * theta)
-            numeric = _convolve_same(grid_density(rot @ c1 @ rot.T), numeric, h)
-    analytic = grid_density(c_n)
-    return float(np.max(np.abs(numeric - analytic)) / np.max(analytic))

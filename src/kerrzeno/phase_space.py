@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,22 +51,17 @@ __all__ = [
     "PhaseVector",
     "GaussianState2D",
     "EvolutionParams",
-    "UncertaintyCheck",
     "rotation_matrix",
-    "classical_evolve",
     "seed_covariance",
     "step_covariance",
     "accumulate_covariance",
     "det_cn_asymptotic",
-    "rs_uncertainty_check",
 ]
 
 # Leading-principal-minor floor for declaring a 2x2 matrix positive definite.
 _MINOR_FLOOR = 1e-14
 # Symmetry tolerance (absolute, relative to the largest entry).
 _SYMMETRY_RTOL = 1e-9
-# Saturating pure states may round det to just below 1/4.
-_RS_SLACK = 1e-12
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -75,6 +69,14 @@ def _require_finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """int(value), or ValueError naming ``name`` unless value is an integer in
+    [low, high); the range test runs first, so inf and nan never reach int()."""
+    if not low <= value < high or int(value) != value:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
 
 
 def _as_matrix(c: np.ndarray, name: str) -> np.ndarray:
@@ -172,16 +174,6 @@ class GaussianState2D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cov", _require_covariance(self.cov, "cov"))
 
-    def density(self, points: np.ndarray) -> np.ndarray | float:
-        """Probability density at points with trailing axis (q, p)."""
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.shape == (2,)
-        d = pts - self.mean.as_array()
-        entries = self.cov.ravel().tolist()
-        exponent, norm = _gaussian_terms(*entries, d[..., 0], d[..., 1])
-        out = np.exp(exponent) / norm
-        return float(out) if scalar else out
-
 
 @dataclass(frozen=True)
 class EvolutionParams:
@@ -200,8 +192,7 @@ class EvolutionParams:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", _require_int(self.n_steps, "n_steps"))
 
     @property
     def omega(self) -> float:
@@ -222,17 +213,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
     theta = _require_finite(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])
-
-
-def classical_evolve(z0: PhaseVector, omega: float, t: float) -> PhaseVector:
-    """Drift of the mean-field amplitude: alpha -> alpha * exp(-i omega t).
-
-    The modulus |z| is preserved exactly; in (q, p) components the map is
-    the rotation M(omega * t).
-    """
-    omega = _require_finite(omega, "omega")
-    t = _require_finite(t, "t")
-    return PhaseVector.from_array(rotation_matrix(omega * t) @ z0.as_array())
 
 
 def seed_covariance(r: float) -> np.ndarray:
@@ -305,9 +285,7 @@ def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
     """
     c00, c01, _, c11 = _require_covariance(c1, "c1").ravel().tolist()
     theta = _require_finite(theta, "theta")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, int(n))
+    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, _require_int(n, "n"))
     return np.array([[c00, c01], [c01, c11]])
 
 
@@ -319,25 +297,4 @@ def det_cn_asymptotic(r: float, n: int) -> float:
     compared against.
     """
     r = _require_finite(r, "r")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return float(n) * math.cosh(2.0 * r)
-
-
-class UncertaintyCheck(NamedTuple):
-    ok: bool
-    margin: float
-
-
-def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
-    """Robertson-Schrodinger test det(c) >= 1/4 with the signed margin.
-
-    Pure seed states saturate the bound, so the boolean tolerates rounding
-    of the determinant by 1e-12 below 1/4.  Raises ValueError when the
-    determinant overflows.
-    """
-    entries = _as_matrix(c, "c").ravel().tolist()
-    if not _is_symmetric(*entries):
-        raise ValueError("c must be symmetric")
-    margin = _det_2x2(*entries) - 0.25
-    return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)
+    return float(_require_int(n, "n")) * math.cosh(2.0 * r)

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phase_space import _require_int
+
 __all__ = [
     "TwoLevelModel",
-    "povm_elements",
-    "povm_overlap",
-    "reduced_states",
-    "evolution_operator",
     "transition_matrix",
     "survival_exact",
     "survival_closed_form",
@@ -59,34 +57,7 @@ class TwoLevelModel:
         _require_angle(self.alpha)
         if not (math.isfinite(self.omega) and math.isfinite(self.tau)):
             raise ValueError("omega and tau must be finite")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-
-
-def povm_elements(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two measurement elements; the second is built as the exact
-    complement so completeness holds to the last bit."""
-    e1 = np.diag([math.cos(alpha) ** 2, 0.0])
-    return e1, np.eye(2) - e1
-
-
-def povm_overlap(alpha: float) -> float:
-    """tr(E_1 E_2) = sin^2(2 alpha) / 4; zero only for orthogonal elements."""
-    return 0.25 * math.sin(2.0 * alpha) ** 2
-
-
-def reduced_states(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Post-measurement states for outcomes 1 and 2 (rho_1 = |1><1|)."""
-    sa = math.sin(alpha) ** 2
-    rho1 = np.diag([1.0, 0.0])
-    rho2 = np.diag([sa, 1.0]) / (1.0 + sa)
-    return rho1, rho2
-
-
-def evolution_operator(omega: float, tau: float) -> np.ndarray:
-    """U(tau) = exp(-i omega tau sigma_x)."""
-    c, s = math.cos(omega * tau), math.sin(omega * tau)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+        object.__setattr__(self, "n_steps", _require_int(self.n_steps, "n_steps"))
 
 
 def transition_matrix(model: TwoLevelModel) -> np.ndarray:

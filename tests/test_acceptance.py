@@ -41,7 +41,6 @@ from kerrzeno.fock import (
 from kerrzeno.observed import (
     ObservedRunConfig,
     analytic_final_distribution,
-    chain_convolution_check,
     run_ensemble,
     survival_density_continuous,
 )
@@ -51,18 +50,17 @@ from kerrzeno.phase_space import (
     accumulate_covariance,
     det_cn_asymptotic,
     rotation_matrix,
-    rs_uncertainty_check,
     seed_covariance,
     step_covariance,
 )
 from kerrzeno.two_level import (
     TwoLevelModel,
-    povm_elements,
     scaling_sweep,
     survival_closed_form,
     survival_exact,
     transition_matrix,
 )
+from oracles import chain_convolution_check, povm_elements, rs_uncertainty_check
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:

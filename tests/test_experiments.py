@@ -1,6 +1,7 @@
 """Config validation, experiment runners, output formats, and the CLI."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -568,18 +569,22 @@ def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, 
     assert caught == []
 
 
-def test_cli_two_level_angle_outside_quarter_turn_exits_numeric(tmp_path, capsys):
-    # the overlap angle is refused, not folded with a warning
+def test_cli_two_level_angle_outside_quarter_turn_exits_config(tmp_path, capsys):
+    # the overlap angle is refused at validate, not folded with a warning
     config_path = write_config(
         tmp_path, {"experiment": "two-level", "parameters": {"alpha": 4.0}}
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(["run", config_path]) == 3
-    err = capsys.readouterr().err
-    assert "alpha must be in [0, pi/2]" in err
-    assert "Warning" not in err and "Traceback" not in err
+        for command in ("validate", "run"):
+            assert cli.main([command, config_path]) == 2
+            err = capsys.readouterr().err
+            assert "parameters.alpha: must be <= 1.5708, got 4.0" in err
+            assert "Warning" not in err and "Traceback" not in err
     assert caught == []
+    quarter = {"experiment": "two-level", "parameters": {"alpha": math.pi / 2}}
+    out = str(tmp_path / "q.csv")
+    assert cli.main(["run", write_config(tmp_path, quarter), "--output", out]) == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
@@ -740,3 +745,10 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [0, 0], done.stderr
+
+
+def test_layer_tracer_targets_resolve(monkeypatch):
+    # bench/layertrace.py wraps these by name, so a deletion from src/ fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    for module, name in importlib.import_module("layertrace").TARGETS:
+        assert callable(getattr(importlib.import_module(f"kerrzeno.{module}"), name, None))

@@ -14,7 +14,6 @@ from kerrzeno.fock import MeasurementSpec, dichotomic_survival_exact, displaced_
 from kerrzeno.observed import (
     ObservedRunConfig,
     analytic_final_distribution,
-    chain_convolution_check,
     run_ensemble,
     run_trajectory,
     survival_density_continuous,
@@ -24,10 +23,10 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     PhaseVector,
     accumulate_covariance,
-    classical_evolve,
     rotation_matrix,
     step_covariance,
 )
+from oracles import chain_convolution_check, classical_evolve
 
 
 def make_config(
@@ -341,7 +340,7 @@ def test_vectorized_philox_property(seed, offset, length, n_steps):
     assert_chunk_matches_generators(seed, offset, length, n_steps)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64, float("inf"), float("nan")])
 def test_run_config_rejects_seed_outside_domain(seed):
     with pytest.raises(ValueError, match="master_seed"):
         make_config(master_seed=seed)
@@ -514,6 +513,25 @@ def test_run_config_validation():
         )
     with pytest.raises(ValueError):
         run_trajectory(cfg, -1)
+
+
+@pytest.mark.parametrize("n_steps", [5.0, 40.0])
+def test_integral_float_counts_run_as_int(n_steps):
+    # 5.0 and 40.0 sit on both sides of the vectorized-sampler threshold
+    cfg = make_config(n_steps=n_steps, n_trajectories=3.0)
+    assert type(cfg.params.n_steps) is int and type(cfg.n_trajectories) is int
+    expected = make_config(n_steps=int(n_steps), n_trajectories=3)
+    assert np.array_equal(run_ensemble(cfg), run_ensemble(expected))
+    assert np.array_equal(run_trajectory(cfg, 2.0), run_trajectory(expected, 2))
+
+
+@pytest.mark.parametrize("bad", [2.5, float("inf"), float("nan"), -1])
+def test_counts_refuse_non_integral_or_negative_values(bad):
+    for field in ("n_steps", "n_trajectories"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_config(**{field: bad})
+    with pytest.raises(ValueError, match="trajectory_index"):
+        run_trajectory(make_config(), bad)
 
 
 @pytest.mark.parametrize("n_steps", [10, 70])

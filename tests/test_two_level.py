@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from kerrzeno.two_level import (
     TwoLevelModel,
-    evolution_operator,
-    povm_elements,
-    povm_overlap,
-    reduced_states,
     scaling_sweep,
     survival_asymptotic,
     survival_closed_form,
     survival_exact,
     transition_matrix,
 )
+from oracles import evolution_operator, povm_elements, povm_overlap, reduced_states
 
 alphas = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
@@ -255,3 +252,12 @@ def test_model_validation():
         TwoLevelModel(0.1, 1.0, 0.1, 0)
     with pytest.raises(ValueError):
         TwoLevelModel(float("nan"), 1.0, 0.1, 1)
+
+
+@pytest.mark.parametrize("n_steps", [4.5, float("inf"), float("nan")])
+def test_model_takes_integral_steps_only(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TwoLevelModel(0.3, 1.0, 0.05, n_steps)
+    model = TwoLevelModel(0.3, 1.0, 0.05, 5.0)
+    assert type(model.n_steps) is int
+    assert survival_exact(model) == survival_exact(TwoLevelModel(0.3, 1.0, 0.05, 5))
