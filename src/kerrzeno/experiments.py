@@ -56,6 +56,10 @@ RunnerResult = tuple[list[str], list[list], dict | None]
 # finite: covariance-growth bounds theta by max_float / 2, and
 # zeno-continuous, whose N = 1 step turns by 2 pi m, bounds m by this.
 _TURNS_MAX = sys.float_info.max / (4.0 * math.pi)
+# An identity-grid node weight rho dr dphi is at most 2 pi r_max^2, as is
+# |alpha|^2 in the ladder; revival's linspace span is at most 2 _CHI_T_MAX.
+_R_MAX = math.sqrt(sys.float_info.max / (2.0 * math.pi))
+_CHI_T_MAX = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class Field:
     """One validated config parameter."""
 
     name: str
-    kind: str  # "int" | "float" | "bool" | "int_list"
+    kind: str  # "int" | "float" | "int_list"
     default: Any = None
     nullable: bool = False
     minimum: float | None = None
@@ -113,10 +117,6 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
         if f.nullable:
             return None, None
         return None, "must not be null"
-    if f.kind == "bool":
-        if not isinstance(value, bool):
-            return None, f"expected a boolean, got {type(value).__name__}"
-        return value, None
     if f.kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             return None, f"expected an integer, got {type(value).__name__}"
@@ -347,31 +347,28 @@ def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
 def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
     rows = []
     for n in range(1, p["n_max"] + 1):
-        model = two_level.TwoLevelModel(p["alpha"], 1.0, p["omega_tau"], n)
+        model = two_level.TwoLevelModel(p["alpha"], p["omega_tau"], n)
         rows.append(
             [
                 n,
                 two_level.survival_exact(model),
                 two_level.survival_closed_form(model),
-                two_level.survival_asymptotic(p["alpha"], 1.0, n * p["omega_tau"], n),
+                two_level.survival_asymptotic(p["alpha"], n * p["omega_tau"], n),
             ]
         )
     return ["n", "survival_exact", "survival_closed", "survival_asymptotic"], rows, None
 
 
 def _run_two_level_sweep(p: dict, master_seed: int) -> RunnerResult:
-    series = two_level.scaling_sweep(p["c"], p["beta"], p["omega"], p["t"], p["n_list"])
-    rows = [[n, p["c"] / n ** p["beta"], p0] for n, p0 in series]
-    return ["n", "alpha_n", "survival"], rows, None
+    rows = two_level.scaling_sweep(p["c"], p["beta"], p["omega_t"], p["n_list"])
+    return ["n", "alpha_n", "survival"], [list(row) for row in rows], None
 
 
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
     spec = fock.MeasurementSpec(p["r"])
-    grids = [fock.QuadratureGrid(n_r=p["n_r"], n_phi=p["n_phi"], r_max=p["r_max"])]
-    if p["include_doubled"]:
-        grids.append(grids[0].doubled())
+    base = fock.QuadratureGrid(n_r=p["n_r"], n_phi=p["n_phi"], r_max=p["r_max"])
     rows = []
-    for scale, grid in enumerate(grids, start=1):
+    for scale, grid in enumerate((base, base.doubled()), start=1):
         defect = fock.identity_resolution_defect(spec, grid, dim_check=p["dim_check"])
         rows.append([scale, grid.n_r, grid.n_phi, defect])
     return ["grid_scale", "n_r", "n_phi", "defect"], rows, None
@@ -386,8 +383,10 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "against its closed form.",
             (
                 Field("alpha", "float", 4.0, help="initial coherent amplitude (real)"),
-                Field("chi_t_min", "float", 0.0),
-                Field("chi_t_max", "float", math.pi),
+                Field("chi_t_min", "float", 0.0, minimum=-_CHI_T_MAX,
+                      maximum=_CHI_T_MAX),
+                Field("chi_t_max", "float", math.pi, minimum=-_CHI_T_MAX,
+                      maximum=_CHI_T_MAX),
                 Field("n_points", "int", 512, minimum=2),
                 Field("dim", "int", None, nullable=True, minimum=2,
                       help="basis cutoff; null picks the default rule"),
@@ -470,8 +469,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             (
                 Field("c", "float", 1.0),
                 Field("beta", "float", 1.0),
-                Field("omega", "float", 1.0),
-                Field("t", "float", 1.0),
+                Field("omega_t", "float", 1.0, help="Rabi angle omega * t of the run"),
                 Field("n_list", "int_list",
                       [1, 10, 100, 1000, 10000, 100000, 1000000], minimum=1),
             ),
@@ -480,14 +478,13 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "identity-check",
             "Completeness defect of the displaced measurement family on a "
-            "polar quadrature grid, optionally with a doubled grid.",
+            "polar quadrature grid and on the grid doubled in both axes.",
             (
                 Field("r", "float", 0.0),
                 Field("dim_check", "int", 10, minimum=1),
                 Field("n_r", "int", 200, minimum=1),
                 Field("n_phi", "int", 128, minimum=1),
-                Field("r_max", "float", None, nullable=True, minimum=1e-6),
-                Field("include_doubled", "bool", True),
+                Field("r_max", "float", None, nullable=True, minimum=1e-6, maximum=_R_MAX),
             ),
             _run_identity_check,
         ),
@@ -518,18 +515,10 @@ def run_experiment(config: ExperimentConfig) -> ResultEnvelope:
 
 
 def envelope_json_dict(envelope: ResultEnvelope) -> dict:
-    """JSON-ready dict; identical reruns differ only in wall_time_s."""
-    out = {
-        "experiment": envelope.experiment,
-        "parameters": envelope.parameters,
-        "tool_version": envelope.tool_version,
-        "master_seed": envelope.master_seed,
-        "wall_time_s": envelope.wall_time_s,
-        "columns": envelope.columns,
-        "rows": envelope.rows,
-    }
-    if envelope.summary is not None:
-        out["summary"] = envelope.summary
+    """JSON-ready fields, a null summary left out; reruns differ only in wall_time_s."""
+    out = dict(vars(envelope))
+    if out["summary"] is None:
+        del out["summary"]
     return out
 
 

@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .phase_space import PhaseVector
+from .phase_space import PhaseVector, _require_int
 
 __all__ = [
     "DEFAULT_TAIL_BUDGET",
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_BUDGET = 1e-10
+# Largest cutoff: 2**20 amplitudes, 16 MiB, the budget of a sampler chunk.
+_MAX_DIM = 2**20
 
 
 class TruncationError(ValueError):
@@ -174,13 +176,13 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
 def _required_dim(family, rows: int) -> int | None:
     """Smallest cutoff whose weight reaches 1 - DEFAULT_TAIL_BUDGET.
 
-    ``family(rows)`` gives c_0..c_{rows-1}; rows grow until their weight
-    reaches the target.  If it stops growing first (the budget is below
-    the rounding floor), no cutoff fits and the result is None.
+    ``family(rows)`` gives c_0..c_{rows-1}; rows grow, up to _MAX_DIM, until
+    their weight reaches the target.  If it stops growing first (the budget
+    is below the rounding floor) or needs more rows, the result is None.
     """
     mass, last = np.cumsum(np.abs(family(rows)) ** 2), -1.0
-    while last < mass[-1] < 1.0 - DEFAULT_TAIL_BUDGET:
-        last, rows = mass[-1], int(1.5 * rows) + 1
+    while last < mass[-1] < 1.0 - DEFAULT_TAIL_BUDGET and rows < _MAX_DIM:
+        last, rows = mass[-1], min(int(1.5 * rows) + 1, _MAX_DIM)
         mass = np.cumsum(np.abs(family(rows)) ** 2)
     fits = mass >= 1.0 - DEFAULT_TAIL_BUDGET
     return int(np.argmax(fits)) + 1 if fits[-1] else None
@@ -220,22 +222,25 @@ def displaced_seed(
     ``dim=None`` the cutoff is ``default_dim(|alpha|^2 + sinh(r)^2, r)``,
     widened to the smallest cutoff that fits when that rule leaves too
     much tail.  An explicit ``dim`` that is too small raises a
-    ``TruncationError`` naming that smallest cutoff.
+    ``TruncationError`` naming that smallest cutoff.  A ``dim`` or rule over
+    _MAX_DIM levels raises one before any amplitude is computed.
     """
     alpha = complex(alpha)
     family = partial(_ladder_amplitudes, alpha, spec.r)
     rule = default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r)
     cutoff = rule if dim is None else dim
+    if cutoff > _MAX_DIM:
+        raise TruncationError(f"dim={cutoff} exceeds the budget of {_MAX_DIM} levels")
     amps = family(cutoff)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > DEFAULT_TAIL_BUDGET:
-        need = _required_dim(family, max(cutoff, rule))
+        need = _required_dim(family, min(max(cutoff, rule), _MAX_DIM))
         if dim is None and need is not None:
             cutoff, amps = need, family(need)
             tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
         if tail > DEFAULT_TAIL_BUDGET:
             hint = (
-                f"need dim >= {need}" if need else "no cutoff meets it in double precision"
+                f"need dim >= {need}" if need else f"no dim up to {_MAX_DIM} meets it"
             )
             raise TruncationError(
                 f"dim={cutoff} leaves tail mass {tail:.3e} > budget "
@@ -452,8 +457,7 @@ def dichotomic_survival_exact(psi0: FockVector, chi_t: float, n_steps: int) -> f
     behaviour.  Build psi0 once with ``displaced_seed`` and pass it to
     every N.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = _require_int(n_steps, "n_steps")
     stepped = kerr_propagate(psi0, chi_t / n_steps)
     norm_sq = psi0.norm_sq
     s = abs(complex(np.vdot(psi0.amps, stepped.amps))) ** 2 / (norm_sq * norm_sq)

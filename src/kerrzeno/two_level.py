@@ -17,6 +17,9 @@ freezes the qubit (survival -> 1).  Any overlap caps the survival at
 cos^2(a)/2 no matter how frequent the checks; letting the overlap shrink
 with N as a = c / N^beta puts the crossover between the two behaviours at
 beta = 1/2.
+
+Only the Rabi angle per check, omega * tau (omega * t over a run), enters,
+so every function takes that one angle.
 """
 
 from __future__ import annotations
@@ -46,17 +49,16 @@ def _require_angle(alpha: float, name: str = "alpha") -> None:
 
 @dataclass(frozen=True)
 class TwoLevelModel:
-    """Overlap angle, Rabi rate, step duration, and number of checks."""
+    """Overlap angle, Rabi angle omega * tau per check, and number of checks."""
 
     alpha: float
-    omega: float
-    tau: float
+    omega_tau: float
     n_steps: int
 
     def __post_init__(self) -> None:
         _require_angle(self.alpha)
-        if not (math.isfinite(self.omega) and math.isfinite(self.tau)):
-            raise ValueError("omega and tau must be finite")
+        if not math.isfinite(self.omega_tau):
+            raise ValueError(f"omega_tau must be finite, got {self.omega_tau!r}")
         object.__setattr__(self, "n_steps", _require_int(self.n_steps, "n_steps"))
 
 
@@ -67,7 +69,7 @@ def transition_matrix(model: TwoLevelModel) -> np.ndarray:
     re-derives them from the explicit matrices.
     """
     ca, sa = math.cos(model.alpha) ** 2, math.sin(model.alpha) ** 2
-    c2, s2 = math.cos(model.omega * model.tau) ** 2, math.sin(model.omega * model.tau) ** 2
+    c2, s2 = math.cos(model.omega_tau) ** 2, math.sin(model.omega_tau) ** 2
     return np.array(
         [
             [ca * c2, ca * (c2 * sa + s2) / (1.0 + sa)],
@@ -92,43 +94,46 @@ def survival_closed_form(model: TwoLevelModel) -> float:
     to the same cos^2(a)/2 limit.
     """
     ca = math.cos(model.alpha) ** 2
-    ratio = ca * math.cos(2.0 * model.omega * model.tau) / (2.0 - ca)
+    ratio = ca * math.cos(2.0 * model.omega_tau) / (2.0 - ca)
     return ca / 2.0 + (1.0 - ca / 2.0) * ratio**model.n_steps
 
 
-def survival_asymptotic(alpha: float, omega: float, t: float, n_steps: int) -> float:
-    """Many-check small-overlap approximation at fixed total time t:
+def survival_asymptotic(alpha: float, omega_t: float, n_steps: int) -> float:
+    """Many-check small-overlap approximation at fixed Rabi angle w t of the run:
 
-        (1 + exp(-2 N a^2) exp(-2 w^2 t^2 / N)) / 2.
+        (1 + exp(-2 N a^2) exp(-2 (w t)^2 / N)) / 2.
 
-    Raises ValueError unless 0 <= a <= pi/2; the regime N >> 1, a << 1 is
-    advisory.
+    Raises ValueError unless 0 <= a <= pi/2 and N is a positive integer;
+    the regime N >> 1, a << 1 is advisory.
     """
     _require_angle(alpha)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = _require_int(n_steps, "n_steps")
     return 0.5 * (
         1.0
         + math.exp(-2.0 * n_steps * alpha * alpha)
-        * math.exp(-2.0 * (omega * t) ** 2 / n_steps)
+        * math.exp(-2.0 * omega_t**2 / n_steps)
     )
 
 
 def scaling_sweep(
-    c: float, beta: float, omega: float, t: float, n_list: list[int]
-) -> list[tuple[int, float]]:
-    """Survival along alpha(N) = c / N^beta at fixed total time t.
+    c: float, beta: float, omega_t: float, n_list: list[int]
+) -> list[tuple[int, float, float]]:
+    """(N, alpha(N), survival) along alpha(N) = c / N^beta at fixed w t.
 
     Overlap shrinking faster than 1/sqrt(N) restores freezing (survival
-    -> 1); slower decay leaves it pinned near 1/2.  Raises if any alpha(N)
-    leaves [0, pi/2], naming that N.
+    -> 1); slower decay leaves it pinned near 1/2.  Raises ValueError,
+    naming that N, if any alpha(N) leaves [0, pi/2] or N^beta leaves the
+    double range.
     """
-    out: list[tuple[int, float]] = []
+    out: list[tuple[int, float, float]] = []
     for n in n_list:
         if n < 1:
             raise ValueError("entries of n_list must be >= 1")
-        alpha_n = c / float(n) ** beta
+        try:
+            alpha_n = c / float(n) ** beta
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"alpha(N={n}): N**beta leaves the double range") from None
         _require_angle(alpha_n, f"alpha(N={n})")
-        model = TwoLevelModel(alpha=alpha_n, omega=omega, tau=t / n, n_steps=n)
-        out.append((int(n), survival_closed_form(model)))
+        model = TwoLevelModel(alpha_n, omega_t / n, n)
+        out.append((int(n), alpha_n, survival_closed_form(model)))
     return out

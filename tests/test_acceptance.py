@@ -271,18 +271,17 @@ def test_criterion_5_two_level_model():
     for _ in range(1000):
         model = TwoLevelModel(
             alpha=float(rng.uniform(0.0, math.pi / 2)),
-            omega=1.0,
-            tau=float(rng.uniform(0.0, math.pi)),
+            omega_tau=float(rng.uniform(0.0, math.pi)),
             n_steps=int(rng.integers(1, 201)),
         )
         worst = max(worst, abs(survival_exact(model) - survival_closed_form(model)))
 
-    limit_model = TwoLevelModel(0.4, 1.0, 1.0 / 10_000, 10_000)
+    limit_model = TwoLevelModel(0.4, 1.0 / 10_000, 10_000)
     limit_gap = abs(survival_closed_form(limit_model) - math.cos(0.4) ** 2 / 2.0)
 
     n_list = [10**k for k in range(7)]
-    fast = scaling_sweep(1.0, 1.0, 1.0, 1.0, n_list)[-1][1]
-    slow = scaling_sweep(1.0, 0.25, 1.0, 1.0, n_list)[-1][1]
+    fast = scaling_sweep(1.0, 1.0, 1.0, n_list)[-1][2]
+    slow = scaling_sweep(1.0, 0.25, 1.0, n_list)[-1][2]
     elapsed = time.perf_counter() - start
     ok = (
         worst < 1e-12
@@ -340,7 +339,7 @@ def test_criterion_7_property_suite():
     for alpha in np.linspace(0.0, math.pi / 2, 11):
         e1, e2 = povm_elements(float(alpha))
         povm_ok &= bool(np.array_equal(e1 + e2, np.eye(2)))
-        t = transition_matrix(TwoLevelModel(float(alpha), 1.0, 0.37, 1))
+        t = transition_matrix(TwoLevelModel(float(alpha), 0.37, 1))
         povm_ok &= bool(np.allclose(t.sum(axis=0), 1.0, atol=1e-12))
 
     # Kerr propagation preserves the norm exactly

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrzeno import cli
+from kerrzeno import cli, fock
 from kerrzeno.experiments import (
     EXPERIMENTS,
     envelope_json_dict,
@@ -111,13 +111,13 @@ def test_minimal_config_fills_defaults():
 
 
 def test_nullable_and_bool_fields():
-    config = make_config("identity-check", {"r_max": None, "include_doubled": False})
+    config = make_config("identity-check", {"r_max": None})
     assert config.parameters["r_max"] is None
-    assert config.parameters["include_doubled"] is False
+    # identity-check always runs both grids, so it takes no switch
     _, errors = validate_config(
-        {"experiment": "identity-check", "parameters": {"include_doubled": 1}}
+        {"experiment": "identity-check", "parameters": {"include_doubled": False}}
     )
-    assert errors
+    assert errors == [("parameters.include_doubled", "unknown parameter")]
 
 
 # --- runners -------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_two_level_rows_cross_validate():
     config = make_config("two-level", {"alpha": 0.3, "omega_tau": 0.05, "n_max": 20})
     envelope = run_experiment(config)
     for n, exact, closed, asym in envelope.rows:
-        model = TwoLevelModel(0.3, 1.0, 0.05, n)
+        model = TwoLevelModel(0.3, 0.05, n)
         assert abs(exact - closed) < 1e-12
         assert abs(closed - survival_closed_form(model)) < 1e-15
         assert 0.0 <= asym <= 1.0
@@ -265,7 +265,6 @@ def test_identity_check_rows():
             "n_r": 24,
             "n_phi": 16,
             "r_max": 5.0,
-            "include_doubled": True,
         },
     )
     envelope = run_experiment(config)
@@ -448,6 +447,31 @@ def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "experiment, parameters, dim",
+    [
+        ("revival", {"alpha": 1e5}, 10001000021),
+        ("revival", {"alpha": 1.0, "dim": 2**20 + 1}, 2**20 + 1),
+        ("zeno-dichotomic", {"alpha0_re": 1100.0}, 1221021),
+    ],
+    ids=["revival-rule", "revival-dim", "zeno-dichotomic-rule"],
+)
+def test_cli_cutoff_over_budget_exits_numeric_before_allocating(
+    tmp_path, capsys, monkeypatch, experiment, parameters, dim
+):
+    def ladder(*args):
+        raise AssertionError("the ladder ran on an over-budget cutoff")
+
+    monkeypatch.setattr(fock, "_ladder_amplitudes", ladder)
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 3
+    assert capsys.readouterr().err == (
+        f"numeric error: dim={dim} exceeds the budget of 1048576 levels\n"
+    )
+
+
 def test_cli_identity_check_has_no_dim(tmp_path, capsys):
     # the ladder is exact, so the gram needs only dim_check + 1 rows
     config_path = write_config(
@@ -457,13 +481,17 @@ def test_cli_identity_check_has_no_dim(tmp_path, capsys):
     assert "parameters.dim: unknown parameter" in capsys.readouterr().err
 
 
+CHI_T_MAX = sys.float_info.max / 4
+R_MAX = math.sqrt(sys.float_info.max / (2.0 * math.pi))
+
+
 @pytest.mark.parametrize(
     "experiment, parameters",
     [
         ("trajectories", {"tau": 0}),
         ("two-level-sweep", {"c": 10, "beta": 0}),
         ("identity-check", {"r": -800.0}),
-        ("revival", {"chi_t_min": 1e308, "chi_t_max": 1e308, "n_points": 2}),
+        ("revival", {"chi_t_min": CHI_T_MAX, "chi_t_max": CHI_T_MAX, "n_points": 2}),
         ("identity-check", {"r": 800.0}),
         # cosh/sinh overflow in the Gaussian step covariance or the bound
         ("covariance-growth", {"r": 400.0}),
@@ -475,6 +503,8 @@ def test_cli_identity_check_has_no_dim(tmp_path, capsys):
         ("covariance-growth", {"r": 300.0}),
         ("zeno-continuous", {"r": 300.0}),
         ("covariance-growth", {"r": 176.0}),
+        # the largest chi_t span: linspace stays finite, kerr_propagate refuses
+        ("revival", {"chi_t_min": -CHI_T_MAX, "chi_t_max": CHI_T_MAX, "n_points": 1000}),
     ],
 )
 def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters):
@@ -539,6 +569,17 @@ def test_cli_two_level_sweep_angle_rule(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric error: alpha(N=1) must be in [0, pi/2], got 10.0\n"
     )
+    # N**beta underflows to 0 at N = 10, or overflows at N = 2
+    for parameters, message in (
+        ({"c": 1.0, "beta": -400}, "alpha(N=10): N**beta leaves the double range"),
+        ({"c": 1e-300, "beta": 1e308, "n_list": [1, 2]},
+         "alpha(N=2): N**beta leaves the double range"),
+    ):
+        path = write_config(
+            tmp_path, {"experiment": "two-level-sweep", "parameters": parameters}
+        )
+        assert cli.main(["run", path]) == 3
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
 
 
 QUARTER_TURN_OF_MAX = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
@@ -689,6 +730,47 @@ def test_cli_zeno_continuous_runs_up_to_the_largest_m(tmp_path):
             tmp_path, {"experiment": "zeno-continuous", "parameters": {"m": m, "n_max": 50}}
         )
         assert cli.main(["run", config_path, "--output", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "experiment, field, value",
+    [
+        # an identity-grid node weight, and |alpha|^2 in the ladder, overflow
+        ("identity-check", "r_max", math.nextafter(R_MAX, math.inf)),
+        ("identity-check", "r_max", 1e160),
+        # revival's linspace span overflows
+        ("revival", "chi_t_min", math.nextafter(CHI_T_MAX, math.inf)),
+        ("revival", "chi_t_min", -math.nextafter(CHI_T_MAX, math.inf)),
+        ("revival", "chi_t_max", math.nextafter(CHI_T_MAX, math.inf)),
+        ("revival", "chi_t_max", -1e308),
+    ],
+)
+def test_cli_refuses_overflowing_grid_extent_at_validate(
+    tmp_path, capsys, experiment, field, value
+):
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": {field: value}}
+    )
+    for command in ("validate", "run"):
+        assert cli.main([command, config_path]) == 2
+        assert f"parameters.{field}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, -1.2])
+def test_cli_identity_check_runs_at_the_largest_r_max(tmp_path, r):
+    out = tmp_path / "out.csv"
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "identity-check",
+         "parameters": {"r": r, "r_max": R_MAX, "n_r": 3, "n_phi": 7}},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.main(["run", config_path, "--output", str(out), "--format", "csv"])
+    assert status == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [row[:3] for row in rows] == [["1", "3", "7"], ["2", "6", "14"]]
+    assert all(math.isfinite(float(row[3])) for row in rows)
 
 
 def test_cli_list(capsys):

@@ -272,6 +272,32 @@ def test_default_cutoff_widens_to_required_dim(alpha, r, need):
     assert psi.tail_mass <= DEFAULT_TAIL_BUDGET
 
 
+def test_cutoff_budget_is_checked_before_the_ladder_runs(monkeypatch):
+    # a cutoff over 2**20 levels is refused on its estimate; the stand-in
+    # ladder fails if it is ever asked for more rows than that
+    rows_seen = []
+
+    def ladder(alpha, r, n_rows):
+        assert n_rows <= 2**20
+        rows_seen.append(n_rows)
+        return np.full(n_rows, 1e-4 + 0j)  # weight 1e-8 per row: never within budget
+
+    monkeypatch.setattr(fock, "_ladder_amplitudes", ladder)
+    budget = "exceeds the budget of 1048576 levels"
+    # the default rule, for revival's alpha = 1e4 and 1e5, and an explicit dim
+    for alpha, dim in ((1e4, None), (1e5, None), (2.0, 2**20 + 1)):
+        with pytest.raises(TruncationError, match=budget):
+            displaced_seed(VACUUM, alpha, dim)
+    assert rows_seen == []
+    # the widening search stops at the budget, whether it starts from the
+    # rule's 47 rows or, for a small explicit dim, from a rule past it
+    for alpha, dim in ((2.0, None), (1e4, 50)):
+        with pytest.raises(TruncationError, match="no dim up to 1048576 meets it"):
+            displaced_seed(VACUUM, alpha, dim)
+        assert max(rows_seen) == 2**20
+        rows_seen.clear()
+
+
 # --- Kerr propagation ------------------------------------------------------------
 
 
@@ -465,8 +491,9 @@ def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
 def test_dichotomic_survival_zero_time():
     psi0 = displaced_seed(VACUUM, 2.0)
     assert dichotomic_survival_exact(psi0, 0.0, 5) == 1.0
-    with pytest.raises(ValueError, match="n_steps"):
-        dichotomic_survival_exact(psi0, 0.1, 0)
+    for n_steps in (0, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            dichotomic_survival_exact(psi0, 0.1, n_steps)
 
 
 def test_dichotomic_survival_freezes_with_frequency():

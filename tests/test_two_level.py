@@ -68,12 +68,12 @@ def test_reduced_states_are_normalized():
 
 
 def test_transition_matrix_orthogonal_projectors():
-    t = transition_matrix(TwoLevelModel(0.0, 1.0, math.pi / 4, 1))
+    t = transition_matrix(TwoLevelModel(0.0, math.pi / 4, 1))
     assert abs(t[0, 0] - 0.5) < 1e-15
 
 
 def test_transition_matrix_degenerate_first_element():
-    t = transition_matrix(TwoLevelModel(math.pi / 2, 1.0, 0.7, 1))
+    t = transition_matrix(TwoLevelModel(math.pi / 2, 0.7, 1))
     assert abs(t[0, 0]) < 1e-15
     assert abs(t[0, 1]) < 1e-15
 
@@ -81,7 +81,7 @@ def test_transition_matrix_degenerate_first_element():
 def test_transition_matrix_against_operator_oracle():
     for alpha in np.linspace(0.0, math.pi / 2, 7):
         for omega_tau in np.linspace(0.0, math.pi, 9):
-            got = transition_matrix(TwoLevelModel(float(alpha), 1.0, float(omega_tau), 1))
+            got = transition_matrix(TwoLevelModel(float(alpha), float(omega_tau), 1))
             want = transition_matrix_from_operators(float(alpha), float(omega_tau))
             np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -89,7 +89,7 @@ def test_transition_matrix_against_operator_oracle():
 @settings(max_examples=80, deadline=None)
 @given(alpha=alphas, omega_tau=phases)
 def test_transition_matrix_column_stochastic(alpha, omega_tau):
-    t = transition_matrix(TwoLevelModel(alpha, 1.0, omega_tau, 1))
+    t = transition_matrix(TwoLevelModel(alpha, omega_tau, 1))
     np.testing.assert_allclose(t.sum(axis=0), [1.0, 1.0], atol=1e-12)
     assert np.all(t >= -1e-15)
     assert np.all(t <= 1.0 + 1e-15)
@@ -99,7 +99,7 @@ def test_transition_matrix_column_stochastic(alpha, omega_tau):
 
 
 def test_survival_single_step_is_first_entry():
-    model = TwoLevelModel(0.4, 1.0, 0.3, 1)
+    model = TwoLevelModel(0.4, 0.3, 1)
     expected = math.cos(0.4) ** 2 * math.cos(0.3) ** 2
     assert abs(survival_exact(model) - expected) < 1e-15
     assert abs(survival_closed_form(model) - expected) < 1e-15
@@ -111,8 +111,7 @@ def test_survival_exact_matches_closed_form_everywhere():
     for _ in range(1000):
         model = TwoLevelModel(
             alpha=float(rng.uniform(0.0, math.pi / 2)),
-            omega=1.0,
-            tau=float(rng.uniform(0.0, math.pi)),
+            omega_tau=float(rng.uniform(0.0, math.pi)),
             n_steps=int(rng.integers(1, 201)),
         )
         worst = max(worst, abs(survival_exact(model) - survival_closed_form(model)))
@@ -122,25 +121,25 @@ def test_survival_exact_matches_closed_form_everywhere():
 def test_survival_commuting_checks_stay_at_one():
     for k in (1, 2, 5):
         for n in (1, 3, 50):
-            model = TwoLevelModel(0.0, 1.0, k * math.pi, n)
+            model = TwoLevelModel(0.0, k * math.pi, n)
             assert abs(survival_exact(model) - 1.0) < 1e-12
 
 
 def test_survival_overlap_limit():
     alpha, t = 0.7, 1.0
     limit = math.cos(alpha) ** 2 / 2.0
-    p_large = survival_closed_form(TwoLevelModel(alpha, 1.0, t / 10_000, 10_000))
+    p_large = survival_closed_form(TwoLevelModel(alpha, t / 10_000, 10_000))
     assert abs(p_large - limit) < 1e-6
     # bounded away from one, uniformly over N
     for n in (1, 5, 20, 100, 2000):
-        value = survival_exact(TwoLevelModel(alpha, 1.0, t / n, n))
+        value = survival_exact(TwoLevelModel(alpha, t / n, n))
         assert value < 0.9
 
 
 def test_survival_zeno_limit_without_overlap():
     t = 1.0
     values = [
-        survival_closed_form(TwoLevelModel(0.0, 1.0, t / n, n))
+        survival_closed_form(TwoLevelModel(0.0, t / n, n))
         for n in (1, 10, 100, 1000, 10000)
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -152,11 +151,11 @@ def test_survival_oscillating_branch_converges_to_same_limit():
     # settling to the same overlap-capped level
     alpha, omega_tau = 0.5, 1.2
     values = [
-        survival_exact(TwoLevelModel(alpha, 1.0, omega_tau, n)) for n in range(1, 12)
+        survival_exact(TwoLevelModel(alpha, omega_tau, n)) for n in range(1, 12)
     ]
     diffs = np.diff(values)
     assert np.any(diffs > 0) and np.any(diffs < 0)
-    far = survival_exact(TwoLevelModel(alpha, 1.0, omega_tau, 400))
+    far = survival_exact(TwoLevelModel(alpha, omega_tau, 400))
     assert abs(far - math.cos(alpha) ** 2 / 2.0) < 1e-6
 
 
@@ -170,20 +169,20 @@ def test_limit_decreases_with_overlap_angle():
 
 
 def test_asymptotic_no_overlap_limit():
-    assert abs(survival_asymptotic(0.0, 1.0, 1.0, 10**9) - 1.0) < 1e-6
+    assert abs(survival_asymptotic(0.0, 1.0, 10**9) - 1.0) < 1e-6
 
 
 def test_asymptotic_fixed_overlap_budget():
     c = 0.8
     n = 10**8
-    value = survival_asymptotic(c / math.sqrt(n), 1.0, 0.0, n)
+    value = survival_asymptotic(c / math.sqrt(n), 0.0, n)
     assert abs(value - 0.5 * (1.0 + math.exp(-2.0 * c * c))) < 1e-6
 
 
 def test_asymptotic_matches_closed_form_in_regime():
     n, alpha, t = 10_000, 1e-3, 1.0
-    closed = survival_closed_form(TwoLevelModel(alpha, 1.0, t / n, n))
-    approx = survival_asymptotic(alpha, 1.0, t, n)
+    closed = survival_closed_form(TwoLevelModel(alpha, t / n, n))
+    approx = survival_asymptotic(alpha, t, n)
     assert abs(approx - closed) / closed < 1e-2
 
 
@@ -191,42 +190,47 @@ def test_asymptotic_matches_closed_form_in_regime():
 
 
 def test_sweep_fast_shrink_freezes():
-    series = scaling_sweep(1.0, 1.0, 1.0, 1.0, [10**k for k in range(7)])
-    assert abs(series[-1][1] - 1.0) < 1e-3
+    series = scaling_sweep(1.0, 1.0, 1.0, [10**k for k in range(7)])
+    assert abs(series[-1][2] - 1.0) < 1e-3
 
 
 def test_sweep_slow_shrink_stays_half():
-    series = scaling_sweep(1.0, 0.25, 1.0, 1.0, [10**k for k in range(7)])
-    assert abs(series[-1][1] - 0.5) < 1e-2
+    series = scaling_sweep(1.0, 0.25, 1.0, [10**k for k in range(7)])
+    assert abs(series[-1][2] - 0.5) < 1e-2
 
 
 def test_sweep_critical_rate():
     c = 1.0
-    series = scaling_sweep(c, 0.5, 1.0, 1.0, [10**6])
+    series = scaling_sweep(c, 0.5, 1.0, [10**6])
     expected = 0.5 * (1.0 + math.exp(-2.0 * c * c))
-    assert abs(series[0][1] - expected) < 1e-3
-    assert 0.5 < series[0][1] < 1.0
+    assert abs(series[0][2] - expected) < 1e-3
+    assert 0.5 < series[0][2] < 1.0
 
 
 def test_sweep_constant_overlap():
     alpha = 0.3
-    series = scaling_sweep(alpha, 0.0, 1.0, 1.0, [10**6])
-    assert abs(series[0][1] - math.cos(alpha) ** 2 / 2.0) < 1e-6
+    series = scaling_sweep(alpha, 0.0, 1.0, [10**6])
+    assert abs(series[0][2] - math.cos(alpha) ** 2 / 2.0) < 1e-6
 
 
 def test_sweep_rejects_out_of_range_angle():
     with pytest.raises(ValueError, match=r"alpha\(N=1\) must be in \[0, pi/2\]"):
-        scaling_sweep(2.0, 0.0, 1.0, 1.0, [1, 10])
+        scaling_sweep(2.0, 0.0, 1.0, [1, 10])
     with pytest.raises(ValueError, match=r"alpha\(N=4\) must be in"):
-        scaling_sweep(-1.0, 0.5, 1.0, 1.0, [4])
+        scaling_sweep(-1.0, 0.5, 1.0, [4])
+    # N**beta underflows to 0 at N = 10, or overflows at N = 2
+    with pytest.raises(ValueError, match=r"alpha\(N=10\): N\*\*beta leaves the double"):
+        scaling_sweep(1.0, -400.0, 1.0, [1, 10])
+    with pytest.raises(ValueError, match=r"alpha\(N=2\): N\*\*beta leaves the double"):
+        scaling_sweep(1e-300, 1e308, 1.0, [1, 2])
 
 
 def test_sweep_accepts_quarter_turn():
     # the same rule as TwoLevelModel: alpha(N) = pi/2 is inside [0, pi/2]
-    series = scaling_sweep(math.pi / 2, 0.0, 1.0, 1.0, [1, 10])
-    assert [n for n, _ in series] == [1, 10]
-    for n, survival in series:
-        model = TwoLevelModel(math.pi / 2, 1.0, 1.0 / n, n)
+    series = scaling_sweep(math.pi / 2, 0.0, 1.0, [1, 10])
+    assert [n for n, _, _ in series] == [1, 10]
+    for n, _, survival in series:
+        model = TwoLevelModel(math.pi / 2, 1.0 / n, n)
         assert survival == survival_closed_form(model)
 
 
@@ -237,27 +241,29 @@ def test_sweep_accepts_quarter_turn():
 def test_alpha_outside_quarter_turn_rejected(alpha):
     # one rule for the overlap angle, no folding: 0 <= alpha <= pi/2
     with pytest.raises(ValueError, match="alpha must be in"):
-        TwoLevelModel(alpha, 1.0, 0.1, 1)
+        TwoLevelModel(alpha, 0.1, 1)
     with pytest.raises(ValueError, match="alpha must be in"):
-        survival_asymptotic(alpha, 1.0, 1.0, 10)
+        survival_asymptotic(alpha, 1.0, 10)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 2])
 def test_alpha_in_quarter_turn_kept(alpha):
-    assert TwoLevelModel(alpha, 1.0, 0.1, 1).alpha == alpha
+    assert TwoLevelModel(alpha, 0.1, 1).alpha == alpha
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        TwoLevelModel(0.1, 1.0, 0.1, 0)
+        TwoLevelModel(0.1, 0.1, 0)
     with pytest.raises(ValueError):
-        TwoLevelModel(float("nan"), 1.0, 0.1, 1)
+        TwoLevelModel(float("nan"), 0.1, 1)
 
 
-@pytest.mark.parametrize("n_steps", [4.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("n_steps", [2.5, 4.5, float("inf"), float("nan")])
 def test_model_takes_integral_steps_only(n_steps):
     with pytest.raises(ValueError, match="n_steps must be an integer"):
-        TwoLevelModel(0.3, 1.0, 0.05, n_steps)
-    model = TwoLevelModel(0.3, 1.0, 0.05, 5.0)
+        TwoLevelModel(0.3, 0.05, n_steps)
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        survival_asymptotic(0.3, 1.0, n_steps)
+    model = TwoLevelModel(0.3, 0.05, 5.0)
     assert type(model.n_steps) is int
-    assert survival_exact(model) == survival_exact(TwoLevelModel(0.3, 1.0, 0.05, 5))
+    assert survival_exact(model) == survival_exact(TwoLevelModel(0.3, 0.05, 5))
