@@ -60,6 +60,10 @@ _TURNS_MAX = sys.float_info.max / (4.0 * math.pi)
 # |alpha|^2 in the ladder; revival's linspace span is at most 2 _CHI_T_MAX.
 _R_MAX = math.sqrt(sys.float_info.max / (2.0 * math.pi))
 _CHI_T_MAX = sys.float_info.max / 4.0
+# Ladder amplitudes plus gram entries one identity-check may compute over
+# its two grids: about 5 s on one core.  Rings of a few nodes cost more per
+# entry, up to about 10 s where 2 n_r meets fock's array budget.
+_IDENTITY_WORK = 2**28
 
 
 @dataclass(frozen=True)
@@ -364,7 +368,35 @@ def _run_two_level_sweep(p: dict, master_seed: int) -> RunnerResult:
     return ["n", "alpha_n", "survival"], [list(row) for row in rows], None
 
 
+def _identity_budget_problem(p: dict) -> str | None:
+    """Why both identity grids would not fit the budgets, from estimates alone.
+
+    Each array, the gram ((dim_check + 1)^2), one ring of the doubled grid
+    ((dim_check + 1) 2 n_phi) and its 2 n_r radii, must fit fock's array
+    budget.  The work of both grids, n_r + 2 n_r rings of n_phi and 2 n_phi
+    nodes, is the ladder amplitudes, (dim_check + 1) 5 n_r n_phi, plus the
+    gram entries each ring updates, (dim_check + 1)^2 3 n_r.
+    """
+    rows, n_r, n_phi = p["dim_check"] + 1, p["n_r"], p["n_phi"]
+    fields = f"dim_check={p['dim_check']}, n_r={n_r}, n_phi={n_phi}"
+    largest = max(rows * rows, rows * 2 * n_phi, 2 * n_r)
+    if largest > fock._MAX_DIM:
+        return (
+            f"{fields} need an array of {largest} elements (gram, ring or radii), "
+            f"over the budget of {fock._MAX_DIM}"
+        )
+    work = rows * n_r * (5 * n_phi + 3 * rows)
+    if work > _IDENTITY_WORK:
+        return (
+            f"{fields} need {work} ladder amplitudes and gram entries over both "
+            f"grids, over the budget of {_IDENTITY_WORK}"
+        )
+    return None
+
+
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
+    if problem := _identity_budget_problem(p):
+        raise ValueError(problem)
     spec = fock.MeasurementSpec(p["r"])
     base = fock.QuadratureGrid(n_r=p["n_r"], n_phi=p["n_phi"], r_max=p["r_max"])
     rows = []

@@ -137,6 +137,10 @@ def default_dim(n_bar: float, r: float = 0.0) -> int:
 # Largest growth the ladder recurrence carries before it rescales; far
 # enough below overflow that one more step cannot reach it.
 _LADDER_RANGE = 1e150
+# Room the row bound of the ladder leaves for rounding: a relative factor far
+# above the few ulps one row adds, and a floor above the subnormal range.
+_BOUND_SLACK = 1.0 + 1e-12
+_BOUND_FLOOR = 1e-300
 
 
 def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
@@ -153,6 +157,22 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     Each column runs as c_n = u_n e^s, with s = log|c_0| where c_0 is below
     1/_LADDER_RANGE and raised whenever u passes _LADDER_RANGE, so states
     whose low amplitudes underflow still come out right.
+
+    Rescale rule: row n tests |u_n| > _LADDER_RANGE column by column only
+    when it could hold.  The recurrence gives, over all columns,
+
+        max|u_{n+1}| <= (max|g| max|u_n| + |t| sqrt(n) max|u_{n-1}|) / sqrt(n + 1),
+
+    and a row that tests resets max|u_n| to its exact value.  The running
+    bound carries _BOUND_SLACK and _BOUND_FLOOR for rounding, so a row that
+    skips the test is one where the test would find no column to rescale,
+    and every rescale lands on the row where testing every row puts it.
+    Dividing by sqrt(n + 1) is a product with its reciprocal, and u e^s is
+    skipped while every s is 0; numpy's complex-by-real quotient and product
+    both round a nonzero part once, so the amplitudes keep their bits, up to
+    the sign of a real or imaginary part that is exactly zero.  A 0-d
+    ``alpha`` runs on numpy scalars, which round differently from the same
+    alpha inside an array; each shape keeps its own bits.
     """
     alpha = np.asarray(alpha, dtype=complex)
     t = -math.tanh(r)
@@ -160,16 +180,26 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
     log_scale = np.where(log_c0.real < -math.log(_LADDER_RANGE), log_c0.real, 0.0)
     prev, cur = np.zeros_like(alpha), np.exp(log_c0 - log_scale)
-    scale = np.exp(log_scale)
+    scale, scaled = np.exp(log_scale), bool(np.any(log_scale))
+    g_max = float(np.max(np.abs(g), initial=0.0))
+    bound, bound_prev = math.inf, 0.0
     out = np.empty((n_rows,) + alpha.shape, dtype=complex)
     for n in range(n_rows):
-        if (big := np.abs(cur) > _LADDER_RANGE).any():
-            shrink = np.where(big, 1.0 / _LADDER_RANGE, 1.0)
-            prev, cur = prev * shrink, cur * shrink
-            log_scale = log_scale - np.log(shrink)
-            scale = np.exp(log_scale)
-        out[n] = cur * scale
-        prev, cur = cur, (g * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        if not bound <= _LADDER_RANGE:
+            mag = np.abs(cur)
+            if (big := mag > _LADDER_RANGE).any():
+                shrink = np.where(big, 1.0 / _LADDER_RANGE, 1.0)
+                prev, cur, mag = prev * shrink, cur * shrink, mag * shrink
+                log_scale = log_scale - np.log(shrink)
+                scale, scaled = np.exp(log_scale), True
+            bound = float(np.max(mag, initial=0.0))
+        out[n] = cur * scale if scaled else cur
+        root_n, inv_root = math.sqrt(n), 1.0 / math.sqrt(n + 1)
+        prev, cur = cur, (g * cur - t * root_n * prev) * inv_root
+        bound, bound_prev = (
+            (g_max * bound + abs(t) * root_n * bound_prev) * inv_root * _BOUND_SLACK
+            + _BOUND_FLOOR
+        ), bound
     return out
 
 

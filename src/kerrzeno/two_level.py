@@ -108,10 +108,16 @@ def survival_asymptotic(alpha: float, omega_t: float, n_steps: int) -> float:
     """
     _require_angle(alpha)
     n_steps = _require_int(n_steps, "n_steps")
+    try:
+        omega_sq = omega_t**2
+    except OverflowError:
+        # past the double range: 2 (w t)^2 / N is then over 745 for any
+        # N below 1e305, so exp(-2 (w t)^2 / N) is exactly 0, as inf gives
+        omega_sq = math.inf
     return 0.5 * (
         1.0
         + math.exp(-2.0 * n_steps * alpha * alpha)
-        * math.exp(-2.0 * omega_t**2 / n_steps)
+        * math.exp(-2.0 * omega_sq / n_steps)
     )
 
 

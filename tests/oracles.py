@@ -116,3 +116,43 @@ def evolution_operator(omega: float, tau: float) -> np.ndarray:
     """U(tau) = exp(-i omega tau sigma_x)."""
     c, s = math.cos(omega * tau), math.sin(omega * tau)
     return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+# The number-amplitude recurrence in its plain form: every row tests every
+# column for overflow, divides by sqrt(n + 1) and multiplies by the scale.
+# ``kerrzeno.fock._ladder_amplitudes`` must give the same amplitudes.
+_LADDER_RANGE = 1e150
+
+
+def ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
+    """Number amplitudes c_0..c_{n_rows-1} of D(alpha) S(r)|0>, exact.
+
+    With t = -tanh r the state is the eigenvector of a + t a^dag with
+    eigenvalue g = alpha + t alpha^*, so
+
+        c_0 = exp(-|alpha|^2/2 - t alpha^*^2/2) / sqrt(cosh r),
+        c_{n+1} = (g c_n - t sqrt(n) c_{n-1}) / sqrt(n + 1),
+
+    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1).
+    ``alpha`` may be an array; the result has shape (n_rows,) + alpha.shape.
+    Each column runs as c_n = u_n e^s, with s = log|c_0| where c_0 is below
+    1/_LADDER_RANGE and raised whenever u passes _LADDER_RANGE, so states
+    whose low amplitudes underflow still come out right.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    t = -math.tanh(r)
+    g = alpha + t * alpha.conj()
+    log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
+    log_scale = np.where(log_c0.real < -math.log(_LADDER_RANGE), log_c0.real, 0.0)
+    prev, cur = np.zeros_like(alpha), np.exp(log_c0 - log_scale)
+    scale = np.exp(log_scale)
+    out = np.empty((n_rows,) + alpha.shape, dtype=complex)
+    for n in range(n_rows):
+        if (big := np.abs(cur) > _LADDER_RANGE).any():
+            shrink = np.where(big, 1.0 / _LADDER_RANGE, 1.0)
+            prev, cur = prev * shrink, cur * shrink
+            log_scale = log_scale - np.log(shrink)
+            scale = np.exp(log_scale)
+        out[n] = cur * scale
+        prev, cur = cur, (g * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
+    return out

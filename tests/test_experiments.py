@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrzeno import cli, fock
+from kerrzeno import cli, experiments, fock
 from kerrzeno.experiments import (
     EXPERIMENTS,
     envelope_json_dict,
@@ -472,6 +472,54 @@ def test_cli_cutoff_over_budget_exits_numeric_before_allocating(
     )
 
 
+@pytest.mark.parametrize(
+    "parameters, need",
+    [
+        # the gram, one ring of the doubled grid, and its radii
+        ({"dim_check": 100000}, "need an array of 10000200001 elements"),
+        ({"n_phi": 10**9}, "need an array of 22000000000 elements"),
+        ({"n_r": 10**9, "n_phi": 1}, "need an array of 2000000000 elements"),
+        ({"dim_check": 1024, "n_r": 1, "n_phi": 1}, "need an array of 1050625 elements"),
+        # ladder amplitudes and gram entries of both grids,
+        # (dim_check + 1) n_r (5 n_phi + 3 (dim_check + 1))
+        ({"n_r": 200000}, "need 1480600000 ladder amplitudes and gram entries"),
+        ({"n_r": 36261}, "need 268440183 ladder amplitudes and gram entries"),
+        ({"dim_check": 101, "n_r": 8463, "n_phi": 1}, "need 268463286 ladder"),
+    ],
+)
+def test_cli_identity_check_budget_is_checked_before_the_ladder_runs(
+    tmp_path, capsys, monkeypatch, parameters, need
+):
+    def ladder(*args):
+        raise AssertionError("the ladder ran on an over-budget identity check")
+
+    monkeypatch.setattr(fock, "_ladder_amplitudes", ladder)
+    config_path = write_config(
+        tmp_path, {"experiment": "identity-check", "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: dim_check=") and need in err
+    assert "over the budget of" in err
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {},  # the defaults
+        {"n_r": 160, "n_phi": 128},  # the benchmark's identity ops
+        {"dim_check": 30, "n_r": 160, "n_phi": 128, "r_max": 45.0},
+        {"dim_check": 1023, "n_r": 1, "n_phi": 1},  # the largest gram
+        {"n_r": 1, "n_phi": 47662},  # the largest ring, 11 x 95324
+        {"n_r": 36260},  # the most work at the default n_phi
+        {"dim_check": 101, "n_r": 8462, "n_phi": 1},  # the most work on narrow rings
+    ],
+)
+def test_identity_check_budget_admits(parameters):
+    p = make_config("identity-check", parameters).parameters
+    assert experiments._identity_budget_problem(p) is None
+
+
 def test_cli_identity_check_has_no_dim(tmp_path, capsys):
     # the ladder is exact, so the gram needs only dim_check + 1 rows
     config_path = write_config(
@@ -771,6 +819,19 @@ def test_cli_identity_check_runs_at_the_largest_r_max(tmp_path, r):
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert [row[:3] for row in rows] == [["1", "3", "7"], ["2", "6", "14"]]
     assert all(math.isfinite(float(row[3])) for row in rows)
+
+
+def test_cli_two_level_runs_past_the_squared_rabi_range(tmp_path):
+    out = tmp_path / "out.csv"
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "two-level", "parameters": {"omega_tau": 1e200, "n_max": 3}},
+    )
+    assert cli.main(["run", config_path, "--output", str(out), "--format", "csv"]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [row[3] for row in rows] == ["0.5", "0.5", "0.5"]
+    model = TwoLevelModel(0.3, 1e200, 2)
+    assert float(rows[1][2]) == survival_closed_form(model)
 
 
 def test_cli_list(capsys):

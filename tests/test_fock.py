@@ -32,6 +32,7 @@ from kerrzeno.fock import (
     transition_normalization,
 )
 from kerrzeno.phase_space import PhaseVector
+from oracles import ladder_amplitudes
 
 VACUUM = MeasurementSpec.vacuum()
 
@@ -180,6 +181,37 @@ def test_ladder_amplitudes_property(modulus, phase, r):
     got = fock._ladder_amplitudes(alpha, r, 40)
     want = expm_family_head(alpha, r, 40, 300)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# Members whose columns start rescaled (|alpha|^2 > 690: 30, -27 + 5i, 45i)
+# or rescale on the way (30 and 45i by row 400), and alpha = 0.
+LADDER_ALPHAS = [0.0, 0.5 - 0.2j, 2.0 + 1.0j, 13.0 + 4.0j, 30.0, -27.0 + 5.0j, 45.0j]
+
+
+def assert_same_amplitudes(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal values, and equal bits in every real or imaginary part not zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    parts, ref = got.view(float), want.view(float)
+    nonzero = ref != 0.0
+    assert np.array_equal(parts.view(np.uint64)[nonzero], ref.view(np.uint64)[nonzero])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, -0.3, 1.5, 3.0])
+def test_ladder_amplitudes_keep_the_plain_recurrence_bits(r):
+    # a 0-d alpha runs on numpy scalars, an array on arrays; each shape is
+    # pinned to the plain recurrence on that same shape
+    for alpha in LADDER_ALPHAS:
+        for n_rows in (1, 11, 400):
+            assert_same_amplitudes(
+                fock._ladder_amplitudes(alpha, r, n_rows), ladder_amplitudes(alpha, r, n_rows)
+            )
+    column = np.array(LADDER_ALPHAS)
+    rings = np.linspace(0.1, 45.0, 4)[:, None] * np.exp(1j * np.linspace(0.2, 6.2, 16))
+    for alpha in (column, rings):
+        assert_same_amplitudes(
+            fock._ladder_amplitudes(alpha, r, 400), ladder_amplitudes(alpha, r, 400)
+        )
 
 
 def test_large_amplitudes_survive_vacuum_underflow():

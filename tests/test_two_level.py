@@ -179,6 +179,16 @@ def test_asymptotic_fixed_overlap_budget():
     assert abs(value - 0.5 * (1.0 + math.exp(-2.0 * c * c))) < 1e-6
 
 
+def test_asymptotic_rabi_factor_vanishes_past_the_double_range():
+    # (w t)^2 overflows a double: exp(-2 (w t)^2 / N) is exactly 0
+    for omega_t, n in ((1e200, 1), (1e200, 10**6), (1.4e154, 3)):
+        assert survival_asymptotic(0.3, omega_t, n) == 0.5
+    # inside the range the expression, and its bits, are the plain ones
+    assert survival_asymptotic(0.3, 1.0, 3) == 0.5 * (
+        1.0 + math.exp(-2.0 * 3 * 0.3 * 0.3) * math.exp(-2.0 * 1.0**2 / 3)
+    )
+
+
 def test_asymptotic_matches_closed_form_in_regime():
     n, alpha, t = 10_000, 1e-3, 1.0
     closed = survival_closed_form(TwoLevelModel(alpha, t / n, n))
