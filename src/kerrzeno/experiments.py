@@ -64,6 +64,12 @@ _CHI_T_MAX = sys.float_info.max / 4.0
 # its two grids: about 5 s on one core.  Rings of a few nodes cost more per
 # entry, up to about 10 s where 2 n_r meets fock's array budget.
 _IDENTITY_WORK = 2**28
+# Bytes the finals and recorded paths of one trajectories run may hold: 32 a
+# trajectory (its final and the moments' centred copy) and _ROW_BYTES a
+# recorded row (its path point, five Python cells and their text: about
+# 340 bytes as CSV and 790 as JSON at 10 paths of 100k steps).
+_TRAJECTORY_BYTES = 2**31
+_ROW_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,26 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     return ["n", "sqrt_det_cn", "n_cosh_2r"], rows, None
 
 
+def _trajectories_budget_problem(p: dict) -> str | None:
+    """Why the finals and recorded paths would not fit the budget, from
+    estimates alone: 2 n_trajectories floats of finals and
+    2 min(record_paths, n_trajectories) n_steps floats of paths, as many
+    rows."""
+    n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
+    rows = min(record, n) * n_steps
+    estimate = 32 * n + _ROW_BYTES * rows
+    if estimate > _TRAJECTORY_BYTES:
+        return (
+            f"n_trajectories={n}, n_steps={n_steps}, record_paths={record} need about "
+            f"{estimate} bytes for {n} finals and {rows} recorded rows, over the "
+            f"budget of {_TRAJECTORY_BYTES}"
+        )
+    return None
+
+
 def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
+    if problem := _trajectories_budget_problem(p):
+        raise ValueError(problem)
     q0, p0 = p["q0"], p["p0"]
     n_bar = p["n_bar"] if p["n_bar"] is not None else 0.5 * (q0 * q0 + p0 * p0)
     cfg = observed.ObservedRunConfig(

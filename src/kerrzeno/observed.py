@@ -36,8 +36,11 @@ steps is drawn in pieces of 2**20 steps.  Chains of at most 32 steps
 evaluate Philox4x64-10, a pure function of (key, counter), in numpy across
 a chunk.  Longer chains draw from one ``np.random.Philox`` per call,
 re-keyed per stream and piece through its public ``state``; each stream
-fills its own row, and blocks of 64 rows are transposed into the
-step-major layout the chain loop reads.  Both ways give the same bits.
+fills its own row, and blocks of 16 rows, in step slices that stay in
+cache, are copied into a contiguous step-major buffer, turned into
+coloured noise and written into the columns the chain loop reads.  Both
+ways give the same bits.  The chain loop writes each step's point over
+that step's noise, so a piece holds one noise-sized array.
 """
 
 from __future__ import annotations
@@ -100,10 +103,14 @@ _SHIFT32 = np.uint64(32)
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
 
-# Long chains draw in blocks of this many streams, and a block's rows (1 MB
-# of 1000-step streams) are transposed while still in cache: 21-25 ms
-# against 26-41 ms for a 1048 x 1000-step piece drawn whole, then copied.
-_DRAW_BLOCK = 64
+# Long chains draw in blocks of this many streams.  A block becomes noise in
+# step slices of at most _CHUNK_ELEMENTS // 64 elements (one slice for a
+# block of 1000-step streams), while its rows are still in cache.  Time of
+# a 10k x 1000-step ensemble against whole-piece stages, medians of 15
+# interleaved pairs on one pinned core with numpy 2.4.6: 8 streams 0.82,
+# 16 0.79, 32 0.81, 64 0.78, all within the pairs' spread; 16 keeps the
+# rows of 1000-step streams at 256 KB.
+_DRAW_BLOCK = 16
 
 # Total accumulated angles closer than this to a multiple of 2 pi are
 # treated as exact returns when evaluating the survival density.
@@ -194,37 +201,60 @@ def _color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
     )
 
 
-def _chain_points(zq, zp, rotation: np.ndarray, xi_q, xi_p):
-    """Iterate z -> M (z + xi_j) over the leading step axis of xi."""
-    m00, m01 = rotation[0, 0], rotation[0, 1]
-    m10, m11 = rotation[1, 0], rotation[1, 1]
-    out_q = np.empty_like(xi_q)
-    out_p = np.empty_like(xi_p)
-    for j in range(xi_q.shape[0]):
-        sq, sp = zq + xi_q[j], zp + xi_p[j]
-        zq, zp = m00 * sq + m01 * sp, m10 * sq + m11 * sp
-        out_q[j], out_p[j] = zq, zp
-    return out_q, out_p
+def _chain_points(z, rotation: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Iterate z -> M (z + xi_j) over the step axis of xi, (steps, 2, n),
+    from an array-like z of shape (2, 1) or (2, n), writing step j's point
+    over xi_j; returns xi.
+
+    Each step keeps the expression tree m00 sq + m01 sp, m10 sq + m11 sp of
+    (sq, sp) = z + xi_j: M's columns scaled by sq and by sp go into one
+    preallocated scratch and are summed, four ufunc calls a step.
+    """
+    left, right = rotation[:, :1], rotation[:, 1:]
+    scaled_q, scaled_p = np.empty((2,) + xi.shape[1:])
+    for point, sq, sp in zip(xi, xi[:, 0], xi[:, 1]):
+        np.add(point, z, out=point)
+        np.multiply(left, sq, out=scaled_q)
+        np.multiply(right, sp, out=scaled_p)
+        np.add(scaled_q, scaled_p, out=point)
+        z = point
+    return xi
 
 
-def _stream_rows(generator, state: dict, indices: np.ndarray, first: int, span: int):
-    """Uniform pairs first .. first + span - 1 of each stream, as (2, span, n).
+def _stream_noise(
+    generator, state: dict, indices: np.ndarray, first: int, span: int, sqrt_cov: np.ndarray
+) -> np.ndarray:
+    """Coloured noise of steps first .. first + span - 1 of each stream, as
+    (span, 2, n).
 
     Per stream the generator takes ``state`` keyed (master_seed, i) at
     counter first // 2, so ``first`` must be even.  Rows are drawn
-    _DRAW_BLOCK streams at a time and transposed while in cache.
+    _DRAW_BLOCK streams at a time; each block, in step slices of at most
+    _CHUNK_ELEMENTS // 64 elements, is copied transposed into a contiguous
+    buffer, so ``_box_muller`` and ``_color_noise`` run numpy's contiguous
+    loops as they do on a whole piece, and the noise is written into its
+    columns while the block is in cache.
     """
     state["state"]["counter"][0] = first // 2
-    u = np.empty((2, span, len(indices)))
+    xi = np.empty((span, 2, len(indices)))
     rows = np.empty((min(_DRAW_BLOCK, len(indices)), span, 2))
+    steps = max(1, _CHUNK_ELEMENTS // 64 // len(rows))
+    buffer = np.empty(2 * min(steps, span) * len(rows))
     for lo in range(0, len(indices), _DRAW_BLOCK):
         block = rows[: len(indices) - lo]
         for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
             state["state"]["key"][1] = index
             generator.bit_generator.state = state
             generator.random(out=row)
-        u[:, :, lo : lo + len(block)] = block.transpose(2, 1, 0)
-    return u
+        columns = slice(lo, lo + len(block))
+        for j in range(0, span, steps):
+            part = block[:, j : j + steps].transpose(2, 1, 0)
+            u = buffer[: part.size].reshape(part.shape)
+            u[...] = part
+            xi[j : j + steps, 0, columns], xi[j : j + steps, 1, columns] = _color_noise(
+                *_box_muller(u[0], u[1]), sqrt_cov
+            )
+    return xi
 
 
 def _chunk_layout(n: int) -> tuple[int, int]:
@@ -255,23 +285,22 @@ def _sample_chains(
     for start in range(lo, hi, chunk):
         indices = np.arange(start, min(start + chunk, hi), dtype=np.uint64)
         rows = slice(start - lo, start - lo + len(indices))
-        zq, zp = cfg.z0.q, cfg.z0.p
+        z = ((cfg.z0.q,), (cfg.z0.p,))  # z0 as a (2, 1) column
         for first in range(0, n, span):
             if n <= _VECTOR_MAX_STEPS:
-                n0, n1 = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
+                normals = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
+                xi = np.stack(_color_noise(*normals, sqrt_cov), axis=1)
+                del normals
             else:
                 count = min(span, n - first)
-                n0, n1 = _box_muller(*_stream_rows(generator, state, indices, first, count))
-            xi_q, xi_p = _color_noise(n0, n1, sqrt_cov)
-            out_q, out_p = _chain_points(zq, zp, rotation, xi_q, xi_p)
+                xi = _stream_noise(generator, state, indices, first, count, sqrt_cov)
+            _chain_points(z, rotation, xi)
             if paths is not None:
-                paths[rows, first : first + len(out_q), 0] = out_q.T
-                paths[rows, first : first + len(out_q), 1] = out_p.T
-            zq, zp = out_q[-1].copy(), out_p[-1].copy()
+                paths[rows, first : first + len(xi)] = xi.transpose(2, 0, 1)
+            z = xi[-1].copy()
             # free this piece before the next one is drawn
-            del n0, n1, xi_q, xi_p, out_q, out_p
-        finals[rows, 0] = zq
-        finals[rows, 1] = zp
+            del xi
+        finals[rows] = z.T
     return finals, paths
 
 

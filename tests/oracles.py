@@ -156,3 +156,74 @@ def ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
         out[n] = cur * scale
         prev, cur = cur, (g * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
     return out
+
+
+# The chain sampler's pipeline as whole-piece stages, for chains longer than
+# ``kerrzeno.observed._VECTOR_MAX_STEPS``: every stream's uniforms of a
+# piece transposed in blocks of 64 rows, then Box-Muller, colouring and a
+# chain loop that stores its points in new arrays.
+# ``kerrzeno.observed._sample_chains`` must give the same finals and paths.
+_DRAW_BLOCK = 64
+
+
+def stream_rows(generator, state: dict, indices: np.ndarray, first: int, span: int):
+    """Uniform pairs first .. first + span - 1 of each stream, as (2, span, n).
+
+    Per stream the generator takes ``state`` keyed (master_seed, i) at
+    counter first // 2, so ``first`` must be even.  Rows are drawn
+    _DRAW_BLOCK streams at a time and transposed while in cache.
+    """
+    state["state"]["counter"][0] = first // 2
+    u = np.empty((2, span, len(indices)))
+    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span, 2))
+    for lo in range(0, len(indices), _DRAW_BLOCK):
+        block = rows[: len(indices) - lo]
+        for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
+            state["state"]["key"][1] = index
+            generator.bit_generator.state = state
+            generator.random(out=row)
+        u[:, :, lo : lo + len(block)] = block.transpose(2, 1, 0)
+    return u
+
+
+def chain_points(zq, zp, rotation: np.ndarray, xi_q, xi_p):
+    """Iterate z -> M (z + xi_j) over the leading step axis of xi."""
+    m00, m01 = rotation[0, 0], rotation[0, 1]
+    m10, m11 = rotation[1, 0], rotation[1, 1]
+    out_q = np.empty_like(xi_q)
+    out_p = np.empty_like(xi_p)
+    for j in range(xi_q.shape[0]):
+        sq, sp = zq + xi_q[j], zp + xi_p[j]
+        zq, zp = m00 * sq + m01 * sp, m10 * sq + m11 * sp
+        out_q[j], out_p[j] = zq, zp
+    return out_q, out_p
+
+
+def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Finals (hi - lo, 2) and paths (hi - lo, n_steps, 2) of trajectories
+    lo..hi-1, chunked and pieced by ``observed._chunk_layout``."""
+    from kerrzeno import observed
+
+    n = cfg.params.n_steps
+    if n <= observed._VECTOR_MAX_STEPS:
+        raise ValueError("sample_chains draws chains longer than _VECTOR_MAX_STEPS")
+    theta = cfg.params.theta
+    rotation = rotation_matrix(theta)
+    sqrt_cov = observed.symmetric_sqrt_2x2(step_covariance(cfg.spec.r, theta))
+    chunk, span = observed._chunk_layout(n)
+    generator = np.random.Generator(np.random.Philox(key=(cfg.master_seed, 0)))
+    state = generator.bit_generator.state
+    finals = np.empty((hi - lo, 2))
+    paths = np.empty((hi - lo, n, 2))
+    for start in range(lo, hi, chunk):
+        indices = np.arange(start, min(start + chunk, hi), dtype=np.uint64)
+        rows = slice(start - lo, start - lo + len(indices))
+        zq, zp = cfg.z0.q, cfg.z0.p
+        for first in range(0, n, span):
+            u = stream_rows(generator, state, indices, first, min(span, n - first))
+            xi_q, xi_p = observed._color_noise(*observed._box_muller(u[0], u[1]), sqrt_cov)
+            out_q, out_p = chain_points(zq, zp, rotation, xi_q, xi_p)
+            paths[rows, first : first + len(out_q)] = np.stack([out_q.T, out_p.T], axis=-1)
+            zq, zp = out_q[-1], out_p[-1]
+        finals[rows] = paths[rows, -1]
+    return finals, paths

@@ -520,6 +520,53 @@ def test_identity_check_budget_admits(parameters):
     assert experiments._identity_budget_problem(p) is None
 
 
+@pytest.mark.parametrize(
+    "parameters, need",
+    [
+        # 32 bytes a final plus 1024 a recorded row, against 2**31
+        ({"n_trajectories": 10**12, "n_steps": 2},
+         "need about 32000000020480 bytes for 1000000000000 finals and 20 recorded rows"),
+        ({"n_steps": 10**11},
+         "need about 1024000000320000 bytes for 10000 finals and 1000000000000 recorded rows"),
+        ({"n_trajectories": 1, "n_steps": 2**21, "record_paths": 2},
+         "need about 2147483680 bytes for 1 finals and 2097152 recorded rows"),
+        ({"n_trajectories": 2**26 + 1, "n_steps": 2, "record_paths": 0},
+         "need about 2147483680 bytes for 67108865 finals and 0 recorded rows"),
+    ],
+)
+def test_cli_trajectories_budget_is_checked_before_sampling(
+    tmp_path, capsys, monkeypatch, parameters, need
+):
+    def sample(*args, **kwargs):
+        raise AssertionError("the sampler ran on an over-budget trajectories run")
+
+    monkeypatch.setattr(experiments.observed, "_sample_chains", sample)
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: n_trajectories=") and need in err
+    assert "n_steps=" in err and "record_paths=" in err
+    assert err.endswith("over the budget of 2147483648\n")
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {},  # the defaults
+        {"n_trajectories": 100_000, "n_steps": 2},  # the benchmark's wide ops
+        {"n_trajectories": 10_000, "n_steps": 1000, "record_paths": 40},  # its long ops
+        {"n_trajectories": 2**26, "n_steps": 2, "record_paths": 0},  # the most finals
+        {"n_trajectories": 1, "n_steps": 2**21 - 1, "record_paths": 1},  # the most rows
+        {"n_trajectories": 1, "n_steps": 10**11, "record_paths": 0},  # time is unbounded
+    ],
+)
+def test_trajectories_budget_admits(parameters):
+    p = make_config("trajectories", parameters).parameters
+    assert experiments._trajectories_budget_problem(p) is None
+
+
 def test_cli_identity_check_has_no_dim(tmp_path, capsys):
     # the ladder is exact, so the gram needs only dim_check + 1 rows
     config_path = write_config(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from kerrzeno.phase_space import (
     step_covariance,
 )
 from oracles import chain_convolution_check, classical_evolve
+from oracles import sample_chains as oracle_sample_chains
 
 
 def make_config(
@@ -102,16 +104,16 @@ def test_symmetric_sqrt_rejects_overflowing_determinant():
 
 
 def test_sample_step_noiseless_is_pure_drift():
-    # the production step z' = M (z + xi) with zero normals is the drift M z
+    # the production step z' = M (z + xi) with zero normals is the drift M z,
+    # written over the noise it consumed
     rotation = rotation_matrix(0.7)
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(0.4, 0.7))
     z = PhaseVector(1.5, -0.5)
-    zeros = np.zeros(1)
-    xi_q, xi_p = observed._color_noise(zeros, zeros, sqrt_cov)
-    out_q, out_p = observed._chain_points(z.q, z.p, rotation, xi_q, xi_p)
-    np.testing.assert_allclose(
-        [out_q[0], out_p[0]], rotation_matrix(0.7) @ z.as_array(), atol=1e-15
-    )
+    zeros = np.zeros((1, 1))
+    xi = np.empty((1, 2, 1))
+    xi[:, 0], xi[:, 1] = observed._color_noise(zeros, zeros, sqrt_cov)
+    assert observed._chain_points(z.as_array()[:, None], rotation, xi) is xi
+    np.testing.assert_allclose(xi[0, :, 0], rotation_matrix(0.7) @ z.as_array(), atol=1e-15)
 
 
 def test_single_step_ensemble_moments():
@@ -250,28 +252,92 @@ def test_split_stream_keeps_stream_bits(monkeypatch):
     # pieces of 38 + 38 + 24 steps, each re-keyed at its own Philox pair
     monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 38)
     drawn = []
-    stream_rows = observed._stream_rows
+    stream_noise = observed._stream_noise
 
-    def recording_stream_rows(generator, state, indices, first, span):
-        u = stream_rows(generator, state, indices, first, span)
-        drawn.append((int(indices[0]), first, observed._box_muller(u[0], u[1])))
-        return u
+    def recording_stream_noise(generator, state, indices, first, span, sqrt_cov):
+        xi = stream_noise(generator, state, indices, first, span, sqrt_cov)
+        drawn.append((int(indices[0]), first, xi.copy()))  # before the chain overwrites it
+        return xi
 
-    monkeypatch.setattr(observed, "_stream_rows", recording_stream_rows)
+    monkeypatch.setattr(observed, "_stream_noise", recording_stream_noise)
     cfg = make_config(n_steps=100, r=0.3, n_trajectories=3, master_seed=31)
     finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
-    assert [(index, first, n0.shape) for index, first, (n0, _) in drawn] == [
-        (index, first, (span, 1))
+    assert [(index, first, xi.shape) for index, first, xi in drawn] == [
+        (index, first, (span, 2, 1))
         for index in range(cfg.n_trajectories)
         for first, span in ((0, 38), (38, 38), (76, 24))
     ]
+    sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, cfg.params.theta))
     for index in range(cfg.n_trajectories):
-        ref0, ref1 = reference_normals(31, index, 100)
-        pieces = [normals for i, _, normals in drawn if i == index]
-        assert np.array_equal(np.concatenate([n0 for n0, _ in pieces])[:, 0], ref0)
-        assert np.array_equal(np.concatenate([n1 for _, n1 in pieces])[:, 0], ref1)
+        ref_q, ref_p = observed._color_noise(*reference_normals(31, index, 100), sqrt_cov)
+        pieces = [xi for i, _, xi in drawn if i == index]
+        assert np.array_equal(np.concatenate([xi[:, 0, 0] for xi in pieces]), ref_q)
+        assert np.array_equal(np.concatenate([xi[:, 1, 0] for xi in pieces]), ref_p)
         np.testing.assert_allclose(paths[index], reference_path(cfg, index), rtol=0, atol=1e-12)
         assert np.array_equal(finals[index], paths[index, -1])
+
+
+@pytest.mark.parametrize("r", [0.3, 0.0, 0.5, -1.3])
+@pytest.mark.parametrize(
+    "n_trajectories, n_steps, chunk_elements",
+    [
+        # chunk edges at 1048 and 2096; both chunks end in a ragged 8-stream block
+        (2200, 1000, None),
+        (3, 40, None),  # a chunk smaller than one draw block
+        (40, observed._VECTOR_MAX_STEPS + 1, None),  # the first generator length
+        (3, 100, 38),  # each chain drawn in pieces of 38 + 38 + 24 steps
+    ],
+)
+def test_sampler_keeps_whole_piece_pipeline_bits(
+    monkeypatch, r, n_trajectories, n_steps, chunk_elements
+):
+    # noise made per draw block and the in-place chain against the whole-piece
+    # stages they replace: the same finals and paths, bit for bit
+    if chunk_elements is not None:
+        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
+    cfg = make_config(n_steps=n_steps, r=r, n_trajectories=n_trajectories, master_seed=19)
+    expected_finals, expected_paths = oracle_sample_chains(cfg, 0, n_trajectories)
+    finals, paths = observed._sample_chains(cfg, 0, n_trajectories, keep_paths=True)
+    assert np.array_equal(paths, expected_paths)
+    assert np.array_equal(finals, expected_finals)
+
+
+def traced_peak(cfg) -> int:
+    """Peak bytes tracemalloc sees while ``run_ensemble(cfg)`` runs."""
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n_trajectories, n_steps, chunk_elements",
+    [(2200, 1000, None), (1, 3 * 2**14 + 1, 2**14)],
+    ids=["long-chunks", "lone-chain-in-pieces"],
+)
+def test_ensemble_working_memory_is_bounded(
+    monkeypatch, n_trajectories, n_steps, chunk_elements
+):
+    # the traced peak is the chunk's noise, which the chain overwrites, the
+    # draw block's rows, one noise slice and the finals: no stage holds a
+    # second chunk-sized array
+    if chunk_elements is not None:
+        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
+    cfg = make_config(n_steps=n_steps, r=0.5, n_trajectories=n_trajectories, master_seed=3)
+    run_ensemble(make_config(n_steps=observed._VECTOR_MAX_STEPS + 1))  # numpy's lazy imports
+    chunk, span = observed._chunk_layout(n_steps)
+    width = min(observed._DRAW_BLOCK, chunk)
+    slice_elements = width * min(span, max(1, observed._CHUNK_ELEMENTS // 64 // width))
+    floats = (
+        2 * chunk * span  # the noise (q and p), overwritten by the chain
+        + 2 * width * span  # the draw block's rows
+        + 8 * slice_elements  # a slice's uniform pair and six one-component temporaries
+        + 2 * n_trajectories  # the finals
+    )
+    budget = 8 * floats + 2**17  # 128 KB for Python objects
+    assert traced_peak(cfg) <= budget
 
 
 @pytest.mark.parametrize("n_steps", [1, 32, 33, 256, 257, 1000, 2**20, 2**20 + 1])
