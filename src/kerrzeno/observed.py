@@ -32,15 +32,16 @@ One chain sampler serves any range of trajectory indices: the whole
 ensemble, one trajectory, or the recorded paths of an experiment.  It runs
 chunks of whole streams, at most 4096 chains and 2**20 trajectory-steps,
 so the working arrays stay bounded; only a lone chain of more than 2**20
-steps is drawn in pieces of 2**20 steps.  Chains of at most 32 steps
+steps is drawn in pieces of 2**20 steps.  Chains of at most 38 steps
 evaluate Philox4x64-10, a pure function of (key, counter), in numpy across
 a chunk.  Longer chains draw from one ``np.random.Philox`` per call,
-re-keyed per stream and piece through its public ``state``; each stream
-fills its own row, and blocks of 16 rows, in step slices that stay in
-cache, are copied into a contiguous step-major buffer, turned into
-coloured noise and written into the columns the chain loop reads.  Both
-ways give the same bits.  The chain loop writes each step's point over
-that step's noise, so a piece holds one noise-sized array.
+re-keyed per stream and step slice through its public ``state``: blocks
+of 16 streams fill their rows one slice of an even number of steps at a
+time, and each slice, while in cache, is copied into a contiguous
+step-major buffer, turned into coloured noise and written into the
+columns the chain loop reads.  Both ways give the same bits.  The chain
+loop writes each step's point over that step's noise, so a piece holds
+one noise-sized array.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ __all__ = [
 SEED_LIMIT = 2**63
 
 # Ensembles of chains up to this many steps evaluate Philox in numpy across
-# the chunk; above it re-keyed C generators drawing contiguous rows are
-# faster.  Normals of a 4096-trajectory chunk, median of 7, one pinned core
-# of a 2-core Xeon with numpy 2.4.6: 4.0 vs 5.0 us per trajectory at 16
-# steps, 7.0 vs 7.1 at 28, 7.8 vs 7.4 at 32 and 17.3 vs 12.0 at 64.
-_VECTOR_MAX_STEPS = 32
+# the chunk; above it the re-keyed C generator is faster.  Coloured noise of
+# a 4096-trajectory chunk, median of 21, one pinned core of a 2-core Xeon
+# with numpy 2.4.6, vector vs re-keyed: 1.9 vs 3.9 us per trajectory at 16
+# steps, 3.5 vs 4.8 at 28, 4.1 vs 5.0 at 32 and 8.8 vs 7.0 at 64.  Whole
+# 10k-trajectory ensembles, 21 interleaved pairs: the vector path wins 19
+# by 10 % at 38 steps, 18 by 2 % at 40 and 13 at 42; from 48 it loses.
+_VECTOR_MAX_STEPS = 38
 
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.,
 # "Parallel random numbers: as easy as 1, 2, 3", SC'11), as in numpy.
@@ -95,6 +98,7 @@ _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 # Ensembles run in chunks of at most _CHUNK_ROWS trajectories and
 # _CHUNK_ELEMENTS trajectory-steps, so each float64 array stays within 8 MB;
@@ -103,9 +107,9 @@ _SHIFT32 = np.uint64(32)
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
 
-# Long chains draw in blocks of this many streams.  A block becomes noise in
-# step slices of at most _CHUNK_ELEMENTS // 64 elements (one slice for a
-# block of 1000-step streams), while its rows are still in cache.  Time of
+# Long chains draw in blocks of this many streams.  A block is drawn and made
+# noise in step slices of at most _CHUNK_ELEMENTS // 64 elements (one slice
+# for a block of 1000-step streams), while its rows are in cache.  Time of
 # a 10k x 1000-step ensemble against whole-piece stages, medians of 15
 # interleaved pairs on one pinned core with numpy 2.4.6: 8 streams 0.82,
 # 16 0.79, 32 0.81, 64 0.78, all within the pairs' spread; 16 keeps the
@@ -154,12 +158,25 @@ def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of m * x, the high word from 32-bit halves."""
+    """Low and high 64-bit words of m * x, in 15 array passes.
+
+    With x = xh 2**32 + xl and m = mh 2**32 + ml, the high word is
+    mh xh + (t >> 32) + (w >> 32), where t = mh xl + (ml xl >> 32) and
+    w = ml xh + (t & LO32); each of these sums stays below 2**64.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
-    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    x_lo, hi = x & _LO32, x >> _SHIFT32
+    t = m_lo * x_lo
+    t >>= _SHIFT32
+    x_lo *= m_hi
+    t += x_lo
+    w = np.bitwise_and(t, _LO32, out=x_lo)
+    w += m_lo * hi
+    t >>= _SHIFT32
+    w >>= _SHIFT32
+    hi *= m_hi
+    hi += t
+    hi += w
     return np.uint64(m) * x, hi
 
 
@@ -171,25 +188,49 @@ def _philox_uniforms(
     Returns two (n_steps, len(indices)) arrays whose columns equal
     ``Generator(Philox(key=(master_seed, i))).random((n_steps, 2))[:, 0]``
     and ``[:, 1]`` bit for bit.  numpy's Philox increments its 4-word
-    counter before each block, so block c = 1, 2, ... yields words
-    4(c - 1) ... 4c - 1, and a double is (word >> 11) * 2**-53.  The key
-    schedule stays in Python ints, so no numpy scalar wraps around.
+    counter before each block, so block b = 0, 1, ... is the counter
+    (b + 1, 0, 0, 0) and yields words 4b ... 4b + 3; a double is
+    (word >> 11) * 2**-53.
+
+    Each of the ten rounds maps the counter (c0, c1, c2, c3) under the key
+    (k0, k1) = (master_seed + r W0, i + r W1) to
+    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
+    The first two rounds need no (blocks, streams) array for most words:
+    round 0 multiplies only the per-block column (b + 1) and leaves
+    c0 = master_seed and c1 = 0 in every stream, so round 1's M0 product
+    is one Python-int product and only its M1 product on c2 runs over
+    the streams.  Scalar sums and products are taken in Python ints and
+    only arrays wrap mod 2**64: numpy raises FloatingPointError when a
+    0-d uint64 wraps under ``np.errstate(over="raise")``, which the
+    experiments set.
     """
     n_blocks = (n_steps + 1) // 2
-    shape = (n_blocks, len(indices))
-    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None], shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
     index_key = np.asarray(indices, dtype=np.uint64)
-    for r in range(10):
-        k0 = np.uint64((master_seed + r * _PHILOX_W0) % 2**64)
-        k1 = index_key + np.uint64(r * _PHILOX_W1 % 2**64)
+    # round 0 on counters (b + 1, 0, 0, 0): c0 = master_seed, c1 = 0
+    c3, hi0 = _mulhilo(_PHILOX_M0, np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None])
+    c2 = hi0 ^ index_key
+    # round 1: M0 c0 is a Python int; c1 = 0 drops out of the new c0
+    product = _PHILOX_M0 * master_seed
+    lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+    hi1 ^= np.uint64((master_seed + _PHILOX_W0) % 2**64)
+    c2 = (c3 ^ np.uint64(product >> 64)) ^ (index_key + np.uint64(_PHILOX_W1))
+    c0, c1, c3 = hi1, lo1, np.uint64(product % 2**64)
+    for r in range(2, 10):
         lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
         lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        hi1 ^= c1
+        hi1 ^= np.uint64((master_seed + r * _PHILOX_W0) % 2**64)
+        hi0 ^= c3
+        hi0 ^= index_key + np.uint64(r * _PHILOX_W1 % 2**64)
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     # step 2b reads words 0, 1 of block b and step 2b + 1 words 2, 3
-    u0 = np.stack([c0, c2], axis=1).reshape(2 * n_blocks, -1)[:n_steps]
-    u1 = np.stack([c1, c3], axis=1).reshape(2 * n_blocks, -1)[:n_steps]
-    return (u0 >> np.uint64(11)) * 2.0**-53, (u1 >> np.uint64(11)) * 2.0**-53
+    u0, u1 = np.empty((2, n_blocks, 2, len(index_key)))
+    for u, first, second in ((u0, c0, c2), (u1, c1, c3)):
+        first >>= _SHIFT11
+        second >>= _SHIFT11
+        np.multiply(first, 2.0**-53, out=u[:, 0])
+        np.multiply(second, 2.0**-53, out=u[:, 1])
+    return u0.reshape(2 * n_blocks, -1)[:n_steps], u1.reshape(2 * n_blocks, -1)[:n_steps]
 
 
 def _color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
@@ -227,31 +268,35 @@ def _stream_noise(
     """Coloured noise of steps first .. first + span - 1 of each stream, as
     (span, 2, n).
 
-    Per stream the generator takes ``state`` keyed (master_seed, i) at
-    counter first // 2, so ``first`` must be even.  Rows are drawn
-    _DRAW_BLOCK streams at a time; each block, in step slices of at most
-    _CHUNK_ELEMENTS // 64 elements, is copied transposed into a contiguous
-    buffer, so ``_box_muller`` and ``_color_noise`` run numpy's contiguous
-    loops as they do on a whole piece, and the noise is written into its
-    columns while the block is in cache.
+    Rows are drawn _DRAW_BLOCK streams at a time, in step slices of at most
+    _CHUNK_ELEMENTS // 64 elements and an even number of steps.  Per stream
+    and slice the generator takes ``state`` keyed (master_seed, i) at the
+    slice's counter, so ``first`` must be even.  Each slice of rows is
+    copied transposed into a contiguous buffer, so ``_box_muller`` and
+    ``_color_noise`` run numpy's contiguous loops as they do on a whole
+    piece, and its noise is written into its columns while the rows are in
+    cache.  So the rows and the buffer stay a slice in size however long
+    the piece.
     """
-    state["state"]["counter"][0] = first // 2
     xi = np.empty((span, 2, len(indices)))
-    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span, 2))
-    steps = max(1, _CHUNK_ELEMENTS // 64 // len(rows))
-    buffer = np.empty(2 * min(steps, span) * len(rows))
+    width = min(_DRAW_BLOCK, len(indices))
+    steps = min(span, max(2, _CHUNK_ELEMENTS // 64 // width // 2 * 2))
+    rows = np.empty((width, steps, 2))
+    buffer = np.empty(rows.size)
     for lo in range(0, len(indices), _DRAW_BLOCK):
         block = rows[: len(indices) - lo]
-        for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
-            state["state"]["key"][1] = index
-            generator.bit_generator.state = state
-            generator.random(out=row)
         columns = slice(lo, lo + len(block))
         for j in range(0, span, steps):
-            part = block[:, j : j + steps].transpose(2, 1, 0)
+            count = min(steps, span - j)
+            state["state"]["counter"][0] = (first + j) // 2
+            for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
+                state["state"]["key"][1] = index
+                generator.bit_generator.state = state
+                generator.random(out=row[:count])
+            part = block[:, :count].transpose(2, 1, 0)
             u = buffer[: part.size].reshape(part.shape)
             u[...] = part
-            xi[j : j + steps, 0, columns], xi[j : j + steps, 1, columns] = _color_noise(
+            xi[j : j + count, 0, columns], xi[j : j + count, 1, columns] = _color_noise(
                 *_box_muller(u[0], u[1]), sqrt_cov
             )
     return xi

@@ -314,29 +314,43 @@ def traced_peak(cfg) -> int:
 
 @pytest.mark.parametrize(
     "n_trajectories, n_steps, chunk_elements",
-    [(2200, 1000, None), (1, 3 * 2**14 + 1, 2**14)],
-    ids=["long-chunks", "lone-chain-in-pieces"],
+    [
+        (2200, 1000, None),
+        (1, 3 * 2**14 + 1, 2**14),
+        (100_000, 2, None),
+        (10_000, observed._VECTOR_MAX_STEPS, None),
+    ],
+    ids=["long-chunks", "lone-chain-in-pieces", "wide-vector-chunks", "longest-vector-chunks"],
 )
 def test_ensemble_working_memory_is_bounded(
     monkeypatch, n_trajectories, n_steps, chunk_elements
 ):
-    # the traced peak is the chunk's noise, which the chain overwrites, the
-    # draw block's rows, one noise slice and the finals: no stage holds a
-    # second chunk-sized array
+    # the traced peak is one chunk's scratch and the finals: no stage holds a
+    # second chunk-sized array, and no slice of rows grows with the piece
     if chunk_elements is not None:
         monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
     cfg = make_config(n_steps=n_steps, r=0.5, n_trajectories=n_trajectories, master_seed=3)
     run_ensemble(make_config(n_steps=observed._VECTOR_MAX_STEPS + 1))  # numpy's lazy imports
     chunk, span = observed._chunk_layout(n_steps)
-    width = min(observed._DRAW_BLOCK, chunk)
-    slice_elements = width * min(span, max(1, observed._CHUNK_ELEMENTS // 64 // width))
-    floats = (
-        2 * chunk * span  # the noise (q and p), overwritten by the chain
-        + 2 * width * span  # the draw block's rows
-        + 8 * slice_elements  # a slice's uniform pair and six one-component temporaries
-        + 2 * n_trajectories  # the finals
-    )
-    budget = 8 * floats + 2**17  # 128 KB for Python objects
+    if n_steps <= observed._VECTOR_MAX_STEPS:
+        words = (n_steps + 1) // 2 * chunk  # one uint64 per Philox block and stream
+        scratch = max(
+            # four counter words, a round's two products and a product's four
+            # scratch words
+            10 * words,
+            # the uniform pair (two words a block) and, per step, the radius,
+            # the angle, a cosine or sine and the two normals
+            4 * words + 5 * n_steps * chunk,
+        )
+    else:
+        width = min(observed._DRAW_BLOCK, chunk)
+        steps = min(span, max(2, observed._CHUNK_ELEMENTS // 64 // width // 2 * 2))
+        scratch = (
+            2 * chunk * span  # the noise (q and p), overwritten by the chain
+            + 2 * width * steps  # the draw block's rows of one slice
+            + 8 * width * steps  # a slice's uniform pair and six one-component temporaries
+        )
+    budget = 8 * (scratch + 2 * n_trajectories) + 2**17  # the finals; 128 KB for objects
     assert traced_peak(cfg) <= budget
 
 
@@ -371,38 +385,49 @@ def test_long_chains_build_one_generator_per_call(monkeypatch):
 
 
 def assert_chunk_matches_generators(seed, offset, length, n_steps):
-    """Loop reference: one numpy Philox generator per trajectory."""
-    indices = np.arange(offset, offset + length)
-    u0, u1 = observed._philox_uniforms(seed, indices, n_steps)
-    n0, n1 = observed._box_muller(u0, u1)
+    """Loop reference: one numpy Philox generator per trajectory; every
+    wrap of the kernel stays in arrays, so no floating-point error is set."""
+    indices = np.arange(offset, offset + length, dtype=np.uint64)
+    with np.errstate(all="raise"):
+        u0, u1 = observed._philox_uniforms(seed, indices, n_steps)
+        n0, n1 = observed._box_muller(u0, u1)
     assert u0.shape == u1.shape == (n_steps, length)
-    for row, index in enumerate(indices):
-        gen = np.random.Generator(np.random.Philox(key=(seed, int(index))))
+    for row, index in enumerate(indices.tolist()):
+        gen = np.random.Generator(np.random.Philox(key=(seed, index)))
         u = gen.random((n_steps, 2))
         assert np.array_equal(u0[:, row], u[:, 0])
         assert np.array_equal(u1[:, row], u[:, 1])
-        ref0, ref1 = reference_normals(seed, int(index), n_steps)
+        ref0, ref1 = reference_normals(seed, index, n_steps)
         assert np.array_equal(n0[:, row], ref0)
         assert np.array_equal(n1[:, row], ref1)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, observed._VECTOR_MAX_STEPS, 64])
-@pytest.mark.parametrize("offset", [0, 4090])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 32, observed._VECTOR_MAX_STEPS, 64])
+@pytest.mark.parametrize("offset", [0, 4090, observed.SEED_LIMIT - 12])
 def test_vectorized_philox_matches_generators(seed, n_steps, offset):
-    # offset 4090 with 12 trajectories crosses the 4096 chunk edge; 64 steps
-    # lie beyond the sampler's threshold, where the function still holds
+    # offset 4090 with 12 trajectories crosses the 4096 chunk edge, and
+    # SEED_LIMIT - 12 ends at the last index, where i + r W1 wraps mod 2**64
+    # from round 1 on; 32 steps are 16 whole Philox blocks, and 64 steps lie
+    # beyond the sampler's threshold, where the function still holds
     assert_chunk_matches_generators(seed, offset, 12, n_steps)
+
+
+def test_vectorized_philox_matches_generators_on_a_full_chunk():
+    # one whole chunk at the chain length of the wide ensembles, keyed by the
+    # largest seed, whose k0 = seed + r W0 wraps mod 2**64
+    assert_chunk_matches_generators(observed.SEED_LIMIT - 1, 0, observed._CHUNK_ROWS, 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**63 - 1),
-    offset=st.integers(0, 10**6 - 1),
+    seed=st.integers(0, observed.SEED_LIMIT - 1),
     length=st.integers(1, 300),
     n_steps=st.integers(1, observed._VECTOR_MAX_STEPS),
+    data=st.data(),
 )
-def test_vectorized_philox_property(seed, offset, length, n_steps):
+def test_vectorized_philox_property(seed, length, n_steps, data):
+    offset = data.draw(st.integers(0, observed.SEED_LIMIT - length), label="offset")
     assert_chunk_matches_generators(seed, offset, length, n_steps)
 
 
