@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -27,6 +26,7 @@ from .experiments import (
     seed_problem,
     validate_config,
     write_csv,
+    write_json,
 )
 from .version import __version__
 
@@ -77,22 +77,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    if out_format == "csv":
-        buffer = io.StringIO()
-        write_csv(envelope, buffer)
-        payload = buffer.getvalue()
-    else:
-        payload = json.dumps(envelope_json_dict(envelope), indent=2) + "\n"
-
-    if out_path is None:
-        sys.stdout.write(payload)
-    else:
-        try:
+    write = write_csv if out_format == "csv" else write_json
+    try:
+        if out_path is None:
+            write(envelope, sys.stdout)
+        else:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return EXIT_IO
+                write(envelope, fh)
+    except OSError as exc:
+        where = out_path if out_path is not None else "stdout"
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if out_path is not None:
         print(
             f"{config.experiment}: wrote {len(envelope.rows)} rows to {out_path} "
             f"(seed {config.master_seed}, {envelope.wall_time_s:.2f}s)",

@@ -25,12 +25,13 @@ with the same master seed yields byte-identical rows.
 
 from __future__ import annotations
 
-import csv
+import json
 import math
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,10 @@ __all__ = [
     "run_experiment",
     "envelope_json_dict",
     "write_csv",
+    "write_json",
 ]
 
-RunnerResult = tuple[list[str], list[list], dict | None]
+RunnerResult = tuple[list[str], Sequence[list], dict | None]
 
 # The step covariance reads sin(2 theta), so a step angle must keep 2 theta
 # finite: covariance-growth bounds theta by max_float / 2, and
@@ -66,10 +68,14 @@ _CHI_T_MAX = sys.float_info.max / 4.0
 _IDENTITY_WORK = 2**28
 # Bytes the finals and recorded paths of one trajectories run may hold: 32 a
 # trajectory (its final and the moments' centred copy) and _ROW_BYTES a
-# recorded row (its path point, five Python cells and their text: about
-# 340 bytes as CSV and 790 as JSON at 10 paths of 100k steps).
+# recorded row: its path point and, while the paths are drawn, its noise,
+# 16 bytes each (traced peak 33.3 MB for 10 paths of 100k steps).  The
+# writers add one block of rows' text, under 10 MB whatever the row count.
 _TRAJECTORY_BYTES = 2**31
-_ROW_BYTES = 1024
+_ROW_BYTES = 32
+# Trajectory-steps one trajectories run may sample: about 25 min at the
+# measured 90 ns a trajectory-step on one core.
+_TRAJECTORY_STEPS = 2**34
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ class ResultEnvelope:
     master_seed: int
     wall_time_s: float
     columns: list[str]
-    rows: list[list]
+    rows: Sequence[list]
     summary: dict | None = None
 
 
@@ -282,10 +288,10 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _trajectories_budget_problem(p: dict) -> str | None:
-    """Why the finals and recorded paths would not fit the budget, from
-    estimates alone: 2 n_trajectories floats of finals and
-    2 min(record_paths, n_trajectories) n_steps floats of paths, as many
-    rows."""
+    """Why the run would not fit the budgets, from estimates alone: its
+    finals, 2 n_trajectories floats, and its min(record_paths,
+    n_trajectories) n_steps recorded rows must fit the memory budget, and
+    its n_trajectories n_steps trajectory-steps the time budget."""
     n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
     rows = min(record, n) * n_steps
     estimate = 32 * n + _ROW_BYTES * rows
@@ -294,6 +300,12 @@ def _trajectories_budget_problem(p: dict) -> str | None:
             f"n_trajectories={n}, n_steps={n_steps}, record_paths={record} need about "
             f"{estimate} bytes for {n} finals and {rows} recorded rows, over the "
             f"budget of {_TRAJECTORY_BYTES}"
+        )
+    if n * n_steps > _TRAJECTORY_STEPS:
+        return (
+            f"n_trajectories={n}, n_steps={n_steps} need {n * n_steps} trajectory-steps, "
+            f"about {n * n_steps * 90e-9 / 3600:.3g} h at 90 ns each, over the budget "
+            f"of {_TRAJECTORY_STEPS}"
         )
     return None
 
@@ -338,12 +350,7 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         "sample_cov": [[float(x) for x in row] for row in sample_cov],
         "max_cov_deviation_se": max_dev_se,
     }
-    steps = np.arange(1, cfg.params.n_steps + 1)
-    columns = (steps.tolist(), (steps * cfg.params.tau).tolist())
-    rows = []
-    for ti, path in enumerate(paths):
-        rows.extend([ti, *cells] for cells in zip(*columns, *path.T.tolist()))
-    return ["trajectory", "step", "time", "q", "p"], rows, summary
+    return ["trajectory", "step", "time", "q", "p"], PathRows(paths, cfg.params.tau), summary
 
 
 def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
@@ -569,22 +576,148 @@ def run_experiment(config: ExperimentConfig) -> ResultEnvelope:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Both formats write a row as its cells' text between an opening and a
+# closing string, and rows with a separator between them.  Ints are written
+# as ints and floats by float.__repr__, which JSON spells NaN, Infinity and
+# -Infinity where they are not finite.  A writer formats one block of at most
+# _BLOCK_ROWS rows at a time and writes it to the stream, so its memory does
+# not grow with the row count.
+
+_BLOCK_ROWS = 2**14
+
+
+class _Layout(NamedTuple):
+    open: str
+    sep: str
+    close: str
+    row_sep: str
+    spelling: dict
+
+    def floats(self, values: np.ndarray) -> list[str]:
+        """Text of a float64 array's cells."""
+        texts = list(map(float.__repr__, values.tolist()))
+        if self.spelling and not np.isfinite(values).all():
+            texts = [self.spelling.get(t, t) for t in texts]
+        return texts
+
+    def cell(self, value: int | float) -> str:
+        if isinstance(value, int):
+            return int.__repr__(value)
+        text = float.__repr__(value)
+        return self.spelling.get(text, text)
+
+    def row(self, cells: Iterator[str]) -> str:
+        return self.open + self.sep.join(cells) + self.close
+
+
+_CSV = _Layout("", ",", "\r\n", "", {})
+_JSON = _Layout(
+    "[\n      ", ",\n      ", "\n    ]", ",\n    ",
+    {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"},
+)
+
+
+class PathRows(Sequence):
+    """Rows ``[trajectory, step, time, q, p]`` of recorded paths, served
+    from the (k, n_steps, 2) path array: step j of path i is row
+    i n_steps + j - 1, at time j tau.  No row is held."""
+
+    def __init__(self, paths: np.ndarray, tau: float) -> None:
+        self.paths, self.tau = paths, tau
+
+    def __len__(self) -> int:
+        return self.paths.shape[0] * self.paths.shape[1]
+
+    def __getitem__(self, index: int) -> list:
+        if not -len(self) <= index < len(self):
+            raise IndexError("row index out of range")
+        ti, j = divmod(index % len(self), self.paths.shape[1])
+        return [ti, j + 1, (j + 1) * self.tau, *self.paths[ti, j].tolist()]
+
+    def text_blocks(self, layout: _Layout) -> Iterator[str]:
+        """The rows' text in blocks of at most _BLOCK_ROWS rows: whole paths
+        while a path fits in a block, else step slices of one path.  The
+        step and time cells of a slice, with the separators around them,
+        are formatted when the slice differs from the last one, so once per
+        run when a path fits in a block."""
+        k, n = self.paths.shape[:2]
+        span = min(n, _BLOCK_ROWS)
+        cells_lo, step_cells = None, []
+        pending: list[str] = []
+        for ti in range(k):
+            head = layout.open + int.__repr__(ti)
+            for lo in range(0, n, span):
+                if lo != cells_lo:
+                    cells_lo, step_cells = lo, self._step_cells(lo, min(lo + span, n), layout)
+                q, p = self.paths[ti, lo : lo + span].T
+                # five parts a row: head (the end of the row before it first),
+                # the step cells, q, sep, p
+                parts = [layout.close + layout.row_sep + head, "", "", layout.sep, ""] * len(q)
+                parts[0] = head
+                parts[1::5] = step_cells
+                parts[2::5] = layout.floats(q)
+                parts[4::5] = layout.floats(p)
+                parts.append(layout.close)
+                pending.append("".join(parts))
+                if (len(pending) + 1) * span > _BLOCK_ROWS:
+                    yield layout.row_sep.join(pending)
+                    pending = []
+        if pending:
+            yield layout.row_sep.join(pending)
+
+    def _step_cells(self, lo: int, hi: int, layout: _Layout) -> list[str]:
+        """``sep step sep time sep`` for steps lo + 1 .. hi."""
+        template = layout.sep + "%d" + layout.sep + "%s" + layout.sep
+        steps = np.arange(lo + 1, hi + 1)
+        times = layout.floats(steps * self.tau)
+        return list(map(template.__mod__, zip(steps.tolist(), times)))
+
+
+def _write_rows(rows: Sequence[list], layout: _Layout, fh) -> None:
+    if isinstance(rows, PathRows):
+        blocks = rows.text_blocks(layout)
+    else:
+        blocks = (
+            layout.row_sep.join(
+                layout.row(map(layout.cell, row)) for row in rows[lo : lo + _BLOCK_ROWS]
+            )
+            for lo in range(0, len(rows), _BLOCK_ROWS)
+        )
+    for i, block in enumerate(blocks):
+        if i:
+            fh.write(layout.row_sep)
+        fh.write(block)
 
 
 def envelope_json_dict(envelope: ResultEnvelope) -> dict:
-    """JSON-ready fields, a null summary left out; reruns differ only in wall_time_s."""
+    """The envelope's fields in order, a null summary left out; ``rows`` is
+    the envelope's row sequence, which ``write_json`` streams.  Reruns
+    differ only in wall_time_s."""
     out = dict(vars(envelope))
     if out["summary"] is None:
         del out["summary"]
     return out
 
 
-def write_csv(envelope: ResultEnvelope, fh) -> None:
-    """Header plus data rows, CRLF line endings, shortest float repr.
+def write_json(envelope: ResultEnvelope, fh) -> None:
+    """The envelope as ``json.dumps(..., indent=2)`` writes it, plus a
+    newline, with the rows streamed in the same layout."""
+    fields = envelope_json_dict(envelope)
+    rows, fields["rows"] = fields["rows"], []
+    # only top-level keys sit after a newline and two spaces
+    head, key, tail = json.dumps(fields, indent=2).partition('\n  "rows": []')
+    fh.write(head + key[:-2])
+    if len(rows):
+        fh.write("[\n    ")
+        _write_rows(rows, _JSON, fh)
+        fh.write("\n  ]")
+    else:
+        fh.write("[]")
+    fh.write(tail + "\n")
 
-    Cells are ``int``, ``float`` or ``str``, which ``csv`` writes as
-    ``str``, ``repr`` and ``str``.
-    """
-    writer = csv.writer(fh, lineterminator="\r\n")
-    writer.writerow(envelope.columns)
-    writer.writerows(envelope.rows)
+
+def write_csv(envelope: ResultEnvelope, fh) -> None:
+    """Header plus data rows, comma-separated, CRLF line endings."""
+    fh.write(_CSV.row(envelope.columns))
+    _write_rows(envelope.rows, _CSV, fh)

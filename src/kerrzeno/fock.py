@@ -386,7 +386,8 @@ class QuadratureGrid:
         return radii, angles, dr, dphi
 
 
-# Complex amplitudes one ladder evaluation of a block of rings may hold.
+# Complex amplitudes one ladder evaluation of a block of rings may hold, and
+# complex entries one stack of the block's ring products may hold.
 _GRAM_BLOCK_ELEMENTS = 2**16
 
 
@@ -399,19 +400,27 @@ def _family_gram(
     radius rho at a time, in order of rho.  The members come from the
     ladder recurrence, run once for a block of rings of at most
     _GRAM_BLOCK_ELEMENTS amplitudes (one ring if a ring alone is larger).
-    The recurrence acts node by node, so a block gives each ring the bits
-    it would get alone, and the ring-ordered sum keeps the gram's bits too.
+    Each ring's product ``ring @ ring.conj().T`` is one matrix of a stacked
+    ``np.matmul`` over at most _GRAM_BLOCK_ELEMENTS entries, weighted, and
+    added into the gram in ring order by ``np.add.accumulate``.  The
+    recurrence acts node by node and each stacked product is computed as it
+    would be alone, so every ring keeps the bits it gets alone, and the
+    ring-ordered sum keeps the gram's bits too.
     """
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
     per_block = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * len(angles)))
+    per_stack = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * n_rows))
     phases = np.exp(1j * angles)
     for lo in range(0, len(radii), per_block):
         block = radii[lo : lo + per_block]
-        rings = _ladder_amplitudes(block[:, None] * phases, spec.r, n_rows)
-        for k, rho in enumerate(block):
-            ring = rings[:, k]
-            gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+        rings = _ladder_amplitudes(block[:, None] * phases, spec.r, n_rows).transpose(1, 0, 2)
+        for first in range(0, len(block), per_stack):
+            stack = rings[first : first + per_stack]
+            products = np.matmul(stack, stack.conj().transpose(0, 2, 1))
+            products *= (block[first : first + per_stack] * dr * dphi)[:, None, None]
+            products[0] += gram
+            gram = np.add.accumulate(products, axis=0)[-1]
     return gram / math.pi
 
 
@@ -427,9 +436,9 @@ def identity_resolution_defect(
     and the maximum absolute deviation from delta_mn is returned.  The
     family members are exact at every row, so the gram needs only
     dim_check + 1 rows, the grid alone limits the result, and doubling it
-    must shrink it.  The ladder recurrence runs over blocks of rings, and
-    the rings are summed one by one in order of radius, so the result has
-    the same bits as a ring-by-ring evaluation.
+    must shrink it.  The ladder recurrence and the ring products run over
+    blocks of rings, and the rings are summed in order of radius, so the
+    result has the same bits as a ring-by-ring evaluation.
     """
     if dim_check < 1:
         raise ValueError(f"dim_check must be >= 1, got {dim_check}")

@@ -3,6 +3,8 @@ reaches them, so they live here rather than in ``kerrzeno``."""
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from typing import NamedTuple
 
@@ -227,3 +229,46 @@ def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             zq, zp = out_q[-1], out_p[-1]
         finals[rows] = paths[rows, -1]
     return finals, paths
+
+
+# The gram as a per-ring loop over each block's rings: one 2-D product and
+# one weighted add into the gram per ring, in ring order.
+# ``kerrzeno.fock._family_gram`` must give the same gram.
+def family_gram(spec, n_rows: int, grid, r_max: float) -> np.ndarray:
+    from kerrzeno.fock import _GRAM_BLOCK_ELEMENTS, _ladder_amplitudes
+
+    radii, angles, dr, dphi = grid.nodes(r_max)
+    gram = np.zeros((n_rows, n_rows), dtype=complex)
+    per_block = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * len(angles)))
+    phases = np.exp(1j * angles)
+    for lo in range(0, len(radii), per_block):
+        block = radii[lo : lo + per_block]
+        rings = _ladder_amplitudes(block[:, None] * phases, spec.r, n_rows)
+        for k, rho in enumerate(block):
+            ring = rings[:, k]
+            gram += (rho * dr * dphi) * (ring @ ring.conj().T)
+    return gram / math.pi
+
+
+# The recorded rows as lists of five Python cells, and the writers that take
+# whole payloads: ``csv.writer`` over every row, and one ``json.dumps`` of the
+# envelope with its rows.  ``kerrzeno.experiments``' block writers must give
+# the same bytes.
+def recorded_rows(paths: np.ndarray, n_steps: int, tau: float) -> list[list]:
+    steps = np.arange(1, n_steps + 1)
+    columns = (steps.tolist(), (steps * tau).tolist())
+    rows = []
+    for ti, path in enumerate(paths):
+        rows.extend([ti, *cells] for cells in zip(*columns, *path.T.tolist()))
+    return rows
+
+
+def write_csv(columns: list[str], rows: list[list], fh) -> None:
+    writer = csv.writer(fh, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def json_payload(fields: dict) -> str:
+    """``fields`` in envelope order, rows as lists, a null summary left out."""
+    return json.dumps(fields, indent=2) + "\n"

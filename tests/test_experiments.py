@@ -1,13 +1,18 @@
 """Config validation, experiment runners, output formats, and the CLI."""
 
+import builtins
 import csv
+import dataclasses
+import functools
 import importlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +26,7 @@ from kerrzeno.experiments import (
     run_experiment,
     validate_config,
     write_csv,
+    write_json,
 )
 from kerrzeno.fock import MeasurementSpec, mean_a_closed_form
 from kerrzeno.observed import (
@@ -36,6 +42,12 @@ from kerrzeno.phase_space import (
     step_covariance,
 )
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
+from oracles import json_payload, recorded_rows
+from oracles import write_csv as oracle_write_csv
+
+
+def strip_wall_time(text):
+    return re.sub(r'\n *"wall_time_s": [^\n]*', "", text)
 
 
 def make_config(experiment, parameters=None, **top):
@@ -214,8 +226,15 @@ def test_trajectories_rows_are_the_recorded_outcomes():
                 steps.tolist(), (steps * 0.1).tolist(), run_trajectory(cfg, ti).tolist()
             )
         ]
-        assert envelope.rows == expected
-        for row in envelope.rows:
+        rows = envelope.rows
+        assert len(rows) == len(expected)
+        assert list(rows) == expected
+        assert [rows[i] for i in (0, n_steps, -1, -len(rows))] == [
+            expected[i] for i in (0, n_steps, -1, -len(rows))
+        ]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        for row in rows:
             assert [type(v) for v in row] == [int, int, float, float, float]
 
 
@@ -282,14 +301,9 @@ def test_rerun_rows_byte_identical():
         "trajectories", {"n_trajectories": 500, "n_steps": 3}, master_seed=9
     )
     a, b = run_experiment(config), run_experiment(config)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_csv(a, buf_a)
-    write_csv(b, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
-    dict_a, dict_b = envelope_json_dict(a), envelope_json_dict(b)
-    dict_a.pop("wall_time_s")
-    dict_b.pop("wall_time_s")
-    assert json.dumps(dict_a) == json.dumps(dict_b)
+    assert list(map(strip_wall_time, block_outputs(a))) == list(
+        map(strip_wall_time, block_outputs(b))
+    )
 
 
 def test_seed_changes_rows():
@@ -301,7 +315,7 @@ def test_seed_changes_rows():
             "parameters": {"n_trajectories": 50, "n_steps": 2},
         }
     )
-    assert run_experiment(base).rows != run_experiment(config).rows
+    assert list(run_experiment(base).rows) != list(run_experiment(config).rows)
 
 
 def test_csv_is_rfc4180():
@@ -339,11 +353,16 @@ def test_every_experiment_has_runnable_defaults():
         assert config.experiment == name
 
 
+@functools.cache
+def default_envelope(name):
+    return run_experiment(make_config(name))
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_default_rows_hold_only_csv_native_cells(name):
-    # write_csv hands rows to csv.writer, which writes int, float and str
-    # cells as str, repr and str; a bool or numpy scalar would change bytes
-    envelope = run_experiment(make_config(name))
+    # the writers write int cells as ints and float cells by float.__repr__;
+    # a bool or numpy scalar would change bytes
+    envelope = default_envelope(name)
     assert {type(v) for row in envelope.rows for v in row} <= {int, float, str}
     buf = io.StringIO()
     write_csv(envelope, buf)
@@ -351,6 +370,129 @@ def test_default_rows_hold_only_csv_native_cells(name):
     assert parsed[1:] == [
         [v if isinstance(v, str) else repr(v) for v in row] for row in envelope.rows
     ]
+
+
+def oracle_outputs(envelope, rows):
+    """CSV and JSON as csv.writer and one json.dumps write ``rows``."""
+    csv_text = io.StringIO()
+    oracle_write_csv(envelope.columns, rows, csv_text)
+    return csv_text.getvalue(), json_payload({**envelope_json_dict(envelope), "rows": rows})
+
+
+def block_outputs(envelope):
+    outputs = []
+    for write in (write_csv, write_json):
+        buf = io.StringIO()
+        write(envelope, buf)
+        outputs.append(buf.getvalue())
+    return tuple(outputs)
+
+
+def oracle_rows(envelope):
+    """The envelope's rows as the list-of-lists row builder makes them."""
+    if envelope.experiment != "trajectories":
+        return list(envelope.rows)
+    p = envelope.parameters
+    return recorded_rows(envelope.rows.paths, p["n_steps"], p["tau"])
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_outputs_match_whole_payload_writers(name):
+    envelope = default_envelope(name)
+    rows = oracle_rows(envelope)
+    assert list(envelope.rows) == rows
+    assert block_outputs(envelope) == oracle_outputs(envelope, rows)
+
+
+@pytest.mark.parametrize("block_rows", [3, 7, 64, experiments._BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {"n_trajectories": 50, "n_steps": 7, "record_paths": 0},  # no rows
+        {"n_trajectories": 50, "n_steps": 7, "record_paths": 1},
+        {"n_trajectories": 50, "n_steps": 7, "record_paths": 5},
+        {"n_trajectories": 9, "n_steps": 1, "record_paths": 9},
+        {"n_trajectories": 4, "n_steps": 65, "r": 0.3, "record_paths": 3},
+    ],
+)
+def test_recorded_outputs_match_whole_payload_writers(monkeypatch, parameters, block_rows):
+    # small blocks split paths into step slices (7 and 64 rows) or group
+    # whole paths into a block (3 rows of 1-step paths)
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block_rows)
+    envelope = run_experiment(make_config("trajectories", parameters, master_seed=5))
+    rows = oracle_rows(envelope)
+    assert list(envelope.rows) == rows
+    assert block_outputs(envelope) == oracle_outputs(envelope, rows)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, experiments._BLOCK_ROWS])
+def test_recorded_outputs_spell_non_finite_cells(monkeypatch, block_rows):
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block_rows)
+    paths = np.array(
+        [[[math.nan, -0.0], [math.inf, 1e300]], [[-math.inf, 5e-324], [0.1, -2.5]]]
+    )
+    rows = experiments.PathRows(paths, 1e308)
+    envelope = experiments.ResultEnvelope(
+        "trajectories", {}, "0", 0, 0.5, ["trajectory", "step", "time", "q", "p"], rows
+    )
+    with np.errstate(over="ignore"):  # the second step's time overflows
+        expected = recorded_rows(paths, 2, 1e308)
+        assert repr(list(rows)) == repr(expected)  # nan is not equal to itself
+        assert block_outputs(envelope) == oracle_outputs(envelope, expected)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, experiments._BLOCK_ROWS])
+def test_list_outputs_match_whole_payload_writers(monkeypatch, block_rows):
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block_rows)
+    rows = [
+        [0, math.nan, math.inf],
+        [-0.0, -math.inf, 10**30],
+        [-(2**70), 5e-324, 1.7976931348623157e308],
+        [7, 0.1, -1e-7],
+    ]
+    envelope = experiments.ResultEnvelope(
+        "two-level", {"n_max": 4}, "0", 0, 0.5, ["a", "b", "c"], rows, {"x": math.nan}
+    )
+    assert block_outputs(envelope) == oracle_outputs(envelope, rows)
+    empty = dataclasses.replace(envelope, rows=[], summary=None)
+    assert block_outputs(empty) == oracle_outputs(empty, [])
+
+
+class ByteCounter:
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+
+
+def test_recorded_rows_are_written_in_bounded_memory():
+    # 1M recorded rows, 10 paths of 100k steps.  While running, the traced
+    # peak is the path arrays and the sampler's noise for them (as large
+    # here); while writing, the path arrays and one block of rows' text and
+    # cells, at most 1 KB a row.  Rows as Python lists, or a whole payload,
+    # would take hundreds of MB.
+    config = make_config(
+        "trajectories", {"n_trajectories": 10, "n_steps": 100_000, "record_paths": 10}
+    )
+    run_experiment(make_config("trajectories", {"n_trajectories": 2, "n_steps": 70}))
+    paths = 10 * 100_000 * 2 * 8
+    tracemalloc.start()
+    try:
+        envelope = run_experiment(config)
+        peaks = {"run": tracemalloc.get_traced_memory()[1]}
+        for write in (write_csv, write_json):
+            tracemalloc.reset_peak()
+            sink = ByteCounter()
+            write(envelope, sink)
+            peaks[write.__name__] = tracemalloc.get_traced_memory()[1]
+            assert sink.count > 50 * len(envelope.rows)
+    finally:
+        tracemalloc.stop()
+    assert peaks["run"] < 2 * paths + 2**21, peaks
+    block = experiments._BLOCK_ROWS * 1024
+    assert peaks["write_csv"] < paths + block, peaks
+    assert peaks["write_json"] < paths + block, peaks
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -523,13 +665,13 @@ def test_identity_check_budget_admits(parameters):
 @pytest.mark.parametrize(
     "parameters, need",
     [
-        # 32 bytes a final plus 1024 a recorded row, against 2**31
+        # 32 bytes a final plus 32 a recorded row, against 2**31
         ({"n_trajectories": 10**12, "n_steps": 2},
-         "need about 32000000020480 bytes for 1000000000000 finals and 20 recorded rows"),
+         "need about 32000000000640 bytes for 1000000000000 finals and 20 recorded rows"),
         ({"n_steps": 10**11},
-         "need about 1024000000320000 bytes for 10000 finals and 1000000000000 recorded rows"),
-        ({"n_trajectories": 1, "n_steps": 2**21, "record_paths": 2},
-         "need about 2147483680 bytes for 1 finals and 2097152 recorded rows"),
+         "need about 32000000320000 bytes for 10000 finals and 1000000000000 recorded rows"),
+        ({"n_trajectories": 1, "n_steps": 2**26, "record_paths": 2},
+         "need about 2147483680 bytes for 1 finals and 67108864 recorded rows"),
         ({"n_trajectories": 2**26 + 1, "n_steps": 2, "record_paths": 0},
          "need about 2147483680 bytes for 67108865 finals and 0 recorded rows"),
     ],
@@ -558,13 +700,40 @@ def test_cli_trajectories_budget_is_checked_before_sampling(
         {"n_trajectories": 100_000, "n_steps": 2},  # the benchmark's wide ops
         {"n_trajectories": 10_000, "n_steps": 1000, "record_paths": 40},  # its long ops
         {"n_trajectories": 2**26, "n_steps": 2, "record_paths": 0},  # the most finals
-        {"n_trajectories": 1, "n_steps": 2**21 - 1, "record_paths": 1},  # the most rows
-        {"n_trajectories": 1, "n_steps": 10**11, "record_paths": 0},  # time is unbounded
+        {"n_trajectories": 1, "n_steps": 2**26 - 1, "record_paths": 1},  # the most rows
+        {"n_trajectories": 2**17, "n_steps": 2**17, "record_paths": 0},  # the most steps
     ],
 )
 def test_trajectories_budget_admits(parameters):
     p = make_config("trajectories", parameters).parameters
     assert experiments._trajectories_budget_problem(p) is None
+
+
+@pytest.mark.parametrize(
+    "parameters, need",
+    [
+        ({"n_trajectories": 1, "n_steps": 10**11, "record_paths": 0},
+         "n_trajectories=1, n_steps=100000000000 need 100000000000 trajectory-steps, "
+         "about 2.5 h at 90 ns each"),
+        ({"n_trajectories": 2**17, "n_steps": 2**17 + 1, "record_paths": 0},
+         "n_trajectories=131072, n_steps=131073 need 17180000256 trajectory-steps, "
+         "about 0.43 h at 90 ns each"),
+    ],
+)
+def test_cli_trajectories_time_budget_is_checked_before_sampling(
+    tmp_path, capsys, monkeypatch, parameters, need
+):
+    def sample(*args, **kwargs):
+        raise AssertionError("the sampler ran on an over-budget trajectories run")
+
+    monkeypatch.setattr(experiments.observed, "_sample_chains", sample)
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": parameters}
+    )
+    assert cli.main(["run", config_path]) == 3
+    assert capsys.readouterr().err == (
+        f"numeric error: {need}, over the budget of 17179869184\n"
+    )
 
 
 def test_cli_identity_check_has_no_dim(tmp_path, capsys):
@@ -764,6 +933,53 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     )
     assert cli.main(["run", config_path]) == 4
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("record_paths", [0, 3])
+def test_cli_stdout_matches_file_output(tmp_path, capsys, fmt, record_paths):
+    config_path = write_config(
+        tmp_path,
+        {
+            "experiment": "trajectories",
+            "parameters": {"n_trajectories": 20, "n_steps": 40, "record_paths": record_paths},
+            "output": {"format": fmt},
+        },
+    )
+    out = tmp_path / f"t.{fmt}"
+    assert cli.main(["run", config_path, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", config_path]) == 0
+    stdout = capsys.readouterr().out
+    assert strip_wall_time(stdout) == strip_wall_time(out.read_bytes().decode("utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_write_error_exits_io(tmp_path, capsys, monkeypatch, fmt):
+    # the disk fills after the first block of rows
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 5)
+    written = []
+
+    class FullFile(io.StringIO):
+        def write(self, text):
+            if len(written) > 3:
+                raise OSError(28, "No space left on device")
+            written.append(text)
+            return len(text)
+
+    def open_output(path, mode="r", **kwargs):
+        return FullFile() if mode == "w" else builtins.open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_output, raising=False)
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "trajectories", "parameters": {"n_trajectories": 20, "n_steps": 40}},
+    )
+    out = tmp_path / "t.out"
+    assert cli.main(["run", config_path, "--output", str(out), "--format", fmt]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: [Errno 28] No space left on device\n"
+    )
 
 
 def test_cli_validate(tmp_path, capsys):

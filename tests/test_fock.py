@@ -32,7 +32,7 @@ from kerrzeno.fock import (
     transition_normalization,
 )
 from kerrzeno.phase_space import PhaseVector
-from oracles import ladder_amplitudes
+from oracles import family_gram, ladder_amplitudes
 
 VACUUM = MeasurementSpec.vacuum()
 
@@ -515,6 +515,27 @@ def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
     spec = MeasurementSpec(r)
     blocked = fock._family_gram(spec, n_rows, grid, 9.5)
     assert np.array_equal(blocked, ring_by_ring_gram(spec, n_rows, grid, 9.5))
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, -0.7, 1.2])
+@pytest.mark.parametrize(
+    "n_rows, n_r, n_phi, r_max",
+    [
+        (2, 40000, 1, 9.4),  # 32768 rings a block, 16384 products a stack
+        (102, 300, 1, 45.0),  # 642 rings a block, 6 products a stack
+        (5, 3000, 2, 45.0),
+        (11, 500, 3, 9.4),
+        (41, 7, 64, 9.4),
+        (2, 1, 1, 45.0),
+        (11, 33, 5, 45.0),
+        (11, 160, 128, 9.4),
+    ],
+)
+def test_family_gram_matches_the_per_ring_loop(r, n_rows, n_r, n_phi, r_max):
+    spec, grid = MeasurementSpec(r), QuadratureGrid(n_r=n_r, n_phi=n_phi)
+    assert np.array_equal(
+        fock._family_gram(spec, n_rows, grid, r_max), family_gram(spec, n_rows, grid, r_max)
+    )
 
 
 # --- dichotomic survival -----------------------------------------------------------------------
