@@ -43,6 +43,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentConfig",
     "ResultEnvelope",
+    "PathRows",
     "EXPERIMENTS",
     "validate_config",
     "seed_problem",
