@@ -289,10 +289,10 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _trajectories_budget_problem(p: dict) -> str | None:
-    """Why the run would not fit the budgets, from estimates alone: its
-    finals, 2 n_trajectories floats, and its min(record_paths,
-    n_trajectories) n_steps recorded rows must fit the memory budget, and
-    its n_trajectories n_steps trajectory-steps the time budget."""
+    """Why the run would not fit the budgets, from estimates alone: its 2
+    n_trajectories finals and min(record_paths, n_trajectories) n_steps rows
+    must fit the memory budget, its n_trajectories n_steps trajectory-steps
+    the time budget, and its last time n_steps tau a float."""
     n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
     rows = min(record, n) * n_steps
     estimate = 32 * n + _ROW_BYTES * rows
@@ -308,6 +308,8 @@ def _trajectories_budget_problem(p: dict) -> str | None:
             f"about {n * n_steps * 90e-9 / 3600:.3g} h at 90 ns each, over the budget "
             f"of {_TRAJECTORY_STEPS}"
         )
+    if not math.isfinite(n_steps * p["tau"]):
+        return f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"
     return None
 
 

@@ -30,18 +30,17 @@ Results are therefore bit-identical however trajectories are chunked.
 
 One chain sampler serves any range of trajectory indices: the whole
 ensemble, one trajectory, or the recorded paths of an experiment.  It runs
-chunks of whole streams, at most 4096 chains and 2**20 trajectory-steps,
-so the working arrays stay bounded; only a lone chain of more than 2**20
-steps is drawn in pieces of 2**20 steps.  Chains of at most 38 steps
-evaluate Philox4x64-10, a pure function of (key, counter), in numpy across
-a chunk.  Longer chains draw from one ``np.random.Philox`` per call,
-re-keyed per stream and step slice through its public ``state``: blocks
-of 16 streams fill their rows one slice of an even number of steps at a
-time, and each slice, while in cache, is copied into a contiguous
-step-major buffer, turned into coloured noise and written into the
-columns the chain loop reads.  Both ways give the same bits.  The chain
-loop writes each step's point over that step's noise, so a piece holds
-one noise-sized array.
+chunks of whole streams, so its working arrays stay bounded.  Chains of at
+most 58 steps evaluate Philox4x64-10, a pure function of (key, counter), in
+numpy across the streams of 2**14 Philox blocks.  Longer chains run chunks
+of at most 4096 streams and 2**20 trajectory-steps (a lone longer chain in
+pieces of 2**20 steps) and draw from one ``np.random.Philox`` per call,
+re-keyed per stream and step slice through its public ``state``, 16 streams
+and one slice of an even number of steps at a time, each slice copied while
+in cache into a contiguous step-major buffer.  One in-place kernel turns
+the chunk's or the buffer's uniforms into coloured noise, so both ways give
+the same bits.  The chain loop writes each step's point over that step's
+noise, so a piece holds one noise-sized array.
 """
 
 from __future__ import annotations
@@ -81,14 +80,11 @@ __all__ = [
 # every (seed, index) tuple key reaches Philox exactly.
 SEED_LIMIT = 2**63
 
-# Ensembles of chains up to this many steps evaluate Philox in numpy across
-# the chunk; above it the re-keyed C generator is faster.  Coloured noise of
-# a 4096-trajectory chunk, median of 21, one pinned core of a 2-core Xeon
-# with numpy 2.4.6, vector vs re-keyed: 1.9 vs 3.9 us per trajectory at 16
-# steps, 3.5 vs 4.8 at 28, 4.1 vs 5.0 at 32 and 8.8 vs 7.0 at 64.  Whole
-# 10k-trajectory ensembles, 21 interleaved pairs: the vector path wins 19
-# by 10 % at 38 steps, 18 by 2 % at 40 and 13 at 42; from 48 it loses.
-_VECTOR_MAX_STEPS = 38
+# Ensembles of chains up to this many steps evaluate Philox in numpy; above
+# it the re-keyed C generator (a few us a stream to re-key) is faster.  Whole
+# 10k-trajectory ensembles, 20 interleaved pairs on one core of a 2-core Xeon
+# (r = 0.5 and 0): the vector path wins 20 at 58 steps and 17 at 60.
+_VECTOR_MAX_STEPS = 58
 
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.,
 # "Parallel random numbers: as easy as 1, 2, 3", SC'11), as in numpy.
@@ -100,12 +96,14 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
-# Ensembles run in chunks of at most _CHUNK_ROWS trajectories and
+# Re-keyed ensembles run in chunks of at most _CHUNK_ROWS trajectories and
 # _CHUNK_ELEMENTS trajectory-steps, so each float64 array stays within 8 MB;
 # only a chain longer than _CHUNK_ELEMENTS steps is drawn in pieces, and as
-# _CHUNK_ELEMENTS is even each piece starts on a Philox pair.
+# _CHUNK_ELEMENTS is even each piece starts on a Philox pair.  A vector chunk
+# holds the streams of _VECTOR_BLOCKS Philox blocks, so its words stay in cache.
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
+_VECTOR_BLOCKS = 2**14
 
 # Long chains draw in blocks of this many streams.  A block is drawn and made
 # noise in step slices of at most _CHUNK_ELEMENTS // 64 elements (one slice
@@ -147,14 +145,6 @@ class ObservedRunConfig:
         seed = _require_int(self.master_seed, "master_seed", 0, SEED_LIMIT)
         object.__setattr__(self, "n_trajectories", n_trajectories)
         object.__setattr__(self, "master_seed", seed)
-
-
-def _box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two standard normals per uniform pair; the one expression tree shared
-    by the generator and the vectorized streams."""
-    radius = np.sqrt(-2.0 * np.log1p(-u0))
-    angle = 2.0 * math.pi * u1
-    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +223,21 @@ def _philox_uniforms(
     return u0.reshape(2 * n_blocks, -1)[:n_steps], u1.reshape(2 * n_blocks, -1)[:n_steps]
 
 
-def _color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
-    """Componentwise coloring; one fixed expression tree per element, so a
-    trajectory rounds alike in a chunk of any size."""
-    return (
-        sqrt_cov[0, 0] * n0 + sqrt_cov[0, 1] * n1,
-        sqrt_cov[1, 0] * n0 + sqrt_cov[1, 1] * n1,
-    )
+def _coloured_noise(u0, u1, sqrt_cov: np.ndarray, out_q, out_p) -> None:
+    """Coloured noise of the uniform pairs (u0, u1), written stage by stage
+    in place over u0 and u1 and into out_q and out_p.  Each element keeps one
+    tree, sqrt(-2 log1p(-u0)) times cos and sin of (2 pi) u1, then s00 n0 +
+    s01 n1 and s10 n0 + s11 n1, so it rounds alike in any chunk or draw."""
+    np.log1p(np.negative(u0, out=u0), out=u0)
+    radius = np.sqrt(np.multiply(u0, -2.0, out=u0), out=u0)
+    angle = np.multiply(u1, 2.0 * math.pi, out=u1)
+    n0 = np.multiply(np.cos(angle, out=out_q), radius, out=out_q)
+    n1 = np.multiply(np.sin(angle, out=angle), radius, out=angle)
+    # p first, while both normals are whole; the radius is spent
+    np.multiply(n0, sqrt_cov[1, 0], out=out_p)
+    out_p += np.multiply(n1, sqrt_cov[1, 1], out=radius)
+    n0 *= sqrt_cov[0, 0]
+    n0 += np.multiply(n1, sqrt_cov[0, 1], out=n1)
 
 
 def _chain_points(z, rotation: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -271,18 +269,16 @@ def _stream_noise(
     Rows are drawn _DRAW_BLOCK streams at a time, in step slices of at most
     _CHUNK_ELEMENTS // 64 elements and an even number of steps.  Per stream
     and slice the generator takes ``state`` keyed (master_seed, i) at the
-    slice's counter, so ``first`` must be even.  Each slice of rows is
-    copied transposed into a contiguous buffer, so ``_box_muller`` and
-    ``_color_noise`` run numpy's contiguous loops as they do on a whole
-    piece, and its noise is written into its columns while the rows are in
-    cache.  So the rows and the buffer stay a slice in size however long
-    the piece.
+    slice's counter, so ``first`` must be even.  Each slice of rows is made
+    noise in a contiguous buffer, by numpy's contiguous loops as on a whole
+    piece, and written into its columns while in cache, so the rows and the
+    buffer stay a slice in size however long the piece.
     """
     xi = np.empty((span, 2, len(indices)))
     width = min(_DRAW_BLOCK, len(indices))
     steps = min(span, max(2, _CHUNK_ELEMENTS // 64 // width // 2 * 2))
     rows = np.empty((width, steps, 2))
-    buffer = np.empty(rows.size)
+    buffer = np.empty(2 * rows.size)  # a slice's uniform pair, then its noise
     for lo in range(0, len(indices), _DRAW_BLOCK):
         block = rows[: len(indices) - lo]
         columns = slice(lo, lo + len(block))
@@ -294,16 +290,17 @@ def _stream_noise(
                 generator.bit_generator.state = state
                 generator.random(out=row[:count])
             part = block[:, :count].transpose(2, 1, 0)
-            u = buffer[: part.size].reshape(part.shape)
+            u, noise = buffer[: 2 * part.size].reshape((2,) + part.shape)
             u[...] = part
-            xi[j : j + count, 0, columns], xi[j : j + count, 1, columns] = _color_noise(
-                *_box_muller(u[0], u[1]), sqrt_cov
-            )
+            _coloured_noise(u[0], u[1], sqrt_cov, noise[0], noise[1])
+            xi[j : j + count, :, columns] = noise.transpose(1, 0, 2)
     return xi
 
 
 def _chunk_layout(n: int) -> tuple[int, int]:
     """Trajectories per chunk and steps per piece for chains of n steps."""
+    if n <= _VECTOR_MAX_STEPS:
+        return _VECTOR_BLOCKS // ((n + 1) // 2), n
     return min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n)), min(n, _CHUNK_ELEMENTS)
 
 
@@ -333,9 +330,10 @@ def _sample_chains(
         z = ((cfg.z0.q,), (cfg.z0.p,))  # z0 as a (2, 1) column
         for first in range(0, n, span):
             if n <= _VECTOR_MAX_STEPS:
-                normals = _box_muller(*_philox_uniforms(cfg.master_seed, indices, n))
-                xi = np.stack(_color_noise(*normals, sqrt_cov), axis=1)
-                del normals
+                u0, u1 = _philox_uniforms(cfg.master_seed, indices, n)
+                xi = np.empty((n, 2, len(indices)))
+                _coloured_noise(u0, u1, sqrt_cov, xi[:, 0], xi[:, 1])
+                del u0, u1
             else:
                 count = min(span, n - first)
                 xi = _stream_noise(generator, state, indices, first, count, sqrt_cov)

@@ -160,10 +160,30 @@ def ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     return out
 
 
-# The chain sampler's pipeline as whole-piece stages, for chains longer than
-# ``kerrzeno.observed._VECTOR_MAX_STEPS``: every stream's uniforms of a
-# piece transposed in blocks of 64 rows, then Box-Muller, colouring and a
-# chain loop that stores its points in new arrays.
+# Box-Muller and colouring as two stages that return new arrays, one
+# expression tree per element.  ``kerrzeno.observed._coloured_noise``, which
+# writes every stage in place, must give the same bits.
+def box_muller(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard normals per uniform pair; the one expression tree shared
+    by the generator and the vectorized streams."""
+    radius = np.sqrt(-2.0 * np.log1p(-u0))
+    angle = 2.0 * math.pi * u1
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
+    """Componentwise coloring; one fixed expression tree per element, so a
+    trajectory rounds alike in a chunk of any size."""
+    return (
+        sqrt_cov[0, 0] * n0 + sqrt_cov[0, 1] * n1,
+        sqrt_cov[1, 0] * n0 + sqrt_cov[1, 1] * n1,
+    )
+
+
+# The chain sampler's pipeline as whole-piece stages: every stream's uniforms
+# of a piece drawn from the re-keyed generator and transposed in blocks of 64
+# rows, then Box-Muller, colouring and a chain loop that stores its points in
+# new arrays.
 # ``kerrzeno.observed._sample_chains`` must give the same finals and paths.
 _DRAW_BLOCK = 64
 
@@ -207,8 +227,6 @@ def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     from kerrzeno import observed
 
     n = cfg.params.n_steps
-    if n <= observed._VECTOR_MAX_STEPS:
-        raise ValueError("sample_chains draws chains longer than _VECTOR_MAX_STEPS")
     theta = cfg.params.theta
     rotation = rotation_matrix(theta)
     sqrt_cov = observed.symmetric_sqrt_2x2(step_covariance(cfg.spec.r, theta))
@@ -223,7 +241,7 @@ def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         zq, zp = cfg.z0.q, cfg.z0.p
         for first in range(0, n, span):
             u = stream_rows(generator, state, indices, first, min(span, n - first))
-            xi_q, xi_p = observed._color_noise(*observed._box_muller(u[0], u[1]), sqrt_cov)
+            xi_q, xi_p = color_noise(*box_muller(u[0], u[1]), sqrt_cov)
             out_q, out_p = chain_points(zq, zp, rotation, xi_q, xi_p)
             paths[rows, first : first + len(out_q)] = np.stack([out_q.T, out_p.T], axis=-1)
             zq, zp = out_q[-1], out_p[-1]

@@ -736,6 +736,26 @@ def test_cli_trajectories_time_budget_is_checked_before_sampling(
     )
 
 
+def test_cli_trajectories_refuses_overflowing_times_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    # theta = chi n_bar tau is finite, but the time column n_steps tau is not
+    def sample(*args, **kwargs):
+        raise AssertionError("the sampler ran on a trajectories run with infinite times")
+
+    monkeypatch.setattr(experiments.observed, "_sample_chains", sample)
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "trajectories", "parameters": {"tau": 1e308, "chi": 1e-310, "n_steps": 3}},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", config_path]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: n_steps=3, tau=1e+308 put the last step at a time that overflows\n"
+    )
+
+
 def test_cli_identity_check_has_no_dim(tmp_path, capsys):
     # the ladder is exact, so the gram needs only dim_check + 1 rows
     config_path = write_config(

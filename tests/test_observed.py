@@ -27,7 +27,7 @@ from kerrzeno.phase_space import (
     rotation_matrix,
     step_covariance,
 )
-from oracles import chain_convolution_check, classical_evolve
+from oracles import box_muller, chain_convolution_check, classical_evolve, color_noise
 from oracles import sample_chains as oracle_sample_chains
 
 
@@ -111,7 +111,7 @@ def test_sample_step_noiseless_is_pure_drift():
     z = PhaseVector(1.5, -0.5)
     zeros = np.zeros((1, 1))
     xi = np.empty((1, 2, 1))
-    xi[:, 0], xi[:, 1] = observed._color_noise(zeros, zeros, sqrt_cov)
+    xi[:, 0], xi[:, 1] = color_noise(zeros, zeros, sqrt_cov)
     assert observed._chain_points(z.as_array()[:, None], rotation, xi) is xi
     np.testing.assert_allclose(xi[0, :, 0], rotation_matrix(0.7) @ z.as_array(), atol=1e-15)
 
@@ -185,16 +185,18 @@ def test_ensemble_matches_individual_trajectories():
 
 @pytest.mark.parametrize("n_steps", [4, 65])
 def test_ensemble_chunking_invariance(n_steps):
-    # 9000 trajectories span two full 4096-trajectory chunks and a partial one;
-    # a trajectory's final must not depend on the chunk it lands in.  The two
-    # chain lengths sit on either side of the vectorized-sampler threshold.
+    # the ensemble spans two full chunks (8192 trajectories at 4 steps, 4096
+    # at 65) and a partial one; a trajectory's final must not depend on the
+    # chunk it lands in.  The two chain lengths sit on either side of the
+    # vectorized-sampler threshold.
     assert 4 <= observed._VECTOR_MAX_STEPS < 65
-    cfg = make_config(n_steps=n_steps, n_trajectories=9000, master_seed=8)
+    chunk = observed._chunk_layout(n_steps)[0]
+    cfg = make_config(n_steps=n_steps, n_trajectories=2 * chunk + 808, master_seed=8)
     finals = run_ensemble(cfg)
-    for k in (4096, 4097, 5000):
+    for k in (chunk, chunk + 1, chunk + 904):
         prefix = run_ensemble(dataclasses.replace(cfg, n_trajectories=k))
         assert np.array_equal(finals[:k], prefix)
-    for index in (4095, 4096, 8191, 8192):
+    for index in (chunk - 1, chunk, 2 * chunk - 1, 2 * chunk):
         assert np.array_equal(finals[index], run_trajectory(cfg, index)[-1])
 
 
@@ -269,7 +271,7 @@ def test_split_stream_keeps_stream_bits(monkeypatch):
     ]
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, cfg.params.theta))
     for index in range(cfg.n_trajectories):
-        ref_q, ref_p = observed._color_noise(*reference_normals(31, index, 100), sqrt_cov)
+        ref_q, ref_p = color_noise(*reference_normals(31, index, 100), sqrt_cov)
         pieces = [xi for i, _, xi in drawn if i == index]
         assert np.array_equal(np.concatenate([xi[:, 0, 0] for xi in pieces]), ref_q)
         assert np.array_equal(np.concatenate([xi[:, 1, 0] for xi in pieces]), ref_p)
@@ -283,8 +285,10 @@ def test_split_stream_keeps_stream_bits(monkeypatch):
     [
         # chunk edges at 1048 and 2096; both chunks end in a ragged 8-stream block
         (2200, 1000, None),
-        (3, 40, None),  # a chunk smaller than one draw block
+        (3, 64, None),  # a chunk smaller than one draw block
         (40, observed._VECTOR_MAX_STEPS + 1, None),  # the first generator length
+        (3, 40, None),  # vector lengths, against the generator's stages
+        (40, 39, None),
         (3, 100, 38),  # each chain drawn in pieces of 38 + 38 + 24 steps
     ],
 )
@@ -334,13 +338,14 @@ def test_ensemble_working_memory_is_bounded(
     chunk, span = observed._chunk_layout(n_steps)
     if n_steps <= observed._VECTOR_MAX_STEPS:
         words = (n_steps + 1) // 2 * chunk  # one uint64 per Philox block and stream
-        scratch = max(
+        # the indices and a round's key word, one uint64 a stream
+        scratch = 2 * chunk + max(
             # four counter words, a round's two products and a product's four
             # scratch words
             10 * words,
-            # the uniform pair (two words a block) and, per step, the radius,
-            # the angle, a cosine or sine and the two normals
-            4 * words + 5 * n_steps * chunk,
+            # the uniform pair (two words a block), made noise in place and
+            # written into the noise (q and p), which the chain overwrites
+            4 * words + 2 * n_steps * chunk,
         )
     else:
         width = min(observed._DRAW_BLOCK, chunk)
@@ -348,21 +353,32 @@ def test_ensemble_working_memory_is_bounded(
         scratch = (
             2 * chunk * span  # the noise (q and p), overwritten by the chain
             + 2 * width * steps  # the draw block's rows of one slice
-            + 8 * width * steps  # a slice's uniform pair and six one-component temporaries
+            + 4 * width * steps  # a slice's uniform pair and its noise, made in place
         )
     budget = 8 * (scratch + 2 * n_trajectories) + 2**17  # the finals; 128 KB for objects
     assert traced_peak(cfg) <= budget
 
 
-@pytest.mark.parametrize("n_steps", [1, 32, 33, 256, 257, 1000, 2**20, 2**20 + 1])
+@pytest.mark.parametrize(
+    "n_steps",
+    [1, 2, 7, 8, 32, 33, observed._VECTOR_MAX_STEPS, observed._VECTOR_MAX_STEPS + 1,
+     256, 257, 1000, 2**20, 2**20 + 1],
+)
 def test_chunk_layout_keeps_streams_whole(n_steps):
     # a chunk holds whole streams unless it is one chain, whose pieces start
-    # on a Philox pair because _CHUNK_ELEMENTS is even
+    # on a Philox pair because _CHUNK_ELEMENTS is even; a vector chunk holds
+    # as many streams as _VECTOR_BLOCKS Philox blocks allow, a re-keyed one
+    # at most _CHUNK_ROWS streams and _CHUNK_ELEMENTS trajectory-steps
     assert observed._CHUNK_ELEMENTS % 2 == 0
     chunk, span = observed._chunk_layout(n_steps)
-    assert 1 <= chunk <= observed._CHUNK_ROWS
-    assert chunk * n_steps <= observed._CHUNK_ELEMENTS or chunk == 1
-    assert span == n_steps or (chunk == 1 and span == observed._CHUNK_ELEMENTS)
+    if n_steps <= observed._VECTOR_MAX_STEPS:
+        blocks = (n_steps + 1) // 2
+        assert chunk * blocks <= observed._VECTOR_BLOCKS < (chunk + 1) * blocks
+        assert span == n_steps
+    else:
+        assert 1 <= chunk <= observed._CHUNK_ROWS
+        assert chunk * n_steps <= observed._CHUNK_ELEMENTS or chunk == 1
+        assert span == n_steps or (chunk == 1 and span == observed._CHUNK_ELEMENTS)
 
 
 def test_long_chains_build_one_generator_per_call(monkeypatch):
@@ -384,13 +400,34 @@ def test_long_chains_build_one_generator_per_call(monkeypatch):
 # --- vectorized Philox sampler ------------------------------------------------------
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_coloured_noise_matches_two_stage_tree(r, strided):
+    # the in-place kernel against Box-Muller and colouring as new arrays, bit
+    # for bit and signed zeros included: at u0 = 0 the radius is +0, so the
+    # normals take the signs of cos and sin of (2 pi) u1; the generator's
+    # uniforms fill the rest of the (steps, chains) planes
+    u0, u1 = np.random.Generator(np.random.Philox(key=(5, 0))).random((2, 40, 101))
+    edges0, edges1 = np.meshgrid([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], [0.0, 0.25, 0.5, 0.75])
+    u0[0, :16], u1[0, :16] = edges0.ravel(), edges1.ravel()
+    sqrt_cov = symmetric_sqrt_2x2(step_covariance(r, 0.3))
+    expected = color_noise(*box_muller(u0, u1), sqrt_cov)
+    if strided:  # every third chain of a step-major (steps, 2, chains) array
+        out_q, out_p = np.empty((40, 2, 3 * 101))[:, :, ::3].transpose(1, 0, 2)
+    else:
+        out_q, out_p = np.empty((2, 40, 101))
+    observed._coloured_noise(u0, u1, sqrt_cov, out_q, out_p)
+    for out, ref in zip((out_q, out_p), expected):
+        assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), ref.view(np.uint64))
+
+
 def assert_chunk_matches_generators(seed, offset, length, n_steps):
     """Loop reference: one numpy Philox generator per trajectory; every
     wrap of the kernel stays in arrays, so no floating-point error is set."""
     indices = np.arange(offset, offset + length, dtype=np.uint64)
     with np.errstate(all="raise"):
         u0, u1 = observed._philox_uniforms(seed, indices, n_steps)
-        n0, n1 = observed._box_muller(u0, u1)
+        n0, n1 = box_muller(u0, u1)
     assert u0.shape == u1.shape == (n_steps, length)
     for row, index in enumerate(indices.tolist()):
         gen = np.random.Generator(np.random.Philox(key=(seed, index)))
@@ -403,20 +440,25 @@ def assert_chunk_matches_generators(seed, offset, length, n_steps):
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 32, observed._VECTOR_MAX_STEPS, 64])
-@pytest.mark.parametrize("offset", [0, 4090, observed.SEED_LIMIT - 12])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 32, 38, observed._VECTOR_MAX_STEPS, 64, 80])
+@pytest.mark.parametrize("offset", [0, 4090, "chunk edge", observed.SEED_LIMIT - 12])
 def test_vectorized_philox_matches_generators(seed, n_steps, offset):
-    # offset 4090 with 12 trajectories crosses the 4096 chunk edge, and
-    # SEED_LIMIT - 12 ends at the last index, where i + r W1 wraps mod 2**64
-    # from round 1 on; 32 steps are 16 whole Philox blocks, and 64 steps lie
-    # beyond the sampler's threshold, where the function still holds
+    # the 12 trajectories from 4090 cross 4096, the chunk edge at 7-8 steps
+    # and of re-keyed chunks, and from 6 below the first chunk edge of
+    # n_steps they cross it; SEED_LIMIT - 12 ends at the last index, where
+    # i + r W1 wraps mod 2**64 from round 1 on; 32 steps are 16 whole Philox
+    # blocks, and 80 steps lie beyond the sampler's threshold, where the
+    # function still holds
+    if offset == "chunk edge":
+        offset = observed._chunk_layout(n_steps)[0] - 6
     assert_chunk_matches_generators(seed, offset, 12, n_steps)
 
 
 def test_vectorized_philox_matches_generators_on_a_full_chunk():
     # one whole chunk at the chain length of the wide ensembles, keyed by the
     # largest seed, whose k0 = seed + r W0 wraps mod 2**64
-    assert_chunk_matches_generators(observed.SEED_LIMIT - 1, 0, observed._CHUNK_ROWS, 2)
+    chunk = observed._chunk_layout(2)[0]
+    assert_chunk_matches_generators(observed.SEED_LIMIT - 1, 0, chunk, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,9 +480,10 @@ def test_run_config_rejects_seed_outside_domain(seed):
 
 
 @pytest.mark.parametrize("seed", [3.0, np.int64(3)], ids=["float", "int64"])
-@pytest.mark.parametrize("n_steps", [10, 40])
+@pytest.mark.parametrize("n_steps", [10, 40, 64])
 def test_run_config_reads_integral_seeds_as_int(seed, n_steps):
     # both sides of the vectorized-sampler threshold draw Philox key (3, i)
+    assert 40 <= observed._VECTOR_MAX_STEPS < 64
     cfg = make_config(n_steps=n_steps, n_trajectories=20, master_seed=seed)
     assert type(cfg.master_seed) is int
     expected = run_ensemble(make_config(n_steps=n_steps, n_trajectories=20, master_seed=3))
@@ -606,9 +649,10 @@ def test_run_config_validation():
         run_trajectory(cfg, -1)
 
 
-@pytest.mark.parametrize("n_steps", [5.0, 40.0])
+@pytest.mark.parametrize("n_steps", [5.0, 40.0, 64.0])
 def test_integral_float_counts_run_as_int(n_steps):
-    # 5.0 and 40.0 sit on both sides of the vectorized-sampler threshold
+    # 5.0 and 40.0 run the vectorized sampler, 64.0 the re-keyed generator
+    assert 40 <= observed._VECTOR_MAX_STEPS < 64
     cfg = make_config(n_steps=n_steps, n_trajectories=3.0)
     assert type(cfg.params.n_steps) is int and type(cfg.n_trajectories) is int
     expected = make_config(n_steps=int(n_steps), n_trajectories=3)
