@@ -313,6 +313,19 @@ def _trajectories_budget_problem(p: dict) -> str | None:
     return None
 
 
+def _sample_moments(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``finals.mean(axis=0)`` and ``np.cov(finals.T, ddof=1)`` (zeros for one row) with
+    their bits: numpy sums axis 0 row by row from +0.0, and ``np.cov`` centres a copy
+    laid out as ``centred``, so ``np.dot`` makes the same BLAS call."""
+    n = len(finals)
+    mean, centred = np.empty(2), np.empty_like(finals)
+    for k in (0, 1):
+        np.add.accumulate(finals[:, k], out=centred[:, k])
+        mean[k] = (centred[-1, k] + 0.0) / n
+        np.subtract(finals[:, k], mean[k], out=centred[:, k])
+    return mean, np.dot(centred.T, centred) * np.true_divide(1, max(n - 1, 1))
+
+
 def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
     if problem := _trajectories_budget_problem(p):
         raise ValueError(problem)
@@ -328,7 +341,8 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
     n = cfg.n_trajectories
     # an overflowing chain or moment exits 3 through FloatingPointError, not
     # as warnings; the closed form goes first, so a step covariance that is
-    # not positive-definite is refused before anything is sampled
+    # not positive-definite is refused before anything is sampled; the moments
+    # take per-column sums and one centred product, numpy.mean's and numpy.cov's bits
     with np.errstate(over="raise", invalid="raise"):
         target = observed.analytic_final_distribution(cfg)
         finals = observed.run_ensemble(cfg)
@@ -336,8 +350,7 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         _, paths = observed._sample_chains(
             cfg, 0, min(p["record_paths"], n), keep_paths=True
         )
-        sample_mean = finals.mean(axis=0)
-        sample_cov = np.cov(finals.T, ddof=1) if n > 1 else np.zeros((2, 2))
+        sample_mean, sample_cov = _sample_moments(finals)
         mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
         mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
         diag = np.diag(target.cov)

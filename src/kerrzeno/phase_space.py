@@ -227,7 +227,10 @@ def _step_entries(r: float, theta: float) -> tuple[float, float, float]:
     theta = _require_finite(theta, "theta")
     if math.isinf(2.0 * theta):
         raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {theta!r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"r must keep cosh(2r) and sinh(2r) finite, got {r!r}") from None
     c2 = math.cos(theta) ** 2
     return ch + c2 * sh, 0.5 * math.sin(2.0 * theta) * sh, ch - c2 * sh
 

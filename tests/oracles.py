@@ -249,6 +249,15 @@ def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return finals, paths
 
 
+# The summary moments as numpy computes them over the C-ordered finals.
+# ``kerrzeno.experiments._sample_moments`` must give the same bits.
+def sample_moments(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = len(finals)
+    sample_mean = finals.mean(axis=0)
+    sample_cov = np.cov(finals.T, ddof=1) if n > 1 else np.zeros((2, 2))
+    return sample_mean, sample_cov
+
+
 # The gram as a per-ring loop over each block's rings: one 2-D product and
 # one weighted add into the gram per ring, in ring order.
 # ``kerrzeno.fock._family_gram`` must give the same gram.

@@ -31,6 +31,7 @@ from kerrzeno.experiments import (
 from kerrzeno.fock import MeasurementSpec, mean_a_closed_form
 from kerrzeno.observed import (
     ObservedRunConfig,
+    run_ensemble,
     run_trajectory,
     survival_density_continuous,
 )
@@ -42,7 +43,7 @@ from kerrzeno.phase_space import (
     step_covariance,
 )
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
-from oracles import json_payload, recorded_rows
+from oracles import json_payload, recorded_rows, sample_moments
 from oracles import write_csv as oracle_write_csv
 
 
@@ -203,6 +204,45 @@ def test_trajectories_summary_consistent():
     assert summary["n_trajectories"] == 4000
     assert summary["mean_error"] < summary["mean_error_limit_4se"]
     assert summary["max_cov_deviation_se"] < 5.0
+
+
+def assert_same_moment_bits(finals):
+    expected = sample_moments(finals)
+    got = experiments._sample_moments(finals)
+    for want, have in zip(expected, got):
+        assert have.shape == want.shape and have.dtype == np.float64
+        assert np.array_equal(have.view(np.uint64), want.view(np.uint64))
+
+
+# 8193 and 16385 end in a ragged sampler chunk, 16384 fills one exactly
+@pytest.mark.parametrize("n", [2, 3, 8193, 16384, 16385, 100000])
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+def test_sample_moments_have_numpy_bits_on_ensembles(n, r):
+    cfg = ObservedRunConfig(
+        z0=PhaseVector(3.0, -1.5),
+        params=EvolutionParams(0.1, 0.5 * (3.0**2 + 1.5**2), 0.1, 2),
+        spec=MeasurementSpec(r),
+        n_trajectories=n,
+        master_seed=17,
+    )
+    assert_same_moment_bits(run_ensemble(cfg))
+
+
+def test_sample_moments_have_numpy_bits_on_crafted_finals():
+    rng = np.random.default_rng(5)
+    # a large common offset, where each running sum rounds
+    assert_same_moment_bits(1e8 + rng.standard_normal((20001, 2)))
+    # magnitudes from 1e-300 to 1e150 in both columns, and signed zeros
+    mixed = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-300, 150, (5000, 2))
+    mixed[::7] = -0.0
+    mixed[::11, 1] = 0.0
+    assert_same_moment_bits(mixed)
+    # numpy's sum of a column of -0.0 alone is +0.0
+    assert_same_moment_bits(np.full((9, 2), -0.0))
+    assert_same_moment_bits(np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0]]))
+    # one row: its mean, and zeros for the covariance
+    for row in ([[-0.0, 2.5]], [[1e300, -3.0]], [[5e-324, -0.0]]):
+        assert_same_moment_bits(np.array(row))
 
 
 def test_trajectories_rows_are_the_recorded_outcomes():
@@ -815,9 +855,11 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         # C_1 is fine, and the determinant of C_N overflows further along
         ("covariance-growth", {"r": 176.0},
          "2x2 determinant overflows double precision (largest entry 3.915e+154)"),
-        # cosh(2r) overflows in the step covariance
-        ("covariance-growth", {"r": 400.0}, "math range error"),
-        ("zeno-continuous", {"r": 400.0}, "math range error"),
+        # cosh(2r) overflows in the step covariance, which names r
+        ("covariance-growth", {"r": 400.0},
+         "r must keep cosh(2r) and sinh(2r) finite, got 400.0"),
+        ("zeno-continuous", {"r": 400.0},
+         "r must keep cosh(2r) and sinh(2r) finite, got 400.0"),
         # the literal step covariance cancels to a non-positive determinant
         ("covariance-growth", {"r": 10.0, "theta": 1e-8},
          "c1 must be symmetric positive-definite"),
@@ -825,6 +867,9 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         # the measurement seed refuses cosh(r) overflow
         ("zeno-continuous", {"r": 701.0},
          "r must satisfy |r| <= 700 (cosh r finite), got 701.0"),
+        # the trajectories closed form refuses cosh(2r) overflow before sampling
+        ("trajectories", {"r": 400.0},
+         "r must keep cosh(2r) and sinh(2r) finite, got 400.0"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):
@@ -879,6 +924,9 @@ QUARTER_TURN_OF_MAX = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
         pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 65}, id="65"),
         # a finite chain whose sample moments overflow in the summary
         pytest.param({"q0": 1e200, "n_bar": 1.0, "n_steps": 3}, id="moments"),
+        # finite finals near max_float whose column sum overflows
+        pytest.param({"q0": 1e308, "n_bar": 1.0, "n_steps": 1, "chi": 1e-9,
+                      "n_trajectories": 10}, id="mean"),
     ],
 )
 def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, parameters):
