@@ -69,9 +69,9 @@ _CHI_T_MAX = sys.float_info.max / 4.0
 _IDENTITY_WORK = 2**28
 # Bytes the finals and recorded paths of one trajectories run may hold: 32 a
 # trajectory (its final and the moments' centred copy) and _ROW_BYTES a
-# recorded row: its path point and, while the paths are drawn, its noise,
-# 16 bytes each (traced peak 33.3 MB for 10 paths of 100k steps).  The
-# writers add one block of rows' text, under 10 MB whatever the row count.
+# recorded row: its path point and, while its chunk is drawn, its noise,
+# 16 bytes each (traced peak 32.8 MB for 10 paths of 100k steps, one chunk).
+# The writers add one block of rows' text, under 10 MB whatever the row count.
 _TRAJECTORY_BYTES = 2**31
 _ROW_BYTES = 32
 # Trajectory-steps one trajectories run may sample: about 25 min at the
@@ -339,18 +339,22 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         master_seed=master_seed,
     )
     n = cfg.n_trajectories
-    # an overflowing chain or moment exits 3 through FloatingPointError, not
-    # as warnings; the closed form goes first, so a step covariance that is
-    # not positive-definite is refused before anything is sampled; the moments
-    # take per-column sums and one centred product, numpy.mean's and numpy.cov's bits
+    paths = np.empty((min(p["record_paths"], n), cfg.params.n_steps, 2))
+    # an overflowing chain exits 3 through FloatingPointError and overflowing
+    # moments through a ValueError naming them, not as warnings; the closed
+    # form goes first, so a step covariance that is not positive-definite is
+    # refused before anything is sampled; the moments take per-column sums
+    # and one centred product, numpy.mean's and numpy.cov's bits
     with np.errstate(over="raise", invalid="raise"):
         target = observed.analytic_final_distribution(cfg)
-        finals = observed.run_ensemble(cfg)
-        # the recorded paths come from one batched call of the same sampler
-        _, paths = observed._sample_chains(
-            cfg, 0, min(p["record_paths"], n), keep_paths=True
-        )
-        sample_mean, sample_cov = _sample_moments(finals)
+        finals = observed.run_ensemble(cfg, paths)
+        try:
+            sample_mean, sample_cov = _sample_moments(finals)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"the sample moments of n_trajectories={n} finals from q0={q0!r}, "
+                f"p0={p0!r} overflow ({exc})"
+            ) from None
         mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
         mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
         diag = np.diag(target.cov)

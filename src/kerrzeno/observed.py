@@ -29,7 +29,7 @@ would share streams); step ``j`` consumes uniforms
 Results are therefore bit-identical however trajectories are chunked.
 
 One chain sampler serves any range of trajectory indices: the whole
-ensemble, one trajectory, or the recorded paths of an experiment.  It runs
+ensemble with its first paths in one pass, or one trajectory.  It runs
 chunks of whole streams, so its working arrays stay bounded.  Chains of at
 most 58 steps evaluate Philox4x64-10, a pure function of (key, counter), in
 numpy across the streams of 2**14 Philox blocks.  Longer chains run chunks
@@ -305,14 +305,14 @@ def _chunk_layout(n: int) -> tuple[int, int]:
 
 
 def _sample_chains(
-    cfg: ObservedRunConfig, lo: int, hi: int, keep_paths: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Finals (hi - lo, 2) of trajectories lo..hi-1, and with ``keep_paths``
-    their paths (hi - lo, n_steps, 2); trajectory i lands at row i - lo.
+    cfg: ObservedRunConfig, lo: int, hi: int, paths: np.ndarray | None = None
+) -> np.ndarray:
+    """Finals (hi - lo, 2) of trajectories lo..hi-1; trajectory i lands at row
+    i - lo, and with ``paths``, of shape (k, n_steps, 2) for some k <= hi - lo,
+    its path at row i - lo of ``paths`` while i - lo < k.
 
-    The one chain sampler, behind ``run_ensemble`` (0..n_trajectories-1),
-    ``run_trajectory`` (one index) and the recorded paths of the
-    ``trajectories`` experiment (one batched call).
+    The one chain sampler, behind ``run_ensemble`` (0..n_trajectories-1) and
+    ``run_trajectory`` (one index).
     """
     theta = cfg.params.theta
     rotation = rotation_matrix(theta)
@@ -323,7 +323,6 @@ def _sample_chains(
         generator = np.random.Generator(np.random.Philox(key=(cfg.master_seed, 0)))
         state = generator.bit_generator.state  # counter 0, empty buffer
     finals = np.empty((hi - lo, 2))
-    paths = np.empty((hi - lo, n, 2)) if keep_paths else None
     for start in range(lo, hi, chunk):
         indices = np.arange(start, min(start + chunk, hi), dtype=np.uint64)
         rows = slice(start - lo, start - lo + len(indices))
@@ -339,12 +338,13 @@ def _sample_chains(
                 xi = _stream_noise(generator, state, indices, first, count, sqrt_cov)
             _chain_points(z, rotation, xi)
             if paths is not None:
-                paths[rows, first : first + len(xi)] = xi.transpose(2, 0, 1)
+                recorded = paths[rows, first : first + len(xi)]
+                recorded[...] = xi.transpose(2, 0, 1)[: len(recorded)]
             z = xi[-1].copy()
             # free this piece before the next one is drawn
             del xi
         finals[rows] = z.T
-    return finals, paths
+    return finals
 
 
 def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> np.ndarray:
@@ -355,17 +355,33 @@ def run_trajectory(cfg: ObservedRunConfig, trajectory_index: int) -> np.ndarray:
     ``[0, SEED_LIMIT)``.
     """
     index = _require_int(trajectory_index, "trajectory_index", 0, SEED_LIMIT)
-    _, paths = _sample_chains(cfg, index, index + 1, keep_paths=True)
-    return paths[0]
+    path = np.empty((1, cfg.params.n_steps, 2))
+    _sample_chains(cfg, index, index + 1, path)
+    return path[0]
 
 
-def run_ensemble(cfg: ObservedRunConfig) -> np.ndarray:
+def run_ensemble(cfg: ObservedRunConfig, paths: np.ndarray | None = None) -> np.ndarray:
     """Final outcomes of all trajectories, shape (n_trajectories, 2).
 
     Row i is trajectory i's last outcome, drawn from its own stream, so the
-    rows do not depend on how the ensemble is chunked.
+    rows do not depend on how the ensemble is chunked.  A caller-owned
+    float64 ``paths`` of shape (k, n_steps, 2), k <= n_trajectories, gets
+    the paths of trajectories 0..k-1 from the same pass; others raise ValueError.
     """
-    return _sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=False)[0]
+    n = cfg.params.n_steps
+    if paths is not None and not (
+        isinstance(paths, np.ndarray)
+        and paths.dtype == np.float64
+        and paths.ndim == 3
+        and paths.shape[1:] == (n, 2)
+        and len(paths) <= cfg.n_trajectories
+    ):
+        raise ValueError(
+            f"paths must be a float64 array of shape (k, {n}, 2) with k <= "
+            f"n_trajectories={cfg.n_trajectories}, got {type(paths).__name__} of dtype "
+            f"{getattr(paths, 'dtype', None)} and shape {np.shape(paths)}"
+        )
+    return _sample_chains(cfg, 0, cfg.n_trajectories, paths)
 
 
 def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:

@@ -278,6 +278,23 @@ def test_trajectories_rows_are_the_recorded_outcomes():
             assert [type(v) for v in row] == [int, int, float, float, float]
 
 
+@pytest.mark.parametrize("n_steps", [20, experiments.observed._VECTOR_MAX_STEPS + 1])
+def test_trajectories_run_samples_each_trajectory_once(monkeypatch, n_steps):
+    # the finals and the recorded paths come out of one sampler pass
+    calls = []
+    sample_chains = experiments.observed._sample_chains
+
+    def counting_sample_chains(cfg, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return sample_chains(cfg, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.observed, "_sample_chains", counting_sample_chains)
+    params = {"n_steps": n_steps, "n_trajectories": 30, "record_paths": 4}
+    envelope = run_experiment(make_config("trajectories", params, master_seed=5))
+    assert calls == [(0, 30)]
+    assert len(envelope.rows) == 4 * n_steps
+
+
 def test_zeno_continuous_constancy():
     config = make_config("zeno-continuous", {"n_max": 25})
     envelope = run_experiment(config)
@@ -916,20 +933,24 @@ QUARTER_TURN_OF_MAX = {"q0": 1.7e308, "p0": 1.7e308, "n_bar": 1.0, "chi": 0.5,
 
 
 @pytest.mark.parametrize(
-    "parameters",
+    "parameters, moments",
     [
         # a quarter turn of (1.7e308, 1.7e308) overflows on the first step, on
         # either side of the vectorized-sampler threshold
-        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 20}, id="20"),
-        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 65}, id="65"),
+        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 20}, None, id="20"),
+        pytest.param({**QUARTER_TURN_OF_MAX, "n_steps": 65}, None, id="65"),
         # a finite chain whose sample moments overflow in the summary
-        pytest.param({"q0": 1e200, "n_bar": 1.0, "n_steps": 3}, id="moments"),
+        pytest.param({"q0": 1e200, "n_bar": 1.0, "n_steps": 3},
+                     "n_trajectories=10000 finals from q0=1e+200, p0=0.0", id="moments"),
         # finite finals near max_float whose column sum overflows
         pytest.param({"q0": 1e308, "n_bar": 1.0, "n_steps": 1, "chi": 1e-9,
-                      "n_trajectories": 10}, id="mean"),
+                      "n_trajectories": 10},
+                     "n_trajectories=10 finals from q0=1e+308, p0=0.0", id="mean"),
     ],
 )
-def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, parameters):
+def test_cli_overflowing_chain_exits_numeric_without_warnings(
+    tmp_path, capsys, parameters, moments
+):
     config_path = write_config(
         tmp_path, {"experiment": "trajectories", "parameters": parameters}
     )
@@ -938,6 +959,8 @@ def test_cli_overflowing_chain_exits_numeric_without_warnings(tmp_path, capsys, 
         assert cli.main(["run", config_path]) == 3
     err = capsys.readouterr().err
     assert "numeric error" in err
+    if moments is not None:
+        assert err.startswith(f"numeric error: the sample moments of {moments} overflow (")
     assert "Warning" not in err and "Traceback" not in err
     assert caught == []
 

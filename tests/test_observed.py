@@ -210,12 +210,58 @@ def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
     )
     for elements in (3 * cfg.params.n_steps, 26):
         monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", elements)
-        finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+        paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
+        finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
         assert np.array_equal(finals, run_ensemble(cfg))
         for index in range(cfg.n_trajectories):
             path = run_trajectory(cfg, index)
             assert np.array_equal(paths[index], path)
             assert np.array_equal(finals[index], path[-1])
+
+
+@pytest.mark.parametrize(
+    "constant, value, n_steps, chunk",
+    [
+        # chunks of 3 re-keyed streams: edges at 3, 6 and 9
+        ("_CHUNK_ROWS", 3, observed._VECTOR_MAX_STEPS + 1, 3),
+        # 8 Philox blocks hold four 4-step streams: edges at 4 and 8
+        ("_VECTOR_BLOCKS", 8, 4, 4),
+    ],
+    ids=["re-keyed", "vector"],
+)
+def test_recorded_paths_match_trajectories_across_chunk_edges(
+    monkeypatch, constant, value, n_steps, chunk
+):
+    # the paths run_ensemble records in its pass are run_trajectory's, bit for
+    # bit, and recording them leaves the finals as they are
+    monkeypatch.setattr(observed, constant, value)
+    cfg = make_config(n_steps=n_steps, r=0.4, n_trajectories=10, master_seed=13)
+    assert observed._chunk_layout(n_steps)[0] == chunk
+    finals = run_ensemble(cfg)
+    for k in (0, 1, chunk - 1, chunk + 1, cfg.n_trajectories):
+        paths = np.full((k, n_steps, 2), np.nan)
+        assert np.array_equal(run_ensemble(cfg, paths), finals)
+        for index in range(k):
+            assert np.array_equal(paths[index], run_trajectory(cfg, index))
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        np.empty((11, 5, 2)),  # more paths than trajectories
+        np.empty((3, 4, 2)),
+        np.empty((3, 6, 2)),
+        np.empty((3, 5, 3)),
+        np.empty((5, 2)),
+        np.empty((3, 5, 2), dtype=np.float32),
+        np.zeros((3, 5, 2)).tolist(),
+    ],
+    ids=["rows", "short", "long", "width", "2-d", "float32", "list"],
+)
+def test_ensemble_refuses_misshapen_paths(paths):
+    cfg = make_config(n_steps=5, n_trajectories=10)
+    with pytest.raises(ValueError, match=r"must be a float64 array of shape \(k, 5, 2\) with k <="):
+        run_ensemble(cfg, paths)
 
 
 @pytest.mark.parametrize("n_steps", [3, 65])
@@ -224,7 +270,8 @@ def test_trajectory_and_ensemble_paths_match_reference(n_steps):
     # against the ensemble bit for bit
     assert 3 <= observed._VECTOR_MAX_STEPS < 65
     cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=5, master_seed=17)
-    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
+    finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
     for index in range(cfg.n_trajectories):
         expected = reference_path(cfg, index)
         path = run_trajectory(cfg, index)
@@ -240,7 +287,8 @@ def test_long_chain_chunk_edges_match_trajectories():
     n_steps = 1000
     assert min(observed._CHUNK_ROWS, observed._CHUNK_ELEMENTS // n_steps) == 1048
     cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=2200, master_seed=23)
-    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
+    finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
     assert np.array_equal(finals, run_ensemble(cfg))
     for index in (1047, 1048, 2095, 2096, 2199):
         path = run_trajectory(cfg, index)
@@ -263,7 +311,8 @@ def test_split_stream_keeps_stream_bits(monkeypatch):
 
     monkeypatch.setattr(observed, "_stream_noise", recording_stream_noise)
     cfg = make_config(n_steps=100, r=0.3, n_trajectories=3, master_seed=31)
-    finals, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
+    finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
     assert [(index, first, xi.shape) for index, first, xi in drawn] == [
         (index, first, (span, 2, 1))
         for index in range(cfg.n_trajectories)
@@ -301,7 +350,8 @@ def test_sampler_keeps_whole_piece_pipeline_bits(
         monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
     cfg = make_config(n_steps=n_steps, r=r, n_trajectories=n_trajectories, master_seed=19)
     expected_finals, expected_paths = oracle_sample_chains(cfg, 0, n_trajectories)
-    finals, paths = observed._sample_chains(cfg, 0, n_trajectories, keep_paths=True)
+    paths = np.empty((n_trajectories, cfg.params.n_steps, 2))
+    finals = observed._sample_chains(cfg, 0, n_trajectories, paths)
     assert np.array_equal(paths, expected_paths)
     assert np.array_equal(finals, expected_finals)
 
@@ -393,7 +443,7 @@ def test_long_chains_build_one_generator_per_call(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     cfg = make_config(n_steps=300, n_trajectories=5000, master_seed=3)
-    observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=False)
+    observed._sample_chains(cfg, 0, cfg.n_trajectories)
     assert len(built) == 1
 
 
@@ -511,7 +561,8 @@ def test_ensemble_final_covariance_vacuum():
 def test_chain_has_no_memory():
     # the step residual must be uncorrelated with the previous outcome
     cfg = make_config(n_steps=3, tau=1.1, r=0.3, n_trajectories=20_000, master_seed=3)
-    _, paths = observed._sample_chains(cfg, 0, cfg.n_trajectories, keep_paths=True)
+    paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
+    observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
     m_inv = rotation_matrix(cfg.params.theta).T
     residual = paths[:, 2, :] @ m_inv.T - paths[:, 1, :]
     previous = paths[:, 0, :]
