@@ -4,12 +4,13 @@ kerrzeno: Kerr-oscillator dynamics under repeated phase-space measurement.
 Layers
 ------
 ``phase_space``
-    Exact 2x2 algebra: the rotation of the linearized evolution, seed and
-    per-step covariances, and their accumulation law.
+    Exact 2x2 algebra: the rotation of the linearized evolution, the
+    per-step covariance, and its accumulation law.
 ``fock``
     Truncated number-basis reference numerics: coherent/squeezed state
-    construction, Kerr propagation, moments, measurement kernels, and
-    completeness/normalization quadratures.
+    construction, Kerr propagation, number and ladder moments, the
+    completeness quadrature of the measurement family, and dichotomic
+    survival.
 ``observed``
     The observed Markov chain: seeded trajectory sampling into plain
     arrays (final outcomes of an ensemble, or one trajectory's path), the
@@ -32,7 +33,6 @@ from .phase_space import (
     accumulate_covariance,
     det_cn_asymptotic,
     rotation_matrix,
-    seed_covariance,
     step_covariance,
 )
 from .fock import (
@@ -50,9 +50,6 @@ from .fock import (
     mean_a_closed_form,
     number_moment,
     number_squared_variance,
-    quadrature_mean_cov,
-    transition_density,
-    transition_normalization,
 )
 from .observed import (
     ObservedRunConfig,

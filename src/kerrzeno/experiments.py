@@ -499,7 +499,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 Field("chi", "float", 0.1),
                 Field("n_bar", "float", None, nullable=True, minimum=0.0,
                       help="mean photon number; null derives |alpha0|^2"),
-                Field("tau", "float", 0.1),
+                Field("tau", "float", 0.1, minimum=math.ulp(0.0)),
                 Field("n_steps", "int", 20, minimum=1),
                 Field("r", "float", 0.0),
                 Field("n_trajectories", "int", 10000, minimum=1),

@@ -12,7 +12,7 @@ Conventions
   D(alpha) = exp(alpha a^dag - alpha^* a).
 * The squeeze S(r) = exp(r (a^dag a^dag - a a) / 2) stretches the q
   quadrature: Var(q) = exp(2r)/2, Var(p) = exp(-2r)/2 for S(r)|0>,
-  matching ``phase_space.seed_covariance``.
+  the seed covariance C(r) of ``phase_space``.
 * Kerr propagation over a dimensionless time chi_t multiplies the n-th
   amplitude by exp(-i chi_t n^2).
 * Truncation: constructed states keep their raw amplitudes (no
@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .phase_space import PhaseVector, _require_int
+from .phase_space import _require_int
 
 __all__ = [
     "DEFAULT_TAIL_BUDGET",
@@ -45,7 +45,6 @@ __all__ = [
     "FockVector",
     "MeasurementSpec",
     "QuadratureGrid",
-    "annihilation_matrix",
     "default_dim",
     "displacement_matrix",
     "squeeze_matrix",
@@ -55,9 +54,6 @@ __all__ = [
     "mean_a_closed_form",
     "number_moment",
     "number_squared_variance",
-    "quadrature_mean_cov",
-    "transition_density",
-    "transition_normalization",
     "identity_resolution_defect",
     "dichotomic_survival_exact",
 ]
@@ -115,7 +111,7 @@ class MeasurementSpec:
         return cls()
 
 
-def annihilation_matrix(dim: int) -> np.ndarray:
+def _annihilation_matrix(dim: int) -> np.ndarray:
     """Matrix of a on the truncated basis: a|n> = sqrt(n)|n-1>."""
     a = np.zeros((dim, dim))
     n = np.arange(1, dim)
@@ -229,7 +225,7 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
 
     A dense test oracle for the ladder recurrence of ``displaced_seed``.
     """
-    a = annihilation_matrix(dim)
+    a = _annihilation_matrix(dim)
     return _expm_anti_hermitian(alpha * a.T - np.conj(alpha) * a)
 
 
@@ -238,7 +234,7 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
 
     A dense test oracle for the squeezed seed of the ladder recurrence.
     """
-    a = annihilation_matrix(dim)
+    a = _annihilation_matrix(dim)
     return _expm_anti_hermitian(0.5 * r * (a.T @ a.T - a @ a))
 
 
@@ -316,13 +312,6 @@ def mean_a_closed_form(alpha: complex, chi_t: float) -> complex:
     return alpha * envelope * complex(math.cos(phase), -math.sin(phase))
 
 
-def _mean_a2(psi: FockVector) -> complex:
-    c = psi.amps
-    n = np.arange(psi.dim - 2)
-    w = np.sqrt((n + 1.0) * (n + 2.0))
-    return complex(np.sum(w * np.conj(c[:-2]) * c[2:]))
-
-
 def number_moment(psi: FockVector, k: int) -> float:
     """<n^k> for k in 1..4 by direct summation."""
     if k not in (1, 2, 3, 4):
@@ -337,30 +326,12 @@ def number_squared_variance(psi: FockVector) -> float:
     return number_moment(psi, 4) - m2 * m2
 
 
-def quadrature_mean_cov(psi: FockVector) -> tuple[np.ndarray, np.ndarray]:
-    """Mean (q, p) and quadrature covariance from ladder sums.
-
-    Uses <q^2> = Re<a^2> + <n> + 1/2 and partners; the test-suite checks
-    the same moments against dense operator matrices.
-    """
-    a1 = mean_a(psi)
-    a2 = _mean_a2(psi)
-    nbar = number_moment(psi, 1)
-    mq = math.sqrt(2.0) * a1.real
-    mp = math.sqrt(2.0) * a1.imag
-    qq = a2.real + nbar + 0.5 - mq * mq
-    pp = -a2.real + nbar + 0.5 - mp * mp
-    qp = a2.imag - mq * mp
-    return np.array([mq, mp]), np.array([[qq, qp], [qp, pp]])
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint polar grid on the alpha plane.
 
     ``r_max = None`` lets each integral pick its own radial extent
-    (identity checks use sqrt(2 dim_check) + 5; transition integrals use
-    the source amplitude plus a Gaussian margin).
+    (``identity_resolution_defect`` uses sqrt(2 dim_check) + 5).
     """
 
     n_r: int = 200
@@ -446,45 +417,6 @@ def identity_resolution_defect(
     r_max = grid.r_max if grid.r_max is not None else math.sqrt(2.0 * dim_check) + 5.0
     gram = _family_gram(spec, dim_check + 1, grid, r_max)
     return float(np.max(np.abs(gram - np.eye(dim_check + 1))))
-
-
-def transition_density(
-    z_from: PhaseVector,
-    z_to: PhaseVector,
-    chi_tau: float,
-    spec: MeasurementSpec,
-    dim: int,
-) -> float:
-    """One-step outcome density |<z_to| U(tau) |z_from>|^2 / (2 pi).
-
-    This is a probability density per dq dp of the outcome label z_to.
-    """
-    psi = displaced_seed(spec, z_from.to_alpha(), dim)
-    evolved = kerr_propagate(psi, chi_tau)
-    target = displaced_seed(spec, z_to.to_alpha(), dim)
-    overlap = complex(np.vdot(target.amps, evolved.amps))
-    return abs(overlap) ** 2 / (2.0 * math.pi)
-
-
-def transition_normalization(
-    z_from: PhaseVector,
-    chi_tau: float,
-    spec: MeasurementSpec,
-    dim: int,
-    grid: QuadratureGrid | None = None,
-) -> float:
-    """Grid integral of the one-step density over all outcomes.
-
-    Completeness of the displaced family makes the exact value 1; the
-    return value exposes the quadrature error.
-    """
-    grid = grid or QuadratureGrid()
-    alpha_from = z_from.to_alpha()
-    r_max = grid.r_max if grid.r_max is not None else abs(alpha_from) + 6.0
-    psi = displaced_seed(spec, alpha_from, dim)
-    evolved = kerr_propagate(psi, chi_tau).amps
-    gram = _family_gram(spec, dim, grid, r_max)
-    return float(np.vdot(evolved, gram @ evolved).real)
 
 
 def dichotomic_survival_exact(psi0: FockVector, chi_t: float, n_steps: int) -> float:

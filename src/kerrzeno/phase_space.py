@@ -52,7 +52,6 @@ __all__ = [
     "GaussianState2D",
     "EvolutionParams",
     "rotation_matrix",
-    "seed_covariance",
     "step_covariance",
     "accumulate_covariance",
     "det_cn_asymptotic",
@@ -150,18 +149,8 @@ class PhaseVector:
     def from_array(cls, arr: np.ndarray) -> PhaseVector:
         return cls(float(arr[0]), float(arr[1]))
 
-    @classmethod
-    def from_alpha(cls, alpha: complex) -> PhaseVector:
-        return cls(math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.q, self.p], dtype=float)
-
-    def to_alpha(self) -> complex:
-        return complex(self.q, self.p) / math.sqrt(2.0)
-
-    def modulus(self) -> float:
-        return math.hypot(self.q, self.p)
 
 
 @dataclass(frozen=True)
@@ -203,22 +192,12 @@ class EvolutionParams:
         """Rotation angle per step, omega * tau."""
         return self.omega * self.tau
 
-    @property
-    def total_time(self) -> float:
-        return self.n_steps * self.tau
-
 
 def rotation_matrix(theta: float) -> np.ndarray:
     """Clockwise phase-space rotation [[c, s], [-s, c]] by angle theta."""
     theta = _require_finite(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])
-
-
-def seed_covariance(r: float) -> np.ndarray:
-    """Covariance diag(e^2r, e^-2r)/2 of the measurement seed; det = 1/4."""
-    r = _require_finite(r, "r")
-    return 0.5 * np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
 
 
 def _step_entries(r: float, theta: float) -> tuple[float, float, float]:

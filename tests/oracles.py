@@ -10,9 +10,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from kerrzeno.fock import (
+    _GRAM_BLOCK_ELEMENTS, FockVector, MeasurementSpec, QuadratureGrid, _family_gram,
+    _ladder_amplitudes, displaced_seed, kerr_propagate, mean_a, number_moment,
+)
 from kerrzeno.phase_space import (
     GaussianState2D, PhaseVector, _as_matrix, _det_2x2, _gaussian_terms, _is_symmetric,
-    _require_finite, accumulate_covariance, rotation_matrix, seed_covariance, step_covariance,
+    _require_finite, accumulate_covariance, rotation_matrix, step_covariance,
 )
 
 # Saturating pure states may round det to just below 1/4.
@@ -22,6 +26,17 @@ _RS_SLACK = 1e-12
 # of the final covariance.
 _CHAIN_GRID_POINTS = 256
 _CHAIN_GRID_HALF_WIDTH_SIGMAS = 6.0
+
+
+def phase_vector(alpha: complex) -> PhaseVector:
+    """The point z = sqrt(2) (Re alpha, Im alpha) of amplitude alpha."""
+    return PhaseVector(math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag)
+
+
+def seed_covariance(r: float) -> np.ndarray:
+    """Covariance diag(e^2r, e^-2r)/2 of the measurement seed; det = 1/4."""
+    r = _require_finite(r, "r")
+    return 0.5 * np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
 
 
 def density(state: GaussianState2D, points: np.ndarray) -> np.ndarray | float:
@@ -160,6 +175,73 @@ def ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     return out
 
 
+# Second moments of a Fock state from ladder sums, and the one-step outcome
+# law of the observed Kerr chain: the exact Fock arm's references for the
+# Gaussian layer's seed noise and kernel.
+def _mean_a2(psi: FockVector) -> complex:
+    c = psi.amps
+    n = np.arange(psi.dim - 2)
+    w = np.sqrt((n + 1.0) * (n + 2.0))
+    return complex(np.sum(w * np.conj(c[:-2]) * c[2:]))
+
+
+def quadrature_mean_cov(psi: FockVector) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (q, p) and quadrature covariance from ladder sums.
+
+    Uses <q^2> = Re<a^2> + <n> + 1/2 and partners; the test-suite checks
+    the same moments against dense operator matrices.
+    """
+    a1 = mean_a(psi)
+    a2 = _mean_a2(psi)
+    nbar = number_moment(psi, 1)
+    mq = math.sqrt(2.0) * a1.real
+    mp = math.sqrt(2.0) * a1.imag
+    qq = a2.real + nbar + 0.5 - mq * mq
+    pp = -a2.real + nbar + 0.5 - mp * mp
+    qp = a2.imag - mq * mp
+    return np.array([mq, mp]), np.array([[qq, qp], [qp, pp]])
+
+
+def transition_density(
+    z_from: PhaseVector,
+    z_to: PhaseVector,
+    chi_tau: float,
+    spec: MeasurementSpec,
+    dim: int,
+) -> float:
+    """One-step outcome density |<z_to| U(tau) |z_from>|^2 / (2 pi).
+
+    This is a probability density per dq dp of the outcome label z_to.
+    """
+    psi = displaced_seed(spec, complex(z_from.q, z_from.p) / math.sqrt(2.0), dim)
+    evolved = kerr_propagate(psi, chi_tau)
+    target = displaced_seed(spec, complex(z_to.q, z_to.p) / math.sqrt(2.0), dim)
+    overlap = complex(np.vdot(target.amps, evolved.amps))
+    return abs(overlap) ** 2 / (2.0 * math.pi)
+
+
+def transition_normalization(
+    z_from: PhaseVector,
+    chi_tau: float,
+    spec: MeasurementSpec,
+    dim: int,
+    grid: QuadratureGrid | None = None,
+) -> float:
+    """Grid integral of the one-step density over all outcomes.
+
+    Completeness of the displaced family makes the exact value 1; the
+    return value exposes the quadrature error.  With ``r_max = None`` the
+    grid reaches the source amplitude plus a Gaussian margin.
+    """
+    grid = grid or QuadratureGrid()
+    alpha_from = complex(z_from.q, z_from.p) / math.sqrt(2.0)
+    r_max = grid.r_max if grid.r_max is not None else abs(alpha_from) + 6.0
+    psi = displaced_seed(spec, alpha_from, dim)
+    evolved = kerr_propagate(psi, chi_tau).amps
+    gram = _family_gram(spec, dim, grid, r_max)
+    return float(np.vdot(evolved, gram @ evolved).real)
+
+
 # Box-Muller and colouring as two stages that return new arrays, one
 # expression tree per element.  ``kerrzeno.observed._coloured_noise``, which
 # writes every stage in place, must give the same bits.
@@ -262,8 +344,6 @@ def sample_moments(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # one weighted add into the gram per ring, in ring order.
 # ``kerrzeno.fock._family_gram`` must give the same gram.
 def family_gram(spec, n_rows: int, grid, r_max: float) -> np.ndarray:
-    from kerrzeno.fock import _GRAM_BLOCK_ELEMENTS, _ladder_amplitudes
-
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
     per_block = max(1, _GRAM_BLOCK_ELEMENTS // (n_rows * len(angles)))

@@ -50,7 +50,6 @@ from kerrzeno.phase_space import (
     accumulate_covariance,
     det_cn_asymptotic,
     rotation_matrix,
-    seed_covariance,
     step_covariance,
 )
 from kerrzeno.two_level import (
@@ -60,7 +59,9 @@ from kerrzeno.two_level import (
     survival_exact,
     transition_matrix,
 )
-from oracles import chain_convolution_check, povm_elements, rs_uncertainty_check
+from oracles import (
+    chain_convolution_check, phase_vector, povm_elements, rs_uncertainty_check, seed_covariance,
+)
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:
@@ -190,7 +191,7 @@ def test_criterion_3_final_distribution_desk_scale():
     for r in (0.0, 0.5):
         spec = MeasurementSpec(r)
         cfg = ObservedRunConfig(
-            z0=PhaseVector.from_alpha(3.0 + 0.0j),
+            z0=phase_vector(3.0 + 0.0j),
             params=EvolutionParams(chi=0.1, n_bar=1.0, tau=1.0, n_steps=2),
             spec=spec,
             n_trajectories=100_000,

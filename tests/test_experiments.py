@@ -5,10 +5,12 @@ import csv
 import dataclasses
 import functools
 import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -793,6 +795,26 @@ def test_cli_trajectories_time_budget_is_checked_before_sampling(
     )
 
 
+@pytest.mark.parametrize("tau", [0, -0.0, -5e-324, -0.1])
+def test_cli_trajectories_refuses_nonpositive_tau_at_validate(tmp_path, capsys, tau):
+    config_path = write_config(
+        tmp_path, {"experiment": "trajectories", "parameters": {"tau": tau}}
+    )
+    for command in ("validate", "run"):
+        assert cli.main([command, config_path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error at parameters.tau: must be >= 4.94066e-324, got {float(tau)}\n"
+        )
+
+
+def test_cli_trajectories_runs_at_the_smallest_tau(tmp_path):
+    config_path = write_config(
+        tmp_path,
+        {"experiment": "trajectories", "parameters": {"tau": 5e-324, "n_trajectories": 10}},
+    )
+    assert cli.main(["run", config_path, "--output", str(tmp_path / "out.json")]) == 0
+
+
 def test_cli_trajectories_refuses_overflowing_times_before_sampling(
     tmp_path, capsys, monkeypatch
 ):
@@ -829,7 +851,8 @@ R_MAX = math.sqrt(sys.float_info.max / (2.0 * math.pi))
 @pytest.mark.parametrize(
     "experiment, parameters",
     [
-        ("trajectories", {"tau": 0}),
+        # omega = 2 chi n_bar overflows, so theta = omega tau is not finite
+        ("trajectories", {"chi": 1e308}),
         ("two-level-sweep", {"c": 10, "beta": 0}),
         ("identity-check", {"r": -800.0}),
         ("revival", {"chi_t_min": CHI_T_MAX, "chi_t_max": CHI_T_MAX, "n_points": 2}),
@@ -1249,3 +1272,56 @@ def test_layer_tracer_targets_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     for module, name in importlib.import_module("layertrace").TARGETS:
         assert callable(getattr(importlib.import_module(f"kerrzeno.{module}"), name, None))
+
+
+# Public class members whose only caller outside the tests is bench/workloads.py.
+_BENCH_MEMBERS = {("fock", "MeasurementSpec.vacuum")}
+
+
+def test_public_functions_are_reached_by_the_cli(tmp_path, capsys, monkeypatch):
+    # Every function and method a kerrzeno module names in __all__ runs when
+    # the CLI runs each experiment at its defaults, or the benchmark holds it
+    # in place: bench/layertrace.py wraps it by name, or bench/ calls it.  A
+    # public function that only tests call belongs in tests/oracles.py.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    targets = set(importlib.import_module("layertrace").TARGETS)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    statuses = []
+    sys.setprofile(profile)
+    try:
+        for name in EXPERIMENTS:
+            for fmt in ("json", "csv"):
+                payload = {"experiment": name, "output": {"format": fmt}}
+                out = str(tmp_path / f"{name}.{fmt}")
+                statuses.append(cli.main(["run", write_config(tmp_path, payload), "--output", out]))
+    finally:
+        sys.setprofile(None)
+    assert statuses == [0] * (2 * len(EXPERIMENTS))
+
+    package = importlib.import_module("kerrzeno")
+    unreached = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"kerrzeno.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                members = {name: obj}
+            elif inspect.isclass(obj):
+                members = {
+                    f"{name}.{key}": getattr(value, "fget", getattr(value, "__func__", value))
+                    for key, value in vars(obj).items()
+                    if not key.startswith("__")
+                }
+            else:
+                continue
+            for qualified, func in members.items():
+                if not inspect.isfunction(func) or func.__code__ in entered:
+                    continue
+                if (info.name, qualified) not in targets | _BENCH_MEMBERS:
+                    unreached.append(f"{info.name}.{qualified}")
+    assert not unreached, "public but unreached: " + ", ".join(unreached)

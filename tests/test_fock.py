@@ -15,7 +15,6 @@ from kerrzeno.fock import (
     MeasurementSpec,
     QuadratureGrid,
     TruncationError,
-    annihilation_matrix,
     default_dim,
     dichotomic_survival_exact,
     displaced_seed,
@@ -26,20 +25,19 @@ from kerrzeno.fock import (
     mean_a_closed_form,
     number_moment,
     number_squared_variance,
-    quadrature_mean_cov,
     squeeze_matrix,
-    transition_density,
+)
+from oracles import (
+    family_gram, ladder_amplitudes, phase_vector, quadrature_mean_cov, transition_density,
     transition_normalization,
 )
-from kerrzeno.phase_space import PhaseVector
-from oracles import family_gram, ladder_amplitudes
 
 VACUUM = MeasurementSpec.vacuum()
 
 
 def dense_quadrature_moments(psi: FockVector):
     """Independent oracle: moments from dense quadrature operator matrices."""
-    a = annihilation_matrix(psi.dim)
+    a = fock._annihilation_matrix(psi.dim)
     q = (a + a.T) / math.sqrt(2.0)
     p = (a - a.T) / (1j * math.sqrt(2.0))
     c = psi.amps
@@ -426,8 +424,8 @@ def test_transition_density_zero_time_overlap_law():
     rng = np.random.default_rng(3)
     for _ in range(4):
         a_from, a_to = rng.normal(0, 1.5, 2) + 1j * rng.normal(0, 1.5, 2)
-        z_from = PhaseVector.from_alpha(complex(a_from))
-        z_to = PhaseVector.from_alpha(complex(a_to))
+        z_from = phase_vector(complex(a_from))
+        z_to = phase_vector(complex(a_to))
         got = transition_density(z_from, z_to, 0.0, spec, dim=90)
         want = math.exp(-abs(a_to - a_from) ** 2) / (2.0 * math.pi)
         assert abs(got - want) < 1e-10
@@ -435,15 +433,15 @@ def test_transition_density_zero_time_overlap_law():
 
 def test_transition_density_perfect_overlap():
     spec = MeasurementSpec.vacuum()
-    z = PhaseVector.from_alpha(1.0 + 0.5j)
+    z = phase_vector(1.0 + 0.5j)
     got = transition_density(z, z, 0.0, spec, dim=60)
     assert abs(got - 1.0 / (2.0 * math.pi)) < 1e-12
 
 
 def test_transition_density_exchange_symmetry():
     spec = MeasurementSpec.vacuum()
-    z1 = PhaseVector.from_alpha(1.0 + 0.2j)
-    z2 = PhaseVector.from_alpha(0.4 - 0.9j)
+    z1 = phase_vector(1.0 + 0.2j)
+    z2 = phase_vector(0.4 - 0.9j)
     chi_tau = 0.03
     forward = transition_density(z1, z2, chi_tau, spec, dim=60)
     backward = transition_density(z2, z1, -chi_tau, spec, dim=60)
@@ -451,15 +449,15 @@ def test_transition_density_exchange_symmetry():
 
 
 def test_transition_density_squeezed_zero_matches_vacuum():
-    z1 = PhaseVector.from_alpha(0.8 + 0.1j)
-    z2 = PhaseVector.from_alpha(0.1 - 0.4j)
+    z1 = phase_vector(0.8 + 0.1j)
+    z2 = phase_vector(0.1 - 0.4j)
     a = transition_density(z1, z2, 0.02, MeasurementSpec(0.0), dim=60)
     b = transition_density(z1, z2, 0.02, MeasurementSpec.vacuum(), dim=60)
     assert abs(a - b) < 1e-12
 
 
 def test_transition_normalization_unit():
-    z_from = PhaseVector.from_alpha(3.0 + 0.0j)
+    z_from = phase_vector(3.0 + 0.0j)
     total = transition_normalization(
         z_from, 0.005, MeasurementSpec.vacuum(), dim=70
     )

@@ -27,7 +27,7 @@ from kerrzeno.phase_space import (
     rotation_matrix,
     step_covariance,
 )
-from oracles import box_muller, chain_convolution_check, classical_evolve, color_noise
+from oracles import box_muller, chain_convolution_check, classical_evolve, color_noise, phase_vector
 from oracles import sample_chains as oracle_sample_chains
 
 
@@ -41,7 +41,7 @@ def make_config(
     n_trajectories=1,
     master_seed=0,
 ):
-    z0 = PhaseVector.from_alpha(complex(alpha0))
+    z0 = phase_vector(complex(alpha0))
     if n_bar is None:
         n_bar = abs(complex(alpha0)) ** 2
     spec = MeasurementSpec(r)
@@ -593,7 +593,7 @@ def test_analytic_distribution_full_turn_mean():
 def test_analytic_distribution_mean_is_classical_drift():
     cfg = make_config(alpha0=10.0, chi=0.5, n_bar=1.0, tau=math.pi / 15, n_steps=5)
     target = analytic_final_distribution(cfg)
-    drift = classical_evolve(cfg.z0, cfg.params.omega, cfg.params.total_time)
+    drift = classical_evolve(cfg.z0, cfg.params.omega, cfg.params.n_steps * cfg.params.tau)
     np.testing.assert_allclose(target.mean.as_array(), drift.as_array(), atol=1e-12)
 
 
