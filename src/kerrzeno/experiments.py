@@ -69,11 +69,12 @@ _CHI_T_MAX = sys.float_info.max / 4.0
 _IDENTITY_WORK = 2**28
 # Bytes the finals and recorded paths of one trajectories run may hold: 32 a
 # trajectory (its final and the moments' centred copy) and _ROW_BYTES a
-# recorded row: its path point and, while its chunk is drawn, its noise,
-# 16 bytes each (traced peak 32.8 MB for 10 paths of 100k steps, one chunk).
-# The writers add one block of rows' text, under 10 MB whatever the row count.
+# recorded row, its path point.  The sampler adds one slice's scratch, at most
+# 16 MB whatever the chain length (traced peak 16.7 MB for 10 paths of 100k
+# steps), and the writers one block of rows' text, under 10 MB whatever the
+# row count.
 _TRAJECTORY_BYTES = 2**31
-_ROW_BYTES = 32
+_ROW_BYTES = 16
 # Trajectory-steps one trajectories run may sample: about 25 min at the
 # measured 90 ns a trajectory-step on one core.
 _TRAJECTORY_STEPS = 2**34
@@ -338,6 +339,12 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         n_trajectories=p["n_trajectories"],
         master_seed=master_seed,
     )
+    # the step covariance reads sin(2 theta); a nan theta fails the test too
+    if not abs(cfg.params.theta) <= sys.float_info.max / 2:
+        raise ValueError(
+            f"the step angle theta = 2 chi n_bar tau must satisfy |theta| <= max_float / 2, "
+            f"got chi={p['chi']!r}, n_bar={n_bar!r}, tau={p['tau']!r}, theta={cfg.params.theta!r}"
+        )
     n = cfg.n_trajectories
     paths = np.empty((min(p["record_paths"], n), cfg.params.n_steps, 2))
     # an overflowing chain exits 3 through FloatingPointError and overflowing

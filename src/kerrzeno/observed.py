@@ -33,14 +33,14 @@ ensemble with its first paths in one pass, or one trajectory.  It runs
 chunks of whole streams, so its working arrays stay bounded.  Chains of at
 most 58 steps evaluate Philox4x64-10, a pure function of (key, counter), in
 numpy across the streams of 2**14 Philox blocks.  Longer chains run chunks
-of at most 4096 streams and 2**20 trajectory-steps (a lone longer chain in
-pieces of 2**20 steps) and draw from one ``np.random.Philox`` per call,
-re-keyed per stream and step slice through its public ``state``, 16 streams
-and one slice of an even number of steps at a time, each slice copied while
-in cache into a contiguous step-major buffer.  One in-place kernel turns
-the chunk's or the buffer's uniforms into coloured noise, so both ways give
-the same bits.  The chain loop writes each step's point over that step's
-noise, so a piece holds one noise-sized array.
+of at most 4096 streams in slices of at most 1024 steps and 2**20
+trajectory-steps, and draw from one ``np.random.Philox`` per call, re-keyed
+per stream and slice through its public ``state``, 16 streams at a time,
+each block of rows copied while in cache into a contiguous step-major
+buffer.  One in-place kernel turns the chunk's or the buffer's uniforms
+into coloured noise, so both ways give the same bits.  The chain loop
+writes each step's point over that step's noise, so a slice holds one
+noise-sized array.
 """
 
 from __future__ import annotations
@@ -96,22 +96,22 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
-# Re-keyed ensembles run in chunks of at most _CHUNK_ROWS trajectories and
-# _CHUNK_ELEMENTS trajectory-steps, so each float64 array stays within 8 MB;
-# only a chain longer than _CHUNK_ELEMENTS steps is drawn in pieces, and as
-# _CHUNK_ELEMENTS is even each piece starts on a Philox pair.  A vector chunk
-# holds the streams of _VECTOR_BLOCKS Philox blocks, so its words stay in cache.
+# Re-keyed ensembles run chunks of at most _CHUNK_ROWS streams, drawn in
+# slices of at most _SLICE_STEPS steps and _CHUNK_ELEMENTS trajectory-steps, so
+# a slice's noise stays within 16 MB however long the chain and a draw block's
+# rows of it within 256 KB; as _SLICE_STEPS is even, every slice starts on a
+# Philox pair.  A vector chunk holds the streams of _VECTOR_BLOCKS Philox
+# blocks, so its words stay in cache.
 _CHUNK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**20
+_SLICE_STEPS = 1024
 _VECTOR_BLOCKS = 2**14
 
-# Long chains draw in blocks of this many streams.  A block is drawn and made
-# noise in step slices of at most _CHUNK_ELEMENTS // 64 elements (one slice
-# for a block of 1000-step streams), while its rows are in cache.  Time of
-# a 10k x 1000-step ensemble against whole-piece stages, medians of 15
-# interleaved pairs on one pinned core with numpy 2.4.6: 8 streams 0.82,
-# 16 0.79, 32 0.81, 64 0.78, all within the pairs' spread; 16 keeps the
-# rows of 1000-step streams at 256 KB.
+# Long chains draw in blocks of this many streams.  A block's rows of one slice
+# are drawn and made noise while in cache.  Time of a 10k x 1000-step ensemble
+# against whole-piece stages, medians of 15 interleaved pairs on one pinned
+# core with numpy 2.4.6: 8 streams 0.82, 16 0.79, 32 0.81, 64 0.78, all within
+# the pairs' spread; 16 keeps the rows of 1000-step streams at 256 KB.
 _DRAW_BLOCK = 16
 
 # Total accumulated angles closer than this to a multiple of 2 pi are
@@ -266,42 +266,34 @@ def _stream_noise(
     """Coloured noise of steps first .. first + span - 1 of each stream, as
     (span, 2, n).
 
-    Rows are drawn _DRAW_BLOCK streams at a time, in step slices of at most
-    _CHUNK_ELEMENTS // 64 elements and an even number of steps.  Per stream
-    and slice the generator takes ``state`` keyed (master_seed, i) at the
-    slice's counter, so ``first`` must be even.  Each slice of rows is made
-    noise in a contiguous buffer, by numpy's contiguous loops as on a whole
-    piece, and written into its columns while in cache, so the rows and the
-    buffer stay a slice in size however long the piece.
+    Per stream the generator takes ``state`` keyed (master_seed, i) at counter
+    first // 2, so ``first`` must be even.  Rows are drawn _DRAW_BLOCK streams
+    at a time, made noise in a contiguous buffer, by numpy's contiguous loops
+    as on a whole chunk, and written into their columns while in cache.
     """
+    state["state"]["counter"][0] = first // 2
     xi = np.empty((span, 2, len(indices)))
-    width = min(_DRAW_BLOCK, len(indices))
-    steps = min(span, max(2, _CHUNK_ELEMENTS // 64 // width // 2 * 2))
-    rows = np.empty((width, steps, 2))
-    buffer = np.empty(2 * rows.size)  # a slice's uniform pair, then its noise
+    rows = np.empty((min(_DRAW_BLOCK, len(indices)), span, 2))
+    buffer = np.empty(2 * rows.size)  # a block's uniform pair, then its noise
     for lo in range(0, len(indices), _DRAW_BLOCK):
         block = rows[: len(indices) - lo]
-        columns = slice(lo, lo + len(block))
-        for j in range(0, span, steps):
-            count = min(steps, span - j)
-            state["state"]["counter"][0] = (first + j) // 2
-            for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
-                state["state"]["key"][1] = index
-                generator.bit_generator.state = state
-                generator.random(out=row[:count])
-            part = block[:, :count].transpose(2, 1, 0)
-            u, noise = buffer[: 2 * part.size].reshape((2,) + part.shape)
-            u[...] = part
-            _coloured_noise(u[0], u[1], sqrt_cov, noise[0], noise[1])
-            xi[j : j + count, :, columns] = noise.transpose(1, 0, 2)
+        for index, row in zip(indices[lo : lo + _DRAW_BLOCK].tolist(), block):
+            state["state"]["key"][1] = index
+            generator.bit_generator.state = state
+            generator.random(out=row)
+        u, noise = buffer[: 2 * block.size].reshape((2, 2, span, len(block)))
+        u[...] = block.transpose(2, 1, 0)
+        _coloured_noise(u[0], u[1], sqrt_cov, noise[0], noise[1])
+        xi[:, :, lo : lo + len(block)] = noise.transpose(1, 0, 2)
     return xi
 
 
 def _chunk_layout(n: int) -> tuple[int, int]:
-    """Trajectories per chunk and steps per piece for chains of n steps."""
+    """Trajectories per chunk and steps per slice for chains of n steps."""
     if n <= _VECTOR_MAX_STEPS:
         return _VECTOR_BLOCKS // ((n + 1) // 2), n
-    return min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n)), min(n, _CHUNK_ELEMENTS)
+    span = min(n, _SLICE_STEPS)
+    return min(_CHUNK_ROWS, _CHUNK_ELEMENTS // span), span
 
 
 def _sample_chains(
@@ -341,7 +333,7 @@ def _sample_chains(
                 recorded = paths[rows, first : first + len(xi)]
                 recorded[...] = xi.transpose(2, 0, 1)[: len(recorded)]
             z = xi[-1].copy()
-            # free this piece before the next one is drawn
+            # free this slice before the next one is drawn
             del xi
         finals[rows] = z.T
     return finals

@@ -262,8 +262,8 @@ def color_noise(n0: np.ndarray, n1: np.ndarray, sqrt_cov: np.ndarray):
     )
 
 
-# The chain sampler's pipeline as whole-piece stages: every stream's uniforms
-# of a piece drawn from the re-keyed generator and transposed in blocks of 64
+# The chain sampler's pipeline as whole-slice stages: every stream's uniforms
+# of a slice drawn from the re-keyed generator and transposed in blocks of 64
 # rows, then Box-Muller, colouring and a chain loop that stores its points in
 # new arrays.
 # ``kerrzeno.observed._sample_chains`` must give the same finals and paths.
@@ -305,7 +305,7 @@ def chain_points(zq, zp, rotation: np.ndarray, xi_q, xi_p):
 
 def sample_chains(cfg, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Finals (hi - lo, 2) and paths (hi - lo, n_steps, 2) of trajectories
-    lo..hi-1, chunked and pieced by ``observed._chunk_layout``."""
+    lo..hi-1, chunked and sliced by ``observed._chunk_layout``."""
     from kerrzeno import observed
 
     n = cfg.params.n_steps

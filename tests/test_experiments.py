@@ -525,17 +525,18 @@ class ByteCounter:
         self.count += len(text)
 
 
-def test_recorded_rows_are_written_in_bounded_memory():
-    # 1M recorded rows, 10 paths of 100k steps.  While running, the traced
-    # peak is the path arrays and the sampler's noise for them (as large
-    # here); while writing, the path arrays and one block of rows' text and
-    # cells, at most 1 KB a row.  Rows as Python lists, or a whole payload,
-    # would take hundreds of MB.
+def test_recorded_rows_are_written_in_bounded_memory(monkeypatch):
+    # 60000 recorded rows, 3 paths of 20000 steps, written in blocks of 1024
+    # rows.  While running, the traced peak is the path arrays and one
+    # slice's noise, at most 1 MB; while writing, the path arrays and one
+    # block of rows' text and cells, at most 1 KB a row.  Rows as Python
+    # lists (13 MB), or a whole CSV payload (7.8 MB), exceed that.
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 1024)
     config = make_config(
-        "trajectories", {"n_trajectories": 10, "n_steps": 100_000, "record_paths": 10}
+        "trajectories", {"n_trajectories": 3, "n_steps": 20_000, "record_paths": 3}
     )
     run_experiment(make_config("trajectories", {"n_trajectories": 2, "n_steps": 70}))
-    paths = 10 * 100_000 * 2 * 8
+    paths = 3 * 20_000 * 2 * 8
     tracemalloc.start()
     try:
         envelope = run_experiment(config)
@@ -548,7 +549,7 @@ def test_recorded_rows_are_written_in_bounded_memory():
             assert sink.count > 50 * len(envelope.rows)
     finally:
         tracemalloc.stop()
-    assert peaks["run"] < 2 * paths + 2**21, peaks
+    assert peaks["run"] < paths + 2**20, peaks
     block = experiments._BLOCK_ROWS * 1024
     assert peaks["write_csv"] < paths + block, peaks
     assert peaks["write_json"] < paths + block, peaks
@@ -724,13 +725,13 @@ def test_identity_check_budget_admits(parameters):
 @pytest.mark.parametrize(
     "parameters, need",
     [
-        # 32 bytes a final plus 32 a recorded row, against 2**31
+        # 32 bytes a final plus 16 a recorded row, against 2**31
         ({"n_trajectories": 10**12, "n_steps": 2},
-         "need about 32000000000640 bytes for 1000000000000 finals and 20 recorded rows"),
+         "need about 32000000000320 bytes for 1000000000000 finals and 20 recorded rows"),
         ({"n_steps": 10**11},
-         "need about 32000000320000 bytes for 10000 finals and 1000000000000 recorded rows"),
-        ({"n_trajectories": 1, "n_steps": 2**26, "record_paths": 2},
-         "need about 2147483680 bytes for 1 finals and 67108864 recorded rows"),
+         "need about 16000000320000 bytes for 10000 finals and 1000000000000 recorded rows"),
+        ({"n_trajectories": 1, "n_steps": 2**27 - 1, "record_paths": 2},
+         "need about 2147483664 bytes for 1 finals and 134217727 recorded rows"),
         ({"n_trajectories": 2**26 + 1, "n_steps": 2, "record_paths": 0},
          "need about 2147483680 bytes for 67108865 finals and 0 recorded rows"),
     ],
@@ -759,7 +760,7 @@ def test_cli_trajectories_budget_is_checked_before_sampling(
         {"n_trajectories": 100_000, "n_steps": 2},  # the benchmark's wide ops
         {"n_trajectories": 10_000, "n_steps": 1000, "record_paths": 40},  # its long ops
         {"n_trajectories": 2**26, "n_steps": 2, "record_paths": 0},  # the most finals
-        {"n_trajectories": 1, "n_steps": 2**26 - 1, "record_paths": 1},  # the most rows
+        {"n_trajectories": 1, "n_steps": 2**27 - 2, "record_paths": 1},  # the most rows
         {"n_trajectories": 2**17, "n_steps": 2**17, "record_paths": 0},  # the most steps
     ],
 )
@@ -910,6 +911,14 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         # the trajectories closed form refuses cosh(2r) overflow before sampling
         ("trajectories", {"r": 400.0},
          "r must keep cosh(2r) and sinh(2r) finite, got 400.0"),
+        # the step angle 2 chi n_bar tau overflows to inf; its inputs are named
+        ("trajectories", {"chi": 1e308},
+         "the step angle theta = 2 chi n_bar tau must satisfy |theta| <= max_float / 2, "
+         "got chi=1e+308, n_bar=4.5, tau=0.1, theta=inf"),
+        # 2 chi overflows and times n_bar = 0 gives a nan angle
+        ("trajectories", {"chi": 1e308, "n_bar": 0.0},
+         "the step angle theta = 2 chi n_bar tau must satisfy |theta| <= max_float / 2, "
+         "got chi=1e+308, n_bar=0.0, tau=0.1, theta=nan"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):
@@ -1144,7 +1153,8 @@ def test_cli_trajectories_overflowing_angle_names_theta(tmp_path, capsys):
     )
     assert cli.main(["run", config_path]) == 3
     assert capsys.readouterr().err == (
-        "numeric error: theta must satisfy |theta| <= max_float / 2, got 9e+307\n"
+        "numeric error: the step angle theta = 2 chi n_bar tau must satisfy |theta| <= "
+        "max_float / 2, got chi=1e+307, n_bar=4.5, tau=1.0, theta=9e+307\n"
     )
 
 

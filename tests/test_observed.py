@@ -201,15 +201,15 @@ def test_ensemble_chunking_invariance(n_steps):
 
 
 def test_ensemble_pieces_join_across_chunk_and_step_edges(monkeypatch):
-    # chunks of at most 3 trajectories: at 3 n_steps trajectory-steps 8 chains
-    # run as whole streams in chunks of 3 + 3 + 2; at 26 each chain is its own
-    # chunk, drawn in pieces of 26 + 7 steps
+    # chunks of at most 3 trajectories: 8 chains run in chunks of 3 + 3 + 2,
+    # as whole streams at the real slice and in slices of 26 + 26 + 7 steps
     monkeypatch.setattr(observed, "_CHUNK_ROWS", 3)
     cfg = make_config(
         n_steps=observed._VECTOR_MAX_STEPS + 1, r=0.4, n_trajectories=8, master_seed=5
     )
-    for elements in (3 * cfg.params.n_steps, 26):
-        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", elements)
+    for slice_steps, span in ((observed._SLICE_STEPS, cfg.params.n_steps), (26, 26)):
+        monkeypatch.setattr(observed, "_SLICE_STEPS", slice_steps)
+        assert observed._chunk_layout(cfg.params.n_steps) == (3, span)
         paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
         finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
         assert np.array_equal(finals, run_ensemble(cfg))
@@ -285,7 +285,7 @@ def test_long_chain_chunk_edges_match_trajectories():
     # at the real constants 1000-step chains run as whole streams, 1048 to a
     # chunk, so an ensemble of 2200 has chunk edges at 1048 and 2096
     n_steps = 1000
-    assert min(observed._CHUNK_ROWS, observed._CHUNK_ELEMENTS // n_steps) == 1048
+    assert observed._chunk_layout(n_steps) == (1048, n_steps)
     cfg = make_config(n_steps=n_steps, r=0.3, n_trajectories=2200, master_seed=23)
     paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
     finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
@@ -298,39 +298,36 @@ def test_long_chain_chunk_edges_match_trajectories():
 
 
 def test_split_stream_keeps_stream_bits(monkeypatch):
-    # at 38 trajectory-steps each 100-step chain is its own chunk, drawn in
-    # pieces of 38 + 38 + 24 steps, each re-keyed at its own Philox pair
-    monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", 38)
+    # in slices of at most 38 steps the three 100-step chains are one chunk,
+    # drawn in slices of 38 + 38 + 24 steps, each re-keyed at its own Philox pair
+    monkeypatch.setattr(observed, "_SLICE_STEPS", 38)
     drawn = []
     stream_noise = observed._stream_noise
 
     def recording_stream_noise(generator, state, indices, first, span, sqrt_cov):
         xi = stream_noise(generator, state, indices, first, span, sqrt_cov)
-        drawn.append((int(indices[0]), first, xi.copy()))  # before the chain overwrites it
+        drawn.append((indices.tolist(), first, xi.copy()))  # before the chain overwrites it
         return xi
 
     monkeypatch.setattr(observed, "_stream_noise", recording_stream_noise)
     cfg = make_config(n_steps=100, r=0.3, n_trajectories=3, master_seed=31)
     paths = np.empty((cfg.n_trajectories, cfg.params.n_steps, 2))
     finals = observed._sample_chains(cfg, 0, cfg.n_trajectories, paths)
-    assert [(index, first, xi.shape) for index, first, xi in drawn] == [
-        (index, first, (span, 2, 1))
-        for index in range(cfg.n_trajectories)
-        for first, span in ((0, 38), (38, 38), (76, 24))
+    assert [(indices, first, xi.shape) for indices, first, xi in drawn] == [
+        ([0, 1, 2], first, (span, 2, 3)) for first, span in ((0, 38), (38, 38), (76, 24))
     ]
     sqrt_cov = symmetric_sqrt_2x2(step_covariance(cfg.spec.r, cfg.params.theta))
     for index in range(cfg.n_trajectories):
         ref_q, ref_p = color_noise(*reference_normals(31, index, 100), sqrt_cov)
-        pieces = [xi for i, _, xi in drawn if i == index]
-        assert np.array_equal(np.concatenate([xi[:, 0, 0] for xi in pieces]), ref_q)
-        assert np.array_equal(np.concatenate([xi[:, 1, 0] for xi in pieces]), ref_p)
+        assert np.array_equal(np.concatenate([xi[:, 0, index] for _, _, xi in drawn]), ref_q)
+        assert np.array_equal(np.concatenate([xi[:, 1, index] for _, _, xi in drawn]), ref_p)
         np.testing.assert_allclose(paths[index], reference_path(cfg, index), rtol=0, atol=1e-12)
         assert np.array_equal(finals[index], paths[index, -1])
 
 
 @pytest.mark.parametrize("r", [0.3, 0.0, 0.5, -1.3])
 @pytest.mark.parametrize(
-    "n_trajectories, n_steps, chunk_elements",
+    "n_trajectories, n_steps, slice_steps",
     [
         # chunk edges at 1048 and 2096; both chunks end in a ragged 8-stream block
         (2200, 1000, None),
@@ -338,16 +335,16 @@ def test_split_stream_keeps_stream_bits(monkeypatch):
         (40, observed._VECTOR_MAX_STEPS + 1, None),  # the first generator length
         (3, 40, None),  # vector lengths, against the generator's stages
         (40, 39, None),
-        (3, 100, 38),  # each chain drawn in pieces of 38 + 38 + 24 steps
+        (3, 100, 38),  # three chains drawn in slices of 38 + 38 + 24 steps
     ],
 )
 def test_sampler_keeps_whole_piece_pipeline_bits(
-    monkeypatch, r, n_trajectories, n_steps, chunk_elements
+    monkeypatch, r, n_trajectories, n_steps, slice_steps
 ):
     # noise made per draw block and the in-place chain against the whole-piece
     # stages they replace: the same finals and paths, bit for bit
-    if chunk_elements is not None:
-        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
+    if slice_steps is not None:
+        monkeypatch.setattr(observed, "_SLICE_STEPS", slice_steps)
     cfg = make_config(n_steps=n_steps, r=r, n_trajectories=n_trajectories, master_seed=19)
     expected_finals, expected_paths = oracle_sample_chains(cfg, 0, n_trajectories)
     paths = np.empty((n_trajectories, cfg.params.n_steps, 2))
@@ -367,22 +364,18 @@ def traced_peak(cfg) -> int:
 
 
 @pytest.mark.parametrize(
-    "n_trajectories, n_steps, chunk_elements",
+    "n_trajectories, n_steps",
     [
-        (2200, 1000, None),
-        (1, 3 * 2**14 + 1, 2**14),
-        (100_000, 2, None),
-        (10_000, observed._VECTOR_MAX_STEPS, None),
+        (2200, 1000),
+        (1, 48 * observed._SLICE_STEPS + 1),
+        (100_000, 2),
+        (10_000, observed._VECTOR_MAX_STEPS),
     ],
     ids=["long-chunks", "lone-chain-in-pieces", "wide-vector-chunks", "longest-vector-chunks"],
 )
-def test_ensemble_working_memory_is_bounded(
-    monkeypatch, n_trajectories, n_steps, chunk_elements
-):
-    # the traced peak is one chunk's scratch and the finals: no stage holds a
-    # second chunk-sized array, and no slice of rows grows with the piece
-    if chunk_elements is not None:
-        monkeypatch.setattr(observed, "_CHUNK_ELEMENTS", chunk_elements)
+def test_ensemble_working_memory_is_bounded(n_trajectories, n_steps):
+    # the traced peak is one slice's scratch and the finals: no stage holds a
+    # second chunk-sized array, and no array grows with the chain
     cfg = make_config(n_steps=n_steps, r=0.5, n_trajectories=n_trajectories, master_seed=3)
     run_ensemble(make_config(n_steps=observed._VECTOR_MAX_STEPS + 1))  # numpy's lazy imports
     chunk, span = observed._chunk_layout(n_steps)
@@ -399,11 +392,10 @@ def test_ensemble_working_memory_is_bounded(
         )
     else:
         width = min(observed._DRAW_BLOCK, chunk)
-        steps = min(span, max(2, observed._CHUNK_ELEMENTS // 64 // width // 2 * 2))
         scratch = (
-            2 * chunk * span  # the noise (q and p), overwritten by the chain
-            + 2 * width * steps  # the draw block's rows of one slice
-            + 4 * width * steps  # a slice's uniform pair and its noise, made in place
+            2 * chunk * span  # the slice's noise (q and p), overwritten by the chain
+            + 2 * width * span  # the draw block's rows of the slice
+            + 4 * width * span  # their uniform pair and their noise, made in place
         )
     budget = 8 * (scratch + 2 * n_trajectories) + 2**17  # the finals; 128 KB for objects
     assert traced_peak(cfg) <= budget
@@ -415,11 +407,11 @@ def test_ensemble_working_memory_is_bounded(
      256, 257, 1000, 2**20, 2**20 + 1],
 )
 def test_chunk_layout_keeps_streams_whole(n_steps):
-    # a chunk holds whole streams unless it is one chain, whose pieces start
-    # on a Philox pair because _CHUNK_ELEMENTS is even; a vector chunk holds
-    # as many streams as _VECTOR_BLOCKS Philox blocks allow, a re-keyed one
-    # at most _CHUNK_ROWS streams and _CHUNK_ELEMENTS trajectory-steps
-    assert observed._CHUNK_ELEMENTS % 2 == 0
+    # a vector chunk holds as many whole streams as _VECTOR_BLOCKS Philox
+    # blocks allow; a re-keyed one at most _CHUNK_ROWS streams, drawn in
+    # slices of at most _SLICE_STEPS steps and _CHUNK_ELEMENTS
+    # trajectory-steps, which start on a Philox pair as _SLICE_STEPS is even
+    assert observed._SLICE_STEPS % 2 == 0
     chunk, span = observed._chunk_layout(n_steps)
     if n_steps <= observed._VECTOR_MAX_STEPS:
         blocks = (n_steps + 1) // 2
@@ -427,12 +419,12 @@ def test_chunk_layout_keeps_streams_whole(n_steps):
         assert span == n_steps
     else:
         assert 1 <= chunk <= observed._CHUNK_ROWS
-        assert chunk * n_steps <= observed._CHUNK_ELEMENTS or chunk == 1
-        assert span == n_steps or (chunk == 1 and span == observed._CHUNK_ELEMENTS)
+        assert chunk * span <= observed._CHUNK_ELEMENTS
+        assert span == min(n_steps, observed._SLICE_STEPS)
 
 
 def test_long_chains_build_one_generator_per_call(monkeypatch):
-    # 5000 chains of 300 steps run in two chunks of at most 2**20 // 300
+    # 5000 chains of 300 steps run in two chunks of at most 4096
     # trajectories; one Philox is re-keyed for both, not one per trajectory
     built = []
     philox = np.random.Philox
