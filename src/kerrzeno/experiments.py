@@ -78,6 +78,15 @@ _ROW_BYTES = 16
 # Trajectory-steps one trajectories run may sample: about 25 min at the
 # measured 90 ns a trajectory-step on one core.
 _TRAJECTORY_STEPS = 2**34
+# Points of a revival grid or an N-sweep, one row each: about 4 s of the
+# per-point loops these runners replaced, whose rows hold about 200 MB.
+_SWEEP_POINTS = 2**20
+# Amplitudes revival propagates, n_points * dim: about 7 s at the measured
+# 100 ns an amplitude on one core, which is what the time exponentials cost.
+_REVIVAL_WORK = 2**26
+# Amplitudes or N one array pass of revival or an N-sweep may hold, as
+# fock's _GRAM_BLOCK_ELEMENTS does for the identity grid.
+_PASS_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -258,34 +267,71 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
 # runners
 
 
-def _run_revival(p: dict, master_seed: int) -> RunnerResult:
-    psi0 = fock.displaced_seed(fock.MeasurementSpec(), p["alpha"], p["dim"])
-    chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], p["n_points"])
+def _sweep_budget_problem(fields: str, points: int, work: int = 0) -> str | None:
+    """Why a revival grid or an N-sweep would not fit the budgets, from
+    estimates alone: its ``points`` rows, and revival's ``work`` amplitudes."""
+    if points > _SWEEP_POINTS:
+        return f"{fields} need {points} rows, over the budget of {_SWEEP_POINTS}"
+    if work > _REVIVAL_WORK:
+        return f"{fields} need {work} propagated amplitudes, over the budget of {_REVIVAL_WORK}"
+    return None
+
+
+def _pass_rows(xs: np.ndarray, per_pass: int, columns) -> list[list]:
+    """Rows [x, *cells] for each x of ``xs``; ``columns`` gives the other
+    columns of at most ``per_pass`` of them at a time, as arrays or lists."""
     rows = []
-    for chi_t in chi_ts:
-        exact = fock.mean_a(fock.kerr_propagate(psi0, float(chi_t)))
-        closed = fock.mean_a_closed_form(p["alpha"], float(chi_t))
-        rows.append([float(chi_t), exact.real, closed.real])
+    for lo in range(0, len(xs), per_pass):
+        part = xs[lo : lo + per_pass]
+        rows += map(list, zip(part.tolist(), *(np.asarray(c).tolist() for c in columns(part))))
+    return rows
+
+
+def _run_revival(p: dict, master_seed: int) -> RunnerResult:
+    """The exact <a> at every chi_t of the grid against its closed form.
+
+    The budgets, then the phases of the grid's largest |chi_t|, are checked
+    before anything is exponentiated.  The grid is propagated in passes of
+    at most _PASS_ELEMENTS amplitudes, each one (k, dim) array through
+    ``kerr_propagate`` and ``mean_a``, which give each row the bits of its
+    chi_t alone; the closed form runs per point on Python floats.
+    """
+    psi0 = fock.displaced_seed(fock.MeasurementSpec(), p["alpha"], p["dim"])
+    n_points = p["n_points"]
+    fields = f"n_points={n_points}, dim={psi0.dim}"
+    if problem := _sweep_budget_problem(fields, n_points, n_points * psi0.dim):
+        raise ValueError(problem)
+    chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], n_points)
+    fock._require_kerr_times(chi_ts, psi0.dim)
+
+    def columns(part):
+        exact = fock.mean_a(fock.kerr_propagate(psi0, part)).real
+        return exact, [fock.mean_a_closed_form(p["alpha"], c).real for c in part.tolist()]
+
+    rows = _pass_rows(chi_ts, max(1, _PASS_ELEMENTS // psi0.dim), columns)
     return ["chi_t", "re_mean_a_exact", "re_mean_a_closed"], rows, None
 
 
 def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
-    """C_N for every N from the float kernel of ``accumulate_covariance``,
-    stacked, then one batched ``np.linalg.det`` (the same LAPACK call per
-    matrix, so each row keeps its rounding) and one ``np.sqrt``."""
-    r, theta = p["r"], p["theta"]
+    """C_N over passes of N from the elementwise kernel of
+    ``accumulate_covariance``, then one batched ``np.linalg.det`` (the same
+    LAPACK call per matrix, so each row keeps its rounding) and one
+    ``np.sqrt``.  The first N whose determinant overflows is refused."""
+    r, theta, n_max = p["r"], p["theta"], p["n_max"]
+    if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
+        raise ValueError(problem)
     c00, c01, c11 = phase_space._step_entries(r, theta)
     phase_space._check_covariance(c00, c01, c01, c11, "c1")
-    entries = np.empty((p["n_max"], 4))
-    for n in range(1, p["n_max"] + 1):
-        e00, e01, e11 = phase_space._dirichlet_sum(c00, c01, c11, theta, n)
+    # n cosh(2r) is n times the N = 1 value, which is cosh(2r) exactly
+    cosh_2r = phase_space.det_cn_asymptotic(r, 1)
+
+    def columns(ns):
+        e00, e01, e11 = phase_space._dirichlet_sum(c00, c01, c11, theta, ns)
         phase_space._det_2x2(e00, e01, e01, e11)  # raises on overflow
-        entries[n - 1] = e00, e01, e01, e11
-    sqrt_det = np.sqrt(np.linalg.det(entries.reshape(-1, 2, 2))).tolist()
-    rows = [
-        [n, s, phase_space.det_cn_asymptotic(r, n)]
-        for n, s in enumerate(sqrt_det, start=1)
-    ]
+        entries = np.stack([e00, e01, e01, e11], axis=-1).reshape(-1, 2, 2)
+        return np.sqrt(np.linalg.det(entries)), ns * cosh_2r
+
+    rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)
     return ["n", "sqrt_det_cn", "n_cosh_2r"], rows, None
 
 
@@ -332,6 +378,11 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         raise ValueError(problem)
     q0, p0 = p["q0"], p["p0"]
     n_bar = p["n_bar"] if p["n_bar"] is not None else 0.5 * (q0 * q0 + p0 * p0)
+    if not math.isfinite(n_bar):
+        raise ValueError(
+            f"the mean photon number (q0^2 + p0^2) / 2 derived for a null n_bar must "
+            f"be finite, got q0={q0!r}, p0={p0!r}"
+        )
     cfg = observed.ObservedRunConfig(
         z0=phase_space.PhaseVector(q0, p0),
         params=phase_space.EvolutionParams(p["chi"], n_bar, p["tau"], p["n_steps"]),
@@ -381,17 +432,22 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
-    """``survival_density_continuous`` at tau = 2 pi m / N for every N: the
-    per-N floats of its one helper, then one ``np.exp`` over the column."""
+    """``survival_density_continuous`` at tau = 2 pi m / N for every N: its
+    one helper over passes of N, then one ``np.exp`` over each pass.  The
+    first N whose C_1 or C_N overflows or is not SPD is refused."""
+    n_max = p["n_max"]
+    if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
+        raise ValueError(problem)
     turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
     r = fock.MeasurementSpec(p["r"]).r  # refuses |r| > 700
-    ns = range(1, p["n_max"] + 1)
-    exponents, norms = np.empty((2, p["n_max"]))
-    for n in ns:
+
+    def columns(ns):
         # the drift starts at z0 = (2, 0)
-        exponents[n - 1], norms[n - 1] = observed._survival_terms(2.0, 0.0, r, turns / n, n)
-    densities = (np.exp(exponents) / norms).tolist()
-    rows = [[n, d, n * d] for n, d in zip(ns, densities)]
+        exponents, norms = observed._survival_terms(2.0, 0.0, r, turns / ns, ns)
+        densities = np.exp(exponents) / norms
+        return densities, ns * densities
+
+    rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)
     return ["n", "survival_density", "n_times_survival_density"], rows, None
 
 
@@ -609,7 +665,9 @@ def run_experiment(config: ExperimentConfig) -> ResultEnvelope:
 # as ints and floats by float.__repr__, which JSON spells NaN, Infinity and
 # -Infinity where they are not finite.  A writer formats one block of at most
 # _BLOCK_ROWS rows at a time and writes it to the stream, so its memory does
-# not grow with the row count.
+# not grow with the row count.  A block of list rows whose columns hold only
+# ints or only floats, finite ones in JSON, is one %-template a row, with a
+# row's text made in one call; any other block is formatted cell by cell.
 
 _BLOCK_ROWS = 2**14
 
@@ -701,14 +759,31 @@ class PathRows(Sequence):
         return list(map(template.__mod__, zip(steps.tolist(), times)))
 
 
+def _block_text(rows: Sequence[list], layout: _Layout) -> str:
+    """Text of a block of plain rows.  Where the rows have one length and
+    each column holds only ints or only floats (finite ones where the
+    layout spells the others), every row is one %-template, whose ``%r``
+    is ``int.__repr__`` or ``float.__repr__``; else cell by cell."""
+    if len(set(map(len, rows))) == 1:
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            if kinds == {float}:
+                if layout.spelling and not np.isfinite(np.array(column)).all():
+                    break
+            elif kinds != {int}:
+                break
+        else:
+            template = layout.row(["%r"] * len(rows[0]))
+            return layout.row_sep.join(map(template.__mod__, map(tuple, rows)))
+    return layout.row_sep.join(layout.row(map(layout.cell, row)) for row in rows)
+
+
 def _write_rows(rows: Sequence[list], layout: _Layout, fh) -> None:
     if isinstance(rows, PathRows):
         blocks = rows.text_blocks(layout)
     else:
         blocks = (
-            layout.row_sep.join(
-                layout.row(map(layout.cell, row)) for row in rows[lo : lo + _BLOCK_ROWS]
-            )
+            _block_text(rows[lo : lo + _BLOCK_ROWS], layout)
             for lo in range(0, len(rows), _BLOCK_ROWS)
         )
     for i, block in enumerate(blocks):

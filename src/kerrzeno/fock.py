@@ -73,7 +73,12 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class FockVector:
-    """Amplitudes over |0>..|dim-1> plus the estimated weight beyond."""
+    """Amplitudes over |0>..|dim-1> plus the estimated weight beyond.
+
+    ``amps`` holds one state, shape (dim,), or k stacked states that share
+    the tail mass, shape (k, dim), as ``kerr_propagate`` makes from one
+    state and k times; ``norm_sq`` is that of one state.
+    """
 
     amps: np.ndarray
     dim: int
@@ -81,8 +86,10 @@ class FockVector:
 
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amps, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"amps must have shape ({self.dim},), got {amps.shape}")
+        if amps.ndim not in (1, 2) or amps.shape[-1:] != (self.dim,):
+            raise ValueError(
+                f"amps must have shape ({self.dim},) or (k, {self.dim}), got {amps.shape}"
+            )
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amps must be finite")
         object.__setattr__(self, "amps", amps)
@@ -148,8 +155,11 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
         c_0 = exp(-|alpha|^2/2 - t alpha^*^2/2) / sqrt(cosh r),
         c_{n+1} = (g c_n - t sqrt(n) c_{n-1}) / sqrt(n + 1),
 
-    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1).
-    ``alpha`` may be an array; the result has shape (n_rows,) + alpha.shape.
+    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1):
+    there t == 0, and the t sqrt(n) c_{n-1} term, +-0, is skipped, which
+    leaves every value as it was and can only flip the sign of a part that
+    is exactly zero.  ``alpha`` may be an array; the result has shape
+    (n_rows,) + alpha.shape.
     Each column runs as c_n = u_n e^s, with s = log|c_0| where c_0 is below
     1/_LADDER_RANGE and raised whenever u passes _LADDER_RANGE, so states
     whose low amplitudes underflow still come out right.
@@ -191,7 +201,7 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
             bound = float(np.max(mag, initial=0.0))
         out[n] = cur * scale if scaled else cur
         root_n, inv_root = math.sqrt(n), 1.0 / math.sqrt(n + 1)
-        prev, cur = cur, (g * cur - t * root_n * prev) * inv_root
+        prev, cur = cur, (g * cur - t * root_n * prev if t else g * cur) * inv_root
         bound, bound_prev = (
             (g_max * bound + abs(t) * root_n * bound_prev) * inv_root * _BOUND_SLACK
             + _BOUND_FLOOR
@@ -276,26 +286,47 @@ def displaced_seed(
     return FockVector(amps=amps, dim=cutoff, tail_mass=tail)
 
 
-def kerr_propagate(psi: FockVector, chi_t: float) -> FockVector:
-    """Apply exp(-i chi_t n^2) levelwise; phases only, norm unchanged."""
-    if not math.isfinite(chi_t * float(psi.dim - 1) ** 2):
+def _require_kerr_times(chi_t, dim: int) -> None:
+    """ValueError naming the first chi_t whose phase chi_t (dim - 1)^2 is not
+    finite; the largest |chi_t| decides whether there is one."""
+    levels = float(dim - 1) ** 2
+    if not math.isfinite(float(np.max(np.abs(chi_t))) * levels):
+        bad = next(c for c in np.ravel(chi_t).tolist() if not math.isfinite(c * levels))
         raise ValueError(
-            f"chi_t * (dim - 1)**2 must be finite, got chi_t={chi_t!r} at dim={psi.dim}"
+            f"chi_t * (dim - 1)**2 must be finite, got chi_t={bad!r} at dim={dim}"
         )
+
+
+def kerr_propagate(psi: FockVector, chi_t) -> FockVector:
+    """Apply exp(-i chi_t n^2) levelwise; phases only, norm unchanged.
+
+    ``chi_t`` is a float, which propagates one state to one state, or a 1-D
+    array of k times, which propagates one state to k stacked states in one
+    (k, dim) pass.  Each amplitude is the product a float time gives alone,
+    so a row of the stack has that time's bits.  A time whose largest phase
+    overflows is refused before anything is exponentiated.
+    """
+    chi_t = np.asarray(chi_t, dtype=float)
+    _require_kerr_times(chi_t, psi.dim)
     n = np.arange(psi.dim)
-    amps = psi.amps * np.exp(-1j * chi_t * n.astype(float) ** 2)
+    amps = np.exp((-1j * chi_t)[..., None] * n.astype(float) ** 2)
+    np.multiply(psi.amps, amps, out=amps)  # in place: one (k, dim) array per pass
     return FockVector(amps=amps, dim=psi.dim, tail_mass=psi.tail_mass)
 
 
-def mean_a(psi: FockVector) -> complex:
-    """<a> = sum_n sqrt(n+1) conj(c_n) c_{n+1}.
+def mean_a(psi: FockVector):
+    """<a> = sum_n sqrt(n+1) conj(c_n) c_{n+1}: a complex for one state, a
+    complex array for k stacked states, each row summed as it is alone.
 
     The truncation error is bounded by sqrt(tail_mass * dim), so keep the
     tail budget well below the squared tolerance of downstream use.
     """
     c = psi.amps
     n = np.arange(1, psi.dim)
-    return complex(np.sum(np.sqrt(n) * np.conj(c[: psi.dim - 1]) * c[1:]))
+    terms = np.conj(c[..., : psi.dim - 1])
+    np.multiply(np.sqrt(n), terms, out=terms)  # in place, as kerr_propagate
+    sums = np.sum(np.multiply(terms, c[..., 1:], out=terms), axis=-1)
+    return complex(sums) if c.ndim == 1 else sums
 
 
 def mean_a_closed_form(alpha: complex, chi_t: float) -> complex:

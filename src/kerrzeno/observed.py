@@ -59,6 +59,8 @@ from .phase_space import (
     _det_2x2,
     _dirichlet_sum,
     _gaussian_terms,
+    _is_spd,
+    _remainder,
     _require_int,
     _step_entries,
     accumulate_covariance,
@@ -392,27 +394,32 @@ def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:
     )
 
 
-def _survival_terms(
-    q0: float, p0: float, r: float, theta: float, n: int
-) -> tuple[float, float]:
+def _survival_terms(q0: float, p0: float, r: float, theta, n) -> tuple[np.ndarray, np.ndarray]:
     """Exponent and normaliser of p_N(z0 | z0) = exp(exponent) / normaliser.
 
-    Raises ValueError when C_1 or C_N is not SPD or its determinant
-    overflows, with the messages of ``accumulate_covariance`` ("c1") and
-    ``GaussianState2D`` ("cov").
+    ``theta`` and ``n`` are an angle and a step count or arrays of them,
+    taken elementwise; C_1 and C_N come from the elementwise kernels of
+    ``step_covariance`` and ``accumulate_covariance``, so each element keeps
+    the bits its N gets alone.  Raises ValueError for the first N whose C_1
+    or C_N is not SPD or whose determinant overflows, with the messages of
+    ``accumulate_covariance`` ("c1") and ``GaussianState2D`` ("cov").
     """
-    c00, c01, c11 = _step_entries(r, theta)
-    _check_covariance(c00, c01, c01, c11, "c1")
-    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, n)
+    theta, n = np.asarray(theta, dtype=float), np.asarray(n)
+    c1 = _step_entries(r, theta)
+    cn = _dirichlet_sum(*c1, theta, n)
+    ok = _is_spd(*c1) & _is_spd(*cn)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        for name, entries in (("c1", c1), ("cov", cn)):
+            c00, c01, c11 = (float(np.ravel(e)[i]) for e in entries)
+            _check_covariance(c00, c01, c01, c11, name)
     total = n * theta
-    if abs(math.remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL:
-        d0 = d1 = 0.0
-    else:
-        # the drift mismatch M(-total) z0 - z0
-        c, s = math.cos(-total), math.sin(-total)
-        d0, d1 = c * q0 + s * p0 - q0, -s * q0 + c * p0 - p0
-    _check_covariance(c00, c01, c01, c11, "cov")
-    return _gaussian_terms(c00, c01, c01, c11, d0, d1)
+    home = np.abs(_remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL
+    # the drift mismatch M(-total) z0 - z0, zero back home
+    c, s = np.cos(-total), np.sin(-total)
+    d0 = np.where(home, 0.0, c * q0 + s * p0 - q0)
+    d1 = np.where(home, 0.0, -s * q0 + c * p0 - p0)
+    return _gaussian_terms(cn[0], cn[1], cn[1], cn[2], d0, d1)
 
 
 def survival_density_continuous(cfg: ObservedRunConfig) -> float:
@@ -425,9 +432,9 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     Away from full turns the zero-mean Gaussian of covariance C_N is
     evaluated at the drift mismatch.
 
-    Everything up to the exponential runs on Python floats, through the
-    same C_N kernel as ``accumulate_covariance``; the ``zeno-continuous``
-    sweep makes the same per-N call and exponentiates its column at once.
+    Everything up to the exponential runs through the same elementwise
+    C_N kernel as ``accumulate_covariance``; the ``zeno-continuous`` sweep
+    runs it over arrays of N and exponentiates the column at once.
     """
     exponent, norm = _survival_terms(
         cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, cfg.params.n_steps

@@ -37,7 +37,9 @@ eps == 0 the Dirichlet factor takes its limit N.
 
 All operations are pure functions of floats and (2, 2) float64 arrays and
 never mutate their inputs.  M is orthogonal, so its inverse is always
-taken as the transpose.
+taken as the transpose.  The private kernels behind them also run
+elementwise over arrays of angles and step counts, for the N-sweeps of the
+experiments, and give every element the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -92,11 +94,16 @@ def _is_symmetric(c00: float, c01: float, c10: float, c11: float) -> bool:
     return abs(c01 - c10) <= _SYMMETRY_RTOL * scale
 
 
-def _det_2x2(c00: float, c01: float, c10: float, c11: float) -> float:
-    """Closed-form determinant on Python floats; ValueError if it overflows."""
-    det = c00 * c11 - c01 * c10
-    if not math.isfinite(det):
-        scale = max(abs(c00), abs(c01), abs(c10), abs(c11))
+def _det_2x2(c00, c01, c10, c11):
+    """Closed-form determinant, of floats or elementwise of arrays; ValueError
+    naming the largest entry of the first matrix whose determinant overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = c00 * c11 - c01 * c10
+    finite = np.isfinite(det)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        entries = (np.ravel(np.broadcast_to(c, np.shape(det)))[i] for c in (c00, c01, c10, c11))
+        scale = max(map(abs, entries))
         raise ValueError(
             f"2x2 determinant overflows double precision (largest entry {scale:.3e})"
         )
@@ -117,6 +124,14 @@ def _check_covariance(c00: float, c01: float, c10: float, c11: float, name: str)
         raise ValueError(f"{name} must be symmetric positive-definite")
 
 
+def _is_spd(c00, c01, c11) -> np.ndarray:
+    """Elementwise: whether ``_check_covariance`` accepts [[c00, c01], [c01, c11]]."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = c00 * c11 - c01 * c01
+    finite = np.isfinite(c00) & np.isfinite(c01) & np.isfinite(c11) & np.isfinite(det)
+    return finite & (c00 > _MINOR_FLOOR) & (det > _MINOR_FLOOR)
+
+
 def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
     arr = _as_matrix(c, name)
     _check_covariance(*arr.ravel().tolist(), name)
@@ -126,12 +141,12 @@ def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
 def _gaussian_terms(c00, c01, c10, c11, d0, d1):
     """Exponent and normaliser of a 2D Gaussian density at offset (d0, d1).
 
-    The density is exp(exponent) / normaliser; the offsets may be floats or
-    arrays, the covariance entries are floats.
+    The density is exp(exponent) / normaliser; the offsets and the
+    covariance entries may be floats or arrays, taken elementwise.
     """
     det = _det_2x2(c00, c01, c10, c11)
     quad = (c11 * (d0 * d0) - (c01 + c10) * d0 * d1 + c00 * (d1 * d1)) / det
-    return -0.5 * quad, 2.0 * math.pi * math.sqrt(det)
+    return -0.5 * quad, 2.0 * math.pi * np.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -200,18 +215,26 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _step_entries(r: float, theta: float) -> tuple[float, float, float]:
-    """Entries (C11, C12, C22) of the step covariance; see step_covariance."""
+def _step_entries(r: float, theta):
+    """Entries (C11, C12, C22) of the step covariance; see step_covariance.
+
+    ``theta`` is a float or an array, taken elementwise; the largest |theta|
+    is the one a refusal names.  cos(theta) ** 2 is libm's pow, as Python's
+    ``**`` on a float, through ``np.float_power``: numpy's square rounds
+    about one value in a thousand the other way.
+    """
     r = _require_finite(r, "r")
-    theta = _require_finite(theta, "theta")
-    if math.isinf(2.0 * theta):
-        raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {theta!r}")
+    widest = float(np.ravel(theta)[np.argmax(np.abs(theta))])
+    _require_finite(widest, "theta")
+    if math.isinf(2.0 * widest):
+        raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {widest!r}")
     try:
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
         raise ValueError(f"r must keep cosh(2r) and sinh(2r) finite, got {r!r}") from None
-    c2 = math.cos(theta) ** 2
-    return ch + c2 * sh, 0.5 * math.sin(2.0 * theta) * sh, ch - c2 * sh
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.float_power(np.cos(theta), 2.0)
+        return ch + c2 * sh, 0.5 * np.sin(2.0 * theta) * sh, ch - c2 * sh
 
 
 def step_covariance(r: float, theta: float) -> np.ndarray:
@@ -229,22 +252,35 @@ def step_covariance(r: float, theta: float) -> np.ndarray:
     return np.array([[c00, c01], [c01, c11]])
 
 
-def _dirichlet_sum(
-    c00: float, c01: float, c11: float, theta: float, n: int
-) -> tuple[float, float, float]:
-    """Entries (C11, C12, C22) of C_N from those of C_1, on Python floats.
+# math.remainder element by element: numpy has no IEEE remainder.
+_remainder = np.vectorize(math.remainder, otypes=[float])
 
-    The one evaluation of the closed form; see accumulate_covariance.
+
+def _dirichlet_sum(c00, c01, c11, theta, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (C11, C12, C22) of C_N from those of C_1, elementwise.
+
+    The one evaluation of the closed form (see accumulate_covariance), for a
+    step count ``n`` and angle ``theta`` or arrays of them, with the C_1
+    entries floats or arrays of the same shape.  It runs on float arrays
+    with the expression tree the formula has on Python floats and complexes:
+    b = D (x + i y) is (D x - 0 y, D y + 0 x), as Python multiplies a real
+    by a complex, and it turns by (cos, sin) as one complex product.  So
+    every element keeps the bits its N gets alone.  Only math.remainder runs
+    per element.
     """
-    if n == 1:
-        return c00, c01, c11
-    eps = math.remainder(theta, math.pi)
-    dirichlet = n if eps == 0.0 else math.sin(n * eps) / math.sin(eps)
-    turn = (n - 1) * eps
-    b = dirichlet * complex(0.5 * (c00 - c11), c01)
-    b *= complex(math.cos(turn), math.sin(turn))
-    a = 0.5 * (c00 + c11)
-    return n * a + b.real, b.imag, n * a - b.real
+    n = np.asarray(n)
+    eps = _remainder(theta, math.pi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dirichlet = np.where(eps == 0.0, n, np.sin(n * eps) / np.sin(eps))
+        turn = (n - 1) * eps
+        x, y = 0.5 * (c00 - c11), c01
+        b_re, b_im = dirichlet * x - 0.0 * y, dirichlet * y + 0.0 * x
+        cos, sin = np.cos(turn), np.sin(turn)
+        b_re, b_im = b_re * cos - b_im * sin, b_re * sin + b_im * cos
+        a = 0.5 * (c00 + c11)
+        summed = n * a + b_re, b_im, n * a - b_re
+    # one step is C_1 itself
+    return tuple(np.where(n == 1, c, e) for c, e in zip((c00, c01, c11), summed))
 
 
 def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
@@ -261,9 +297,9 @@ def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
     theta = k pi + eps; as sin(eps) -> 0 the factor tends to N, which is
     taken at eps == 0.  One step returns the entries of C_1 unchanged.
 
-    The formula is evaluated on Python floats by the same kernel that the
-    N-sweeps of the experiments call once per N, so a sweep and this
-    function agree bit for bit.
+    The formula is evaluated by the elementwise kernel that the N-sweeps of
+    the experiments run over arrays of N, so a sweep and this function
+    agree bit for bit.
     """
     c00, c01, _, c11 = _require_covariance(c1, "c1").ravel().tolist()
     theta = _require_finite(theta, "theta")

@@ -10,13 +10,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from kerrzeno import experiments
+from kerrzeno.experiments import PathRows
 from kerrzeno.fock import (
     _GRAM_BLOCK_ELEMENTS, FockVector, MeasurementSpec, QuadratureGrid, _family_gram,
-    _ladder_amplitudes, displaced_seed, kerr_propagate, mean_a, number_moment,
+    _ladder_amplitudes, displaced_seed, kerr_propagate, mean_a, mean_a_closed_form,
+    number_moment,
 )
+from kerrzeno.observed import _RETURN_ANGLE_TOL
 from kerrzeno.phase_space import (
-    GaussianState2D, PhaseVector, _as_matrix, _det_2x2, _gaussian_terms, _is_symmetric,
-    _require_finite, accumulate_covariance, rotation_matrix, step_covariance,
+    GaussianState2D, PhaseVector, _as_matrix, _check_covariance, _det_2x2, _gaussian_terms,
+    _is_symmetric, _require_finite, accumulate_covariance, det_cn_asymptotic,
+    rotation_matrix, step_covariance,
 )
 
 # Saturating pure states may round det to just below 1/4.
@@ -379,3 +384,109 @@ def write_csv(columns: list[str], rows: list[list], fh) -> None:
 def json_payload(fields: dict) -> str:
     """``fields`` in envelope order, rows as lists, a null summary left out."""
     return json.dumps(fields, indent=2) + "\n"
+
+
+# The exact arm's sweeps as the per-point loops they were, on Python floats
+# and complexes: one Kerr propagation and one <a> per revival chi_t, and the
+# closed forms of C_1, C_N and the survival terms once per N.  The bodies of
+# the single-state ``kerr_propagate`` and ``mean_a`` and of the float kernels
+# are copied in, so the package's array passes are checked against them and
+# not against themselves.  ``kerrzeno.experiments``' runners must give the
+# same rows.
+def kerr_amps(psi: FockVector, chi_t: float) -> np.ndarray:
+    n = np.arange(psi.dim)
+    return psi.amps * np.exp(-1j * chi_t * n.astype(float) ** 2)
+
+
+def mean_a_of(c: np.ndarray) -> complex:
+    n = np.arange(1, len(c))
+    return complex(np.sum(np.sqrt(n) * np.conj(c[: len(c) - 1]) * c[1:]))
+
+
+def revival_rows(p: dict) -> list[list]:
+    psi0 = displaced_seed(MeasurementSpec(), p["alpha"], p["dim"])
+    chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], p["n_points"])
+    rows = []
+    for chi_t in chi_ts:
+        exact = mean_a_of(kerr_amps(psi0, float(chi_t)))
+        closed = mean_a_closed_form(p["alpha"], float(chi_t))
+        rows.append([float(chi_t), exact.real, closed.real])
+    return rows
+
+
+def step_entries(r: float, theta: float) -> tuple[float, float, float]:
+    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    c2 = math.cos(theta) ** 2
+    return ch + c2 * sh, 0.5 * math.sin(2.0 * theta) * sh, ch - c2 * sh
+
+
+def dirichlet_sum(
+    c00: float, c01: float, c11: float, theta: float, n: int
+) -> tuple[float, float, float]:
+    if n == 1:
+        return c00, c01, c11
+    eps = math.remainder(theta, math.pi)
+    dirichlet = n if eps == 0.0 else math.sin(n * eps) / math.sin(eps)
+    turn = (n - 1) * eps
+    b = dirichlet * complex(0.5 * (c00 - c11), c01)
+    b *= complex(math.cos(turn), math.sin(turn))
+    a = 0.5 * (c00 + c11)
+    return n * a + b.real, b.imag, n * a - b.real
+
+
+def survival_terms(q0: float, p0: float, r: float, theta: float, n: int) -> tuple[float, float]:
+    c00, c01, c11 = step_entries(r, theta)
+    _check_covariance(c00, c01, c01, c11, "c1")
+    c00, c01, c11 = dirichlet_sum(c00, c01, c11, theta, n)
+    total = n * theta
+    if abs(math.remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL:
+        d0 = d1 = 0.0
+    else:
+        c, s = math.cos(-total), math.sin(-total)
+        d0, d1 = c * q0 + s * p0 - q0, -s * q0 + c * p0 - p0
+    _check_covariance(c00, c01, c01, c11, "cov")
+    det = c00 * c11 - c01 * c01
+    quad = (c11 * (d0 * d0) - (c01 + c01) * d0 * d1 + c00 * (d1 * d1)) / det
+    return -0.5 * quad, 2.0 * math.pi * math.sqrt(det)
+
+
+def covariance_growth_rows(p: dict) -> list[list]:
+    r, theta = p["r"], p["theta"]
+    c00, c01, c11 = step_entries(r, theta)
+    _check_covariance(c00, c01, c01, c11, "c1")
+    entries = np.empty((p["n_max"], 4))
+    for n in range(1, p["n_max"] + 1):
+        e00, e01, e11 = dirichlet_sum(c00, c01, c11, theta, n)
+        _det_2x2(e00, e01, e01, e11)  # raises on overflow
+        entries[n - 1] = e00, e01, e01, e11
+    sqrt_det = np.sqrt(np.linalg.det(entries.reshape(-1, 2, 2))).tolist()
+    return [[n, s, det_cn_asymptotic(r, n)] for n, s in enumerate(sqrt_det, start=1)]
+
+
+def zeno_continuous_rows(p: dict) -> list[list]:
+    turns = 2.0 * math.pi * p["m"]
+    ns = range(1, p["n_max"] + 1)
+    exponents, norms = np.empty((2, p["n_max"]))
+    for n in ns:
+        exponents[n - 1], norms[n - 1] = survival_terms(2.0, 0.0, p["r"], turns / n, n)
+    densities = (np.exp(exponents) / norms).tolist()
+    return [[n, d, n * d] for n, d in zip(ns, densities)]
+
+
+# The block writer formatting plain rows one cell at a time.
+# ``kerrzeno.experiments._write_rows`` must give the same bytes.
+def write_rows(rows, layout, fh) -> None:
+    if isinstance(rows, PathRows):
+        blocks = rows.text_blocks(layout)
+    else:
+        blocks = (
+            layout.row_sep.join(
+                layout.row(map(layout.cell, row))
+                for row in rows[lo : lo + experiments._BLOCK_ROWS]
+            )
+            for lo in range(0, len(rows), experiments._BLOCK_ROWS)
+        )
+    for i, block in enumerate(blocks):
+        if i:
+            fh.write(layout.row_sep)
+        fh.write(block)

@@ -45,7 +45,15 @@ from kerrzeno.phase_space import (
     step_covariance,
 )
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
-from oracles import json_payload, recorded_rows, sample_moments
+from oracles import (
+    covariance_growth_rows,
+    json_payload,
+    recorded_rows,
+    revival_rows,
+    sample_moments,
+    write_rows,
+    zeno_continuous_rows,
+)
 from oracles import write_csv as oracle_write_csv
 
 
@@ -191,6 +199,95 @@ def test_zeno_continuous_rows_are_the_per_n_densities(m, r):
         expected = survival_density_continuous(cfg)
         assert density == expected
         assert product == n * expected
+
+
+# --- array passes against the per-point loops ------------------------------------
+
+
+def assert_same_rows(got, want):
+    """Equal rows: the same cell types, and the same bits in every cell."""
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("edge", [-2, -1, 0, 1])
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {},  # alpha = 4 at dim 78: blocks of 840 points
+        {"alpha": 0.0},
+        {"alpha": -2.5, "chi_t_min": -3.0, "chi_t_max": 40.0},
+        {"alpha": 1.5, "dim": 300, "chi_t_max": 1e4},
+        {"alpha": 0.5, "dim": 2**15},  # blocks of 2 points
+    ],
+)
+def test_revival_rows_keep_the_per_point_bits(parameters, edge):
+    # 1 point, and one point before, at and after the first block edge
+    p = make_config("revival", parameters).parameters
+    dim = p["dim"] or fock.default_dim(p["alpha"] ** 2)
+    block = max(1, experiments._PASS_ELEMENTS // dim)
+    p["n_points"] = 1 if edge == -2 else block + edge
+    assert_same_rows(experiments._run_revival(p, 0)[1], revival_rows(p))
+
+
+@pytest.mark.parametrize("n_max", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("theta", [0.011, 1.3, 2.894, math.pi, -2.0 * math.pi, 0.0, 1e300])
+def test_covariance_growth_rows_keep_the_per_n_bits(monkeypatch, theta, r, n_max):
+    # passes of 16 N; theta a multiple of pi takes eps == 0, and at 2.894
+    # cos(theta) ** 2 differs from cos(theta) * cos(theta) in the last bit
+    monkeypatch.setattr(experiments, "_PASS_ELEMENTS", 16)
+    p = make_config("covariance-growth", {"r": r, "theta": theta, "n_max": n_max}).parameters
+    assert_same_rows(experiments._run_covariance_growth(p, 0)[1], covariance_growth_rows(p))
+
+
+@pytest.mark.parametrize("n_max", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("m", [1, 3])
+def test_zeno_continuous_rows_keep_the_per_n_bits(monkeypatch, m, r, n_max):
+    # passes of 16 N; N = 1 and 2 turn by a multiple of pi, eps == 0
+    monkeypatch.setattr(experiments, "_PASS_ELEMENTS", 16)
+    p = make_config("zeno-continuous", {"r": r, "m": m, "n_max": n_max}).parameters
+    assert_same_rows(experiments._run_zeno_continuous(p, 0)[1], zeno_continuous_rows(p))
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, oracle",
+    [
+        ("covariance-growth", {"theta": math.pi, "r": 0.5}, covariance_growth_rows),
+        ("zeno-continuous", {"m": 3, "r": -0.7}, zeno_continuous_rows),
+    ],
+    ids=["covariance-growth", "zeno-continuous"],
+)
+def test_sweeps_keep_the_per_n_bits_across_a_full_pass(experiment, parameters, oracle):
+    block = experiments._PASS_ELEMENTS
+    p = make_config(experiment, {**parameters, "n_max": block + 1}).parameters
+    assert_same_rows(EXPERIMENTS[experiment].runner(p, 0)[1], oracle(p))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, experiments._BLOCK_ROWS])
+@pytest.mark.parametrize("layout", [experiments._CSV, experiments._JSON], ids=["csv", "json"])
+def test_plain_rows_keep_the_per_cell_text(monkeypatch, layout, block_rows):
+    # float columns with and without non-finite cells, int columns, columns
+    # that mix ints and floats, and a numpy float, whose repr is not
+    # float.__repr__; the templated blocks are the finite and int ones
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block_rows)
+    rows = [
+        [1, math.nan, 0.1, 3, -0.0],
+        [2, math.inf, -2.5e-300, 10**30, 1.0],
+        [-(2**70), -math.inf, 5e-324, 2, math.inf],
+        [7, 1.7976931348623157e308, -0.0, 0, 4],
+    ]
+    finite, non_finite = [row[:1] + row[2:4] for row in rows], [row[:2] for row in rows]
+    numpy_float = [row[:1] + [np.float64(row[2])] for row in rows]
+    tables = (rows, rows[:1], finite, non_finite, numpy_float,
+              default_envelope("zeno-continuous").rows)
+    for table in tables:
+        got, want = io.StringIO(), io.StringIO()
+        experiments._write_rows(table, layout, got)
+        write_rows(table, layout, want)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_trajectories_summary_consistent():
@@ -796,6 +893,54 @@ def test_cli_trajectories_time_budget_is_checked_before_sampling(
     )
 
 
+@pytest.mark.parametrize(
+    "experiment, parameters, message",
+    [
+        # at most 2**20 rows a grid or a sweep
+        ("revival", {"n_points": 10**8},
+         "n_points=100000000, dim=78 need 100000000 rows, over the budget of 1048576"),
+        ("revival", {"n_points": 2**20 + 1, "alpha": 0.0, "dim": 2},
+         "n_points=1048577, dim=2 need 1048577 rows, over the budget of 1048576"),
+        ("covariance-growth", {"n_max": 10**8},
+         "n_max=100000000 need 100000000 rows, over the budget of 1048576"),
+        ("zeno-continuous", {"n_max": 2**20 + 1},
+         "n_max=1048577 need 1048577 rows, over the budget of 1048576"),
+        # at most 2**26 propagated amplitudes, n_points * dim
+        ("revival", {"alpha": 0.0, "dim": 2**16, "n_points": 1025},
+         "n_points=1025, dim=65536 need 67174400 propagated amplitudes, over the "
+         "budget of 67108864"),
+    ],
+)
+def test_cli_sweeps_are_checked_before_allocating(
+    tmp_path, capsys, monkeypatch, experiment, parameters, message
+):
+    def allocate(*args, **kwargs):
+        raise AssertionError("an over-budget grid or sweep was allocated")
+
+    for name in ("arange", "linspace"):
+        monkeypatch.setattr(np, name, allocate)
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": parameters}
+    )
+    assert cli.main(["validate", config_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", config_path]) == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "points, work",
+    [
+        (512, 512 * 78),  # revival's defaults, as the benchmark runs them
+        (2000, 0),  # the benchmark's sweeps
+        (2**20, 2**26),  # the most rows, at dim 64
+        (64, 2**26),  # the most amplitudes, at dim 2**20
+    ],
+)
+def test_sweep_budget_admits(points, work):
+    assert experiments._sweep_budget_problem("", points, work) is None
+
+
 @pytest.mark.parametrize("tau", [0, -0.0, -5e-324, -0.1])
 def test_cli_trajectories_refuses_nonpositive_tau_at_validate(tmp_path, capsys, tau):
     config_path = write_config(
@@ -919,6 +1064,10 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         ("trajectories", {"chi": 1e308, "n_bar": 0.0},
          "the step angle theta = 2 chi n_bar tau must satisfy |theta| <= max_float / 2, "
          "got chi=1e+308, n_bar=0.0, tau=0.1, theta=nan"),
+        # a null n_bar is derived from q0 and p0, whose squares overflow
+        ("trajectories", {"q0": 1e200},
+         "the mean photon number (q0^2 + p0^2) / 2 derived for a null n_bar must be "
+         "finite, got q0=1e+200, p0=0.0"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):

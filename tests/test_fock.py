@@ -28,8 +28,8 @@ from kerrzeno.fock import (
     squeeze_matrix,
 )
 from oracles import (
-    family_gram, ladder_amplitudes, phase_vector, quadrature_mean_cov, transition_density,
-    transition_normalization,
+    family_gram, kerr_amps, ladder_amplitudes, mean_a_of, phase_vector, quadrature_mean_cov,
+    transition_density, transition_normalization,
 )
 
 VACUUM = MeasurementSpec.vacuum()
@@ -364,6 +364,32 @@ def test_kerr_rejects_non_finite_chi_t_at_dim_one():
     for chi_t in (math.inf, math.nan):
         with pytest.raises(ValueError, match="dim=1"):
             kerr_propagate(psi, chi_t)
+
+
+def test_kerr_stack_rows_are_the_single_time_states():
+    # one state and k times give k stacked states in one pass; each row, and
+    # its <a>, has the bits of one state propagated by a float time, as a
+    # float time still gives
+    psi = displaced_seed(MeasurementSpec(0.3), 2.0 - 1.0j, dim=60)
+    chi_ts = np.array([0.0, -0.0, 0.37, -2.5, math.pi, 1e3])
+    stack = kerr_propagate(psi, chi_ts)
+    assert (stack.amps.shape, stack.dim, stack.tail_mass) == ((6, 60), 60, psi.tail_mass)
+    want = np.array([kerr_amps(psi, chi_t) for chi_t in chi_ts.tolist()])
+    for got in (stack.amps, [kerr_propagate(psi, chi_t).amps for chi_t in chi_ts.tolist()]):
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+    want = np.array([mean_a_of(c) for c in want])
+    for got in (mean_a(stack), [mean_a(FockVector(c, 60, 0.0)) for c in stack.amps]):
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+
+
+def test_kerr_stack_refusal_names_the_first_overflowing_time():
+    psi = displaced_seed(VACUUM, 4.0, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"got chi_t=-1e\+307 at dim=60$"):
+            kerr_propagate(psi, np.array([0.5, -1e307, 1e308]))
+    with pytest.raises(ValueError, match=r"amps must have shape \(3,\) or \(k, 3\)"):
+        FockVector(amps=np.zeros((2, 2, 3)), dim=3, tail_mass=0.0)
 
 
 # --- mean amplitude ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from kerrzeno.phase_space import (
 )
 from oracles import box_muller, chain_convolution_check, classical_evolve, color_noise, phase_vector
 from oracles import sample_chains as oracle_sample_chains
+from oracles import survival_terms
 
 
 def make_config(
@@ -595,6 +596,16 @@ def test_analytic_distribution_mean_is_classical_drift():
 def survival_config(n, r=0.0, m=1, alpha0=2.0):
     tau = 2.0 * math.pi * m / n  # omega = 1
     return make_config(alpha0=alpha0, chi=0.5, n_bar=1.0, tau=tau, n_steps=n, r=r)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+def test_survival_terms_over_arrays_keep_the_float_bits(r):
+    # away from home the drift mismatch enters; theta = 2 pi k / N is home
+    ns = np.arange(1, 601)
+    thetas = np.where(ns % 3 == 0, 2.0 * math.pi * (ns % 7) / ns, 0.01 * ns - 2.5)
+    got = np.array(observed._survival_terms(1.5, -0.4, r, thetas, ns))
+    want = [survival_terms(1.5, -0.4, r, t, n) for t, n in zip(thetas.tolist(), ns.tolist())]
+    assert np.array_equal(got.view(np.uint64), np.array(want).T.view(np.uint64))
 
 
 def test_survival_density_peak_value():

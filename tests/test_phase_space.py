@@ -12,12 +12,15 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
+    _dirichlet_sum,
+    _step_entries,
     accumulate_covariance,
     det_cn_asymptotic,
     rotation_matrix,
     step_covariance,
 )
-from oracles import classical_evolve, density, phase_vector, rs_uncertainty_check, seed_covariance
+from oracles import classical_evolve, density, dirichlet_sum, phase_vector, rs_uncertainty_check
+from oracles import seed_covariance, step_entries
 
 angles = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 squeezings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -251,6 +254,24 @@ def test_accumulate_at_half_turns_is_n_copies(theta, n):
     np.testing.assert_allclose(
         accumulate_covariance(c1, theta, n), n * c1, rtol=1e-12, atol=1e-12 * n
     )
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+def test_kernels_over_arrays_keep_the_float_bits(r):
+    # 2003 angles, each with its own N: multiples of pi / 2 (eps == 0 at
+    # multiples of pi), and two where cos(theta) ** 2 differs from
+    # cos(theta) * cos(theta) in the last bit
+    thetas = np.concatenate(
+        [np.linspace(-10.0, 10.0, 1994), 0.5 * math.pi * np.arange(-3, 4), [2.894, 4.205]]
+    )
+    ns = np.arange(1, len(thetas) + 1) % 97 + 1
+    c1 = _step_entries(r, thetas)
+    got = np.array(c1 + _dirichlet_sum(*c1, thetas, ns))
+    want = [
+        step_entries(r, theta) + dirichlet_sum(*step_entries(r, theta), theta, n)
+        for theta, n in zip(thetas.tolist(), ns.tolist())
+    ]
+    assert np.array_equal(got.view(np.uint64), np.array(want).T.view(np.uint64))
 
 
 # --- determinant asymptote --------------------------------------------------
