@@ -79,7 +79,9 @@ _ROW_BYTES = 16
 # measured 90 ns a trajectory-step on one core.
 _TRAJECTORY_STEPS = 2**34
 # Points of a revival grid or an N-sweep, one row each: about 4 s of the
-# per-point loops these runners replaced, whose rows hold about 200 MB.
+# per-point loops these runners replaced, whose rows hold about 200 MB;
+# two-level's per-N matrix powers, about 30 us an N at n_max = 20000 on one
+# pinned core of a 2-core Xeon, take about 31 s (extrapolated).
 _SWEEP_POINTS = 2**20
 # Amplitudes revival propagates, n_points * dim: about 7 s at the measured
 # 100 ns an amplitude on one core, which is what the time exponentials cost.
@@ -313,23 +315,21 @@ def _run_revival(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
-    """C_N over passes of N from the elementwise kernel of
-    ``accumulate_covariance``, then one batched ``np.linalg.det`` (the same
-    LAPACK call per matrix, so each row keeps its rounding) and one
-    ``np.sqrt``.  The first N whose determinant overflows is refused."""
+    """C_N over passes of N from ``accumulate_covariance``, then one batched
+    ``np.linalg.det`` (the same LAPACK call per matrix, so each row keeps its
+    rounding) and one ``np.sqrt``.  The first N whose determinant overflows
+    is refused."""
     r, theta, n_max = p["r"], p["theta"], p["n_max"]
     if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
         raise ValueError(problem)
-    c00, c01, c11 = phase_space._step_entries(r, theta)
-    phase_space._check_covariance(c00, c01, c01, c11, "c1")
+    c1 = phase_space.step_covariance(r, theta)
     # n cosh(2r) is n times the N = 1 value, which is cosh(2r) exactly
     cosh_2r = phase_space.det_cn_asymptotic(r, 1)
 
     def columns(ns):
-        e00, e01, e11 = phase_space._dirichlet_sum(c00, c01, c11, theta, ns)
-        phase_space._det_2x2(e00, e01, e01, e11)  # raises on overflow
-        entries = np.stack([e00, e01, e01, e11], axis=-1).reshape(-1, 2, 2)
-        return np.sqrt(np.linalg.det(entries)), ns * cosh_2r
+        cn = phase_space.accumulate_covariance(c1, theta, ns)
+        phase_space._det_2x2(*cn.reshape(-1, 4).T)  # raises on overflow
+        return np.sqrt(np.linalg.det(cn)), ns * cosh_2r
 
     rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)
     return ["n", "sqrt_det_cn", "n_cosh_2r"], rows, None
@@ -464,6 +464,8 @@ def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
+    if problem := _sweep_budget_problem(f"n_max={p['n_max']}", p["n_max"]):
+        raise ValueError(problem)
     rows = []
     for n in range(1, p["n_max"] + 1):
         model = two_level.TwoLevelModel(p["alpha"], p["omega_tau"], n)

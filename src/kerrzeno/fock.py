@@ -77,7 +77,7 @@ class FockVector:
 
     ``amps`` holds one state, shape (dim,), or k stacked states that share
     the tail mass, shape (k, dim), as ``kerr_propagate`` makes from one
-    state and k times; ``norm_sq`` is that of one state.
+    state and k times; ``norm_sq`` is that of one state, and refuses a stack.
     """
 
     amps: np.ndarray
@@ -94,9 +94,14 @@ class FockVector:
             raise ValueError("amps must be finite")
         object.__setattr__(self, "amps", amps)
 
+    def _one_state(self, what: str) -> np.ndarray:
+        if self.amps.ndim != 1:
+            raise ValueError(f"{what} takes one state, got amps of shape {self.amps.shape}")
+        return self.amps
+
     @property
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        return float(np.vdot(self._one_state("norm_sq"), self.amps).real)
 
 
 @dataclass(frozen=True)
@@ -344,11 +349,11 @@ def mean_a_closed_form(alpha: complex, chi_t: float) -> complex:
 
 
 def number_moment(psi: FockVector, k: int) -> float:
-    """<n^k> for k in 1..4 by direct summation."""
+    """<n^k> for k in 1..4 by direct summation, of one state; ValueError for a stack."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"k must be in 1..4, got {k}")
     n = np.arange(psi.dim, dtype=float)
-    return float(np.sum(n**k * np.abs(psi.amps) ** 2))
+    return float(np.sum(n**k * np.abs(psi._one_state("number_moment")) ** 2))
 
 
 def number_squared_variance(psi: FockVector) -> float:

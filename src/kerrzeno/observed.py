@@ -57,12 +57,10 @@ from .phase_space import (
     PhaseVector,
     _check_covariance,
     _det_2x2,
-    _dirichlet_sum,
+    _first_refused,
     _gaussian_terms,
-    _is_spd,
     _remainder,
     _require_int,
-    _step_entries,
     accumulate_covariance,
     rotation_matrix,
     step_covariance,
@@ -398,28 +396,27 @@ def _survival_terms(q0: float, p0: float, r: float, theta, n) -> tuple[np.ndarra
     """Exponent and normaliser of p_N(z0 | z0) = exp(exponent) / normaliser.
 
     ``theta`` and ``n`` are an angle and a step count or arrays of them,
-    taken elementwise; C_1 and C_N come from the elementwise kernels of
-    ``step_covariance`` and ``accumulate_covariance``, so each element keeps
-    the bits its N gets alone.  Raises ValueError for the first N whose C_1
-    or C_N is not SPD or whose determinant overflows, with the messages of
-    ``accumulate_covariance`` ("c1") and ``GaussianState2D`` ("cov").
+    broadcast elementwise.  Raises ValueError for the first N whose C_1
+    or C_N is not SPD or whose determinant overflows, C_1 first, with the
+    messages of ``accumulate_covariance`` ("c1") and ``GaussianState2D`` ("cov").
     """
-    theta, n = np.asarray(theta, dtype=float), np.asarray(n)
-    c1 = _step_entries(r, theta)
-    cn = _dirichlet_sum(*c1, theta, n)
-    ok = _is_spd(*c1) & _is_spd(*cn)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        for name, entries in (("c1", c1), ("cov", cn)):
-            c00, c01, c11 = (float(np.ravel(e)[i]) for e in entries)
-            _check_covariance(c00, c01, c01, c11, name)
+    theta, n = np.broadcast_arrays(np.asarray(theta, dtype=float), n)
+    c1 = step_covariance(r, theta)
+    if refusal := _first_refused(c1, "c1"):
+        # N by N, C_1 before C_N: the C_N before the first C_1 refused go first
+        i, error = refusal
+        if i:
+            before = c1.reshape(-1, 2, 2)[:i], theta.ravel()[:i], n.ravel()[:i]
+            _check_covariance(accumulate_covariance(*before), "cov")
+        raise error
+    cn = _check_covariance(accumulate_covariance(c1, theta, n), "cov")
     total = n * theta
     home = np.abs(_remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL
     # the drift mismatch M(-total) z0 - z0, zero back home
     c, s = np.cos(-total), np.sin(-total)
     d0 = np.where(home, 0.0, c * q0 + s * p0 - q0)
     d1 = np.where(home, 0.0, -s * q0 + c * p0 - p0)
-    return _gaussian_terms(cn[0], cn[1], cn[1], cn[2], d0, d1)
+    return _gaussian_terms(cn[..., 0, 0], cn[..., 0, 1], cn[..., 1, 0], cn[..., 1, 1], d0, d1)
 
 
 def survival_density_continuous(cfg: ObservedRunConfig) -> float:
@@ -432,9 +429,8 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     Away from full turns the zero-mean Gaussian of covariance C_N is
     evaluated at the drift mismatch.
 
-    Everything up to the exponential runs through the same elementwise
-    C_N kernel as ``accumulate_covariance``; the ``zeno-continuous`` sweep
-    runs it over arrays of N and exponentiates the column at once.
+    Everything up to the exponential runs through ``step_covariance`` and
+    ``accumulate_covariance``, as the ``zeno-continuous`` sweep does per pass.
     """
     exponent, norm = _survival_terms(
         cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, cfg.params.n_steps

@@ -37,9 +37,10 @@ eps == 0 the Dirichlet factor takes its limit N.
 
 All operations are pure functions of floats and (2, 2) float64 arrays and
 never mutate their inputs.  M is orthogonal, so its inverse is always
-taken as the transpose.  The private kernels behind them also run
-elementwise over arrays of angles and step counts, for the N-sweeps of the
-experiments, and give every element the bits it gets alone.
+taken as the transpose.  ``step_covariance`` and ``accumulate_covariance``
+also run elementwise over arrays of angles and step counts and over
+(..., 2, 2) stacks of matrices, for the N-sweeps of the experiments, and
+give every element the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -80,20 +81,6 @@ def _require_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return int(value)
 
 
-def _as_matrix(c: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must have shape (2, 2), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must have finite entries")
-    return arr
-
-
-def _is_symmetric(c00: float, c01: float, c10: float, c11: float) -> bool:
-    scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
-    return abs(c01 - c10) <= _SYMMETRY_RTOL * scale
-
-
 def _det_2x2(c00, c01, c10, c11):
     """Closed-form determinant, of floats or elementwise of arrays; ValueError
     naming the largest entry of the first matrix whose determinant overflows."""
@@ -110,32 +97,53 @@ def _det_2x2(c00, c01, c10, c11):
     return det
 
 
-def _check_covariance(c00: float, c01: float, c10: float, c11: float, name: str):
-    """Raise ValueError unless the entries form a finite SPD matrix."""
-    finite = math.isfinite
-    if not (finite(c00) and finite(c01) and finite(c10) and finite(c11)):
-        raise ValueError(f"{name} must have finite entries")
-    spd = (
-        _is_symmetric(c00, c01, c10, c11)
-        and c00 > _MINOR_FLOOR
-        and _det_2x2(c00, c01, c10, c11) > _MINOR_FLOOR
-    )
-    if not spd:
-        raise ValueError(f"{name} must be symmetric positive-definite")
-
-
-def _is_spd(c00, c01, c11) -> np.ndarray:
-    """Elementwise: whether ``_check_covariance`` accepts [[c00, c01], [c01, c11]]."""
+def _first_refused(c: np.ndarray, name: str) -> tuple[int, ValueError] | None:
+    """The flat index of the first matrix of the (..., 2, 2) stack ``c`` that is
+    not finite symmetric positive-definite, and the ValueError refusing it by
+    precedence: non-finite entries, asymmetry or c00 <= _MINOR_FLOOR, an
+    overflowing determinant as ``_det_2x2`` names it, det <= _MINOR_FLOOR."""
+    flat = np.reshape(c, (-1, 4))
+    c00, c01, c10, c11 = flat.T
     with np.errstate(over="ignore", invalid="ignore"):
-        det = c00 * c11 - c01 * c01
-    finite = np.isfinite(c00) & np.isfinite(c01) & np.isfinite(c11) & np.isfinite(det)
-    return finite & (c00 > _MINOR_FLOOR) & (det > _MINOR_FLOOR)
+        scale = np.maximum(np.maximum(abs(c00), abs(c01)), np.maximum(abs(c10), abs(c11)))
+        shaped = (abs(c01 - c10) <= _SYMMETRY_RTOL * np.maximum(scale, 1.0)) & (c00 > _MINOR_FLOOR)
+        det = c00 * c11 - c01 * c10
+    # a non-finite entry leaves the determinant non-finite
+    ok = shaped & (det > _MINOR_FLOOR) & (det < math.inf)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not np.isfinite(flat[i]).all():
+        return i, ValueError(f"{name} must have finite entries")
+    if shaped[i]:
+        try:
+            _det_2x2(*flat[i].tolist())
+        except ValueError as overflow:
+            return i, overflow
+    return i, ValueError(f"{name} must be symmetric positive-definite")
 
 
-def _require_covariance(c: np.ndarray, name: str) -> np.ndarray:
-    arr = _as_matrix(c, name)
-    _check_covariance(*arr.ravel().tolist(), name)
-    return arr
+def _check_covariance(c: np.ndarray, name: str) -> np.ndarray:
+    """``c`` as a float array, a (2, 2) matrix or a (..., 2, 2) stack; ValueError
+    for the wrong shape or the first matrix that ``_first_refused`` refuses."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must have shape (..., 2, 2), got {c.shape}")
+    if refusal := _first_refused(c, name):
+        raise refusal[1]
+    return c
+
+
+def _symmetric(c00, c01, c11) -> np.ndarray:
+    """[[c00, c01], [c01, c11]]: (2, 2) for floats, (..., 2, 2) for arrays."""
+    c00, c01, c11 = np.broadcast_arrays(c00, c01, c11)
+    return np.stack([c00, c01, c01, c11], axis=-1).reshape(c00.shape + (2, 2))
+
+
+def _widest(theta) -> float:
+    """The angle of largest magnitude of a float or an array, a nan first;
+    ValueError unless it is finite."""
+    return _require_finite(np.ravel(theta)[np.argmax(np.abs(theta))], "theta")
 
 
 def _gaussian_terms(c00, c01, c10, c11, d0, d1):
@@ -176,7 +184,10 @@ class GaussianState2D:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cov", _require_covariance(self.cov, "cov"))
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.shape != (2, 2):
+            raise ValueError(f"cov must have shape (2, 2), got {cov.shape}")
+        object.__setattr__(self, "cov", _check_covariance(cov, "cov"))
 
 
 @dataclass(frozen=True)
@@ -215,30 +226,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _step_entries(r: float, theta):
-    """Entries (C11, C12, C22) of the step covariance; see step_covariance.
-
-    ``theta`` is a float or an array, taken elementwise; the largest |theta|
-    is the one a refusal names.  cos(theta) ** 2 is libm's pow, as Python's
-    ``**`` on a float, through ``np.float_power``: numpy's square rounds
-    about one value in a thousand the other way.
-    """
-    r = _require_finite(r, "r")
-    widest = float(np.ravel(theta)[np.argmax(np.abs(theta))])
-    _require_finite(widest, "theta")
-    if math.isinf(2.0 * widest):
-        raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {widest!r}")
-    try:
-        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    except OverflowError:
-        raise ValueError(f"r must keep cosh(2r) and sinh(2r) finite, got {r!r}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        c2 = np.float_power(np.cos(theta), 2.0)
-        return ch + c2 * sh, 0.5 * np.sin(2.0 * theta) * sh, ch - c2 * sh
-
-
-def step_covariance(r: float, theta: float) -> np.ndarray:
-    """Covariance C_1 of one observed step.
+def step_covariance(r: float, theta) -> np.ndarray:
+    """Covariance C_1 of one observed step: (2, 2) for an angle ``theta``,
+    (..., 2, 2) for an array of them, taken elementwise.
 
     Entries are evaluated literally:
 
@@ -247,43 +237,28 @@ def step_covariance(r: float, theta: float) -> np.ndarray:
 
     which coincides with seed + rotated-seed composition
     C + M^-1 C M^-T (an identity the test-suite re-derives numerically).
+    The largest |theta| is the one a refusal names.  cos(theta) ** 2 is
+    libm's pow, as Python's ``**`` on a float, through ``np.float_power``:
+    numpy's square rounds about one value in a thousand the other way.
     """
-    c00, c01, c11 = _step_entries(r, theta)
-    return np.array([[c00, c01], [c01, c11]])
+    r = _require_finite(r, "r")
+    widest = _widest(theta)
+    if math.isinf(2.0 * widest):
+        raise ValueError(f"theta must satisfy |theta| <= max_float / 2, got {widest!r}")
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"r must keep cosh(2r) and sinh(2r) finite, got {r!r}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.float_power(np.cos(theta), 2.0)
+        return _symmetric(ch + c2 * sh, 0.5 * np.sin(2.0 * theta) * sh, ch - c2 * sh)
 
 
 # math.remainder element by element: numpy has no IEEE remainder.
 _remainder = np.vectorize(math.remainder, otypes=[float])
 
 
-def _dirichlet_sum(c00, c01, c11, theta, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (C11, C12, C22) of C_N from those of C_1, elementwise.
-
-    The one evaluation of the closed form (see accumulate_covariance), for a
-    step count ``n`` and angle ``theta`` or arrays of them, with the C_1
-    entries floats or arrays of the same shape.  It runs on float arrays
-    with the expression tree the formula has on Python floats and complexes:
-    b = D (x + i y) is (D x - 0 y, D y + 0 x), as Python multiplies a real
-    by a complex, and it turns by (cos, sin) as one complex product.  So
-    every element keeps the bits its N gets alone.  Only math.remainder runs
-    per element.
-    """
-    n = np.asarray(n)
-    eps = _remainder(theta, math.pi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dirichlet = np.where(eps == 0.0, n, np.sin(n * eps) / np.sin(eps))
-        turn = (n - 1) * eps
-        x, y = 0.5 * (c00 - c11), c01
-        b_re, b_im = dirichlet * x - 0.0 * y, dirichlet * y + 0.0 * x
-        cos, sin = np.cos(turn), np.sin(turn)
-        b_re, b_im = b_re * cos - b_im * sin, b_re * sin + b_im * cos
-        a = 0.5 * (c00 + c11)
-        summed = n * a + b_re, b_im, n * a - b_re
-    # one step is C_1 itself
-    return tuple(np.where(n == 1, c, e) for c, e in zip((c00, c01, c11), summed))
-
-
-def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
+def accumulate_covariance(c1: np.ndarray, theta, n) -> np.ndarray:
     """Covariance after n steps: sum_{j=0}^{n-1} M^-j C_1 (M^-j)^T, in closed form.
 
     Split C_1 = a I + B with a = tr C_1 / 2 and B traceless, written as
@@ -297,14 +272,33 @@ def accumulate_covariance(c1: np.ndarray, theta: float, n: int) -> np.ndarray:
     theta = k pi + eps; as sin(eps) -> 0 the factor tends to N, which is
     taken at eps == 0.  One step returns the entries of C_1 unchanged.
 
-    The formula is evaluated by the elementwise kernel that the N-sweeps of
-    the experiments run over arrays of N, so a sweep and this function
-    agree bit for bit.
+    ``c1`` (one matrix or a (..., 2, 2) stack), ``theta`` and ``n`` broadcast
+    elementwise, each element with the expression tree the formula has on
+    Python floats and complexes, so with the bits it gets alone: b = D (x +
+    i y) is (D x - 0 y, D y + 0 x), as Python multiplies a real by a
+    complex, turned by (cos, sin) as one complex product.  The first C_1
+    not SPD, theta not finite or n not an integer >= 1 is refused.
     """
-    c00, c01, _, c11 = _require_covariance(c1, "c1").ravel().tolist()
-    theta = _require_finite(theta, "theta")
-    c00, c01, c11 = _dirichlet_sum(c00, c01, c11, theta, _require_int(n, "n"))
-    return np.array([[c00, c01], [c01, c11]])
+    c1 = _check_covariance(c1, "c1")
+    c00, c01, c11 = c1[..., 0, 0], c1[..., 0, 1], c1[..., 1, 1]
+    _widest(theta)
+    n = np.asarray(n)
+    with np.errstate(invalid="ignore"):
+        counts = (n >= 1) & (n % 1 == 0)
+    if not counts.all():
+        _require_int(n.ravel()[np.argmin(counts)].item(), "n")
+    eps = _remainder(theta, math.pi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dirichlet = np.where(eps == 0.0, n, np.sin(n * eps) / np.sin(eps))
+        turn = (n - 1) * eps
+        x, y = 0.5 * (c00 - c11), c01
+        b_re, b_im = dirichlet * x - 0.0 * y, dirichlet * y + 0.0 * x
+        cos, sin = np.cos(turn), np.sin(turn)
+        b_re, b_im = b_re * cos - b_im * sin, b_re * sin + b_im * cos
+        a = 0.5 * (c00 + c11)
+        summed = n * a + b_re, b_im, n * a - b_re
+    # one step is C_1 itself
+    return _symmetric(*(np.where(n == 1, c, e) for c, e in zip((c00, c01, c11), summed)))
 
 
 def det_cn_asymptotic(r: float, n: int) -> float:

@@ -19,9 +19,9 @@ from kerrzeno.fock import (
 )
 from kerrzeno.observed import _RETURN_ANGLE_TOL
 from kerrzeno.phase_space import (
-    GaussianState2D, PhaseVector, _as_matrix, _check_covariance, _det_2x2, _gaussian_terms,
-    _is_symmetric, _require_finite, accumulate_covariance, det_cn_asymptotic,
-    rotation_matrix, step_covariance,
+    _SYMMETRY_RTOL, GaussianState2D, PhaseVector, _check_covariance, _det_2x2, _gaussian_terms,
+    _require_finite, accumulate_covariance, det_cn_asymptotic, rotation_matrix,
+    step_covariance,
 )
 
 # Saturating pure states may round det to just below 1/4.
@@ -66,9 +66,15 @@ class UncertaintyCheck(NamedTuple):
 
 def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
     """Robertson-Schrodinger test det(c) >= 1/4, with _RS_SLACK, and the signed
-    margin; ValueError when c is not symmetric or its determinant overflows."""
-    entries = _as_matrix(c, "c").ravel().tolist()
-    if not _is_symmetric(*entries):
+    margin; ValueError when c is not a finite symmetric (2, 2) matrix or its
+    determinant overflows."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (2, 2):
+        raise ValueError(f"c must have shape (2, 2), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c must have finite entries")
+    entries = c.ravel().tolist()
+    if abs(entries[1] - entries[2]) > _SYMMETRY_RTOL * max(1.0, *map(abs, entries)):
         raise ValueError("c must be symmetric")
     margin = _det_2x2(*entries) - 0.25
     return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)
@@ -436,7 +442,7 @@ def dirichlet_sum(
 
 def survival_terms(q0: float, p0: float, r: float, theta: float, n: int) -> tuple[float, float]:
     c00, c01, c11 = step_entries(r, theta)
-    _check_covariance(c00, c01, c01, c11, "c1")
+    _check_covariance([[c00, c01], [c01, c11]], "c1")
     c00, c01, c11 = dirichlet_sum(c00, c01, c11, theta, n)
     total = n * theta
     if abs(math.remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL:
@@ -444,7 +450,7 @@ def survival_terms(q0: float, p0: float, r: float, theta: float, n: int) -> tupl
     else:
         c, s = math.cos(-total), math.sin(-total)
         d0, d1 = c * q0 + s * p0 - q0, -s * q0 + c * p0 - p0
-    _check_covariance(c00, c01, c01, c11, "cov")
+    _check_covariance([[c00, c01], [c01, c11]], "cov")
     det = c00 * c11 - c01 * c01
     quad = (c11 * (d0 * d0) - (c01 + c01) * d0 * d1 + c00 * (d1 * d1)) / det
     return -0.5 * quad, 2.0 * math.pi * math.sqrt(det)
@@ -453,7 +459,7 @@ def survival_terms(q0: float, p0: float, r: float, theta: float, n: int) -> tupl
 def covariance_growth_rows(p: dict) -> list[list]:
     r, theta = p["r"], p["theta"]
     c00, c01, c11 = step_entries(r, theta)
-    _check_covariance(c00, c01, c01, c11, "c1")
+    _check_covariance([[c00, c01], [c01, c11]], "c1")
     entries = np.empty((p["n_max"], 4))
     for n in range(1, p["n_max"] + 1):
         e00, e01, e11 = dirichlet_sum(c00, c01, c11, theta, n)

@@ -909,6 +909,9 @@ def test_cli_trajectories_time_budget_is_checked_before_sampling(
         ("revival", {"alpha": 0.0, "dim": 2**16, "n_points": 1025},
          "n_points=1025, dim=65536 need 67174400 propagated amplitudes, over the "
          "budget of 67108864"),
+        # two-level's n_max, at most 2**20 rows like the sweeps'
+        ("two-level", {"n_max": 10**8},
+         "n_max=100000000 need 100000000 rows, over the budget of 1048576"),
     ],
 )
 def test_cli_sweeps_are_checked_before_allocating(
@@ -919,6 +922,7 @@ def test_cli_sweeps_are_checked_before_allocating(
 
     for name in ("arange", "linspace"):
         monkeypatch.setattr(np, name, allocate)
+    monkeypatch.setattr(experiments.two_level, "TwoLevelModel", allocate)
     config_path = write_config(
         tmp_path, {"experiment": experiment, "parameters": parameters}
     )
@@ -934,6 +938,7 @@ def test_cli_sweeps_are_checked_before_allocating(
         (512, 512 * 78),  # revival's defaults, as the benchmark runs them
         (2000, 0),  # the benchmark's sweeps
         (2**20, 2**26),  # the most rows, at dim 64
+        (2**20, 0),  # two-level's largest n_max, about 31 s
         (64, 2**26),  # the most amplitudes, at dim 2**20
     ],
 )
@@ -1068,6 +1073,10 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         ("trajectories", {"q0": 1e200},
          "the mean photon number (q0^2 + p0^2) / 2 derived for a null n_bar must be "
          "finite, got q0=1e+200, p0=0.0"),
+        # C_N overflows at an N before the first N whose C_1 cancels to a
+        # non-positive determinant; N by N, the first failure is named
+        ("zeno-continuous", {"r": 177.0, "m": 1000000000},
+         "2x2 determinant overflows double precision (largest entry 1.650e+154)"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):

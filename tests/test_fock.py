@@ -350,6 +350,19 @@ def test_kerr_preserves_norm_and_mean_n():
         assert abs(number_moment(out, 1) - number_moment(psi, 1)) < 1e-10
 
 
+def test_one_state_readings_refuse_a_stack():
+    # summed over the rows, three stacked states would read norm_sq 3 and <n> 12
+    psi = displaced_seed(MeasurementSpec(), 2.0)
+    stack = kerr_propagate(psi, np.array([0.1, 0.2, 0.3]))
+    refusal = rf" takes one state, got amps of shape \(3, {psi.dim}\)$"
+    with pytest.raises(ValueError, match="^norm_sq" + refusal):
+        stack.norm_sq
+    with pytest.raises(ValueError, match="^number_moment" + refusal):
+        number_moment(stack, 1)
+    assert abs(psi.norm_sq - 1.0) < 1e-12
+    assert abs(number_moment(psi, 1) - 4.0) < 1e-10
+
+
 def test_kerr_rejects_overflowing_phase_without_warnings():
     # chi_t * n**2 overflows at n = 59: refuse before numpy evaluates exp on inf
     psi = displaced_seed(VACUUM, 4.0, 60)

@@ -12,8 +12,6 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
-    _dirichlet_sum,
-    _step_entries,
     accumulate_covariance,
     det_cn_asymptotic,
     rotation_matrix,
@@ -265,13 +263,40 @@ def test_kernels_over_arrays_keep_the_float_bits(r):
         [np.linspace(-10.0, 10.0, 1994), 0.5 * math.pi * np.arange(-3, 4), [2.894, 4.205]]
     )
     ns = np.arange(1, len(thetas) + 1) % 97 + 1
-    c1 = _step_entries(r, thetas)
-    got = np.array(c1 + _dirichlet_sum(*c1, thetas, ns))
-    want = [
-        step_entries(r, theta) + dirichlet_sum(*step_entries(r, theta), theta, n)
-        for theta, n in zip(thetas.tolist(), ns.tolist())
-    ]
-    assert np.array_equal(got.view(np.uint64), np.array(want).T.view(np.uint64))
+    c1 = step_covariance(r, thetas)
+    cn = accumulate_covariance(c1, thetas, ns)
+    assert c1.shape == cn.shape == (len(thetas), 2, 2)
+    got = np.concatenate([c1.reshape(-1, 4), cn.reshape(-1, 4)], axis=1)
+    want = []
+    for theta, n in zip(thetas.tolist(), ns.tolist()):
+        (c00, c01, c11), (e00, e01, e11) = (
+            step_entries(r, theta), dirichlet_sum(*step_entries(r, theta), theta, n)
+        )
+        want.append([c00, c01, c01, c11, e00, e01, e01, e11])
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    # a (2, 2) C_1 broadcasts against the N, as covariance-growth passes it
+    one = accumulate_covariance(c1[5], thetas[5], ns)
+    assert np.array_equal(one[ns == ns[5]], np.broadcast_to(cn[5], one[ns == ns[5]].shape))
+
+
+def test_array_inputs_refuse_their_first_bad_element():
+    thetas = np.array([0.1, 0.2, 1e-8, 1e-8])
+    c1 = step_covariance(10.0, thetas)  # the literal C_1 cancels at theta = 1e-8
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        accumulate_covariance(c1, thetas, 3)
+    accumulate_covariance(c1[:2], thetas[:2], 3)
+    stack = np.stack([np.eye(2), [[1.0, 0.0], [0.0, np.nan]]])
+    with pytest.raises(ValueError, match="^c1 must have finite entries$"):
+        accumulate_covariance(stack, 0.1, 2)
+    with pytest.raises(ValueError, match=r"^c1 must have shape \(\.\.\., 2, 2\), got \(3, 2\)$"):
+        accumulate_covariance(np.ones((3, 2)), 0.1, 2)
+    for ns, bad in (([1, 2, 0, 5], "0"), ([1.0, 2.5, 3.0], "2.5"), ([2, 3, -1], "-1")):
+        with pytest.raises(ValueError, match=rf"^n must be an integer in \[1, inf\), got {bad}$"):
+            accumulate_covariance(np.eye(2), 0.1, np.array(ns))
+    with pytest.raises(ValueError, match="^theta must be finite, got nan$"):
+        accumulate_covariance(np.eye(2), np.array([0.1, np.nan, np.inf]), 2)
+    with pytest.raises(ValueError, match=r"^theta must satisfy \|theta\| <= max_float / 2"):
+        step_covariance(0.0, np.array([0.0, 1e308]))
 
 
 # --- determinant asymptote --------------------------------------------------
