@@ -317,8 +317,8 @@ def _run_revival(p: dict, master_seed: int) -> RunnerResult:
 def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     """C_N over passes of N from ``accumulate_covariance``, then one batched
     ``np.linalg.det`` (the same LAPACK call per matrix, so each row keeps its
-    rounding) and one ``np.sqrt``.  The first N whose determinant overflows
-    is refused."""
+    rounding) and one ``np.sqrt``.  The first N whose C_N overflows or is not
+    SPD is refused."""
     r, theta, n_max = p["r"], p["theta"], p["n_max"]
     if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
         raise ValueError(problem)
@@ -328,7 +328,6 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
 
     def columns(ns):
         cn = phase_space.accumulate_covariance(c1, theta, ns)
-        phase_space._det_2x2(*cn.reshape(-1, 4).T)  # raises on overflow
         return np.sqrt(np.linalg.det(cn)), ns * cosh_2r
 
     rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)
@@ -432,19 +431,18 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
-    """``survival_density_continuous`` at tau = 2 pi m / N for every N: its
-    one helper over passes of N, then one ``np.exp`` over each pass.  The
-    first N whose C_1 or C_N overflows or is not SPD is refused."""
+    """``survival_density_continuous`` at tau = 2 pi m / N for every N, over
+    passes of N.  The first N whose C_1 or C_N overflows or is not SPD is
+    refused."""
     n_max = p["n_max"]
     if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
         raise ValueError(problem)
     turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
     r = fock.MeasurementSpec(p["r"]).r  # refuses |r| > 700
+    z0 = phase_space.PhaseVector(2.0, 0.0)  # where the drift starts
 
     def columns(ns):
-        # the drift starts at z0 = (2, 0)
-        exponents, norms = observed._survival_terms(2.0, 0.0, r, turns / ns, ns)
-        densities = np.exp(exponents) / norms
+        densities = observed.survival_density_continuous(z0, r, turns / ns, ns)
         return densities, ns * densities
 
     rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)

@@ -11,7 +11,9 @@ M^N C_N M^N^T, with C_N the accumulated step covariance.  Observation
 never stalls the motion; it only broadens the cloud around the drift, and
 at matched return times the outcome density at the starting point falls
 like 1/N.  This module provides the trajectory sampler, the closed-form
-final distribution and that survival density.
+final distribution and that survival density, which, like the covariance
+kernels of ``phase_space``, takes a float or arrays of angles and step
+counts: the ``zeno-continuous`` sweep evaluates it over passes of N.
 
 The sampler hands out plain arrays: ``run_ensemble`` the
 (n_trajectories, 2) final outcomes and ``run_trajectory`` one
@@ -56,9 +58,6 @@ from .phase_space import (
     GaussianState2D,
     PhaseVector,
     _check_covariance,
-    _det_2x2,
-    _first_refused,
-    _gaussian_terms,
     _remainder,
     _require_int,
     accumulate_covariance,
@@ -122,10 +121,11 @@ _RETURN_ANGLE_TOL = 1e-9
 def symmetric_sqrt_2x2(c: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD 2x2 matrix, (C + sqrt(det) I)/t.
 
-    Raises ValueError when the determinant overflows.
+    Raises ValueError, naming the matrix "c1", unless it is finite SPD with
+    a determinant that does not overflow.
     """
-    _det_2x2(*c.ravel().tolist())  # overflow check; s keeps np.linalg.det's rounding
-    s = math.sqrt(float(np.linalg.det(c)))
+    _check_covariance(c, "c1")
+    s = math.sqrt(float(np.linalg.det(c)))  # the chains' bits keep LAPACK's rounding
     t = math.sqrt(float(c[0, 0] + c[1, 1]) + 2.0 * s)
     return (c + s * np.eye(2)) / t
 
@@ -392,35 +392,9 @@ def analytic_final_distribution(cfg: ObservedRunConfig) -> GaussianState2D:
     )
 
 
-def _survival_terms(q0: float, p0: float, r: float, theta, n) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent and normaliser of p_N(z0 | z0) = exp(exponent) / normaliser.
-
-    ``theta`` and ``n`` are an angle and a step count or arrays of them,
-    broadcast elementwise.  Raises ValueError for the first N whose C_1
-    or C_N is not SPD or whose determinant overflows, C_1 first, with the
-    messages of ``accumulate_covariance`` ("c1") and ``GaussianState2D`` ("cov").
-    """
-    theta, n = np.broadcast_arrays(np.asarray(theta, dtype=float), n)
-    c1 = step_covariance(r, theta)
-    if refusal := _first_refused(c1, "c1"):
-        # N by N, C_1 before C_N: the C_N before the first C_1 refused go first
-        i, error = refusal
-        if i:
-            before = c1.reshape(-1, 2, 2)[:i], theta.ravel()[:i], n.ravel()[:i]
-            _check_covariance(accumulate_covariance(*before), "cov")
-        raise error
-    cn = _check_covariance(accumulate_covariance(c1, theta, n), "cov")
-    total = n * theta
-    home = np.abs(_remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL
-    # the drift mismatch M(-total) z0 - z0, zero back home
-    c, s = np.cos(-total), np.sin(-total)
-    d0 = np.where(home, 0.0, c * q0 + s * p0 - q0)
-    d1 = np.where(home, 0.0, -s * q0 + c * p0 - p0)
-    return _gaussian_terms(cn[..., 0, 0], cn[..., 0, 1], cn[..., 1, 0], cn[..., 1, 1], d0, d1)
-
-
-def survival_density_continuous(cfg: ObservedRunConfig) -> float:
-    """Final-outcome density at the starting point, p_N(z = z0 | z0).
+def survival_density_continuous(z0: PhaseVector, r: float, theta, n) -> float | np.ndarray:
+    """Final-outcome density at the starting point, p_N(z = z0 | z0), after
+    ``n`` steps of angle ``theta`` from ``z0`` with seed squeezing ``r``.
 
     This is a density per dq dp, not a probability; ratios across N are
     what carry meaning.  At accumulated angles within 1e-9 of a full turn
@@ -429,10 +403,21 @@ def survival_density_continuous(cfg: ObservedRunConfig) -> float:
     Away from full turns the zero-mean Gaussian of covariance C_N is
     evaluated at the drift mismatch.
 
-    Everything up to the exponential runs through ``step_covariance`` and
-    ``accumulate_covariance``, as the ``zeno-continuous`` sweep does per pass.
+    A float ``theta`` and ``n`` give a float; arrays of them broadcast and
+    give an array, each element with the bits it gets alone, as the
+    ``zeno-continuous`` sweep evaluates its passes of N.  C_1 and C_N come
+    from ``step_covariance`` and ``accumulate_covariance``, whose refusals
+    name the first N whose C_1 or C_N is not SPD or overflows.
     """
-    exponent, norm = _survival_terms(
-        cfg.z0.q, cfg.z0.p, cfg.spec.r, cfg.params.theta, cfg.params.n_steps
-    )
-    return float(np.exp(exponent) / norm)
+    theta, n = np.broadcast_arrays(np.asarray(theta, dtype=float), n)
+    cn = accumulate_covariance(step_covariance(r, theta), theta, n)
+    c00, c01, c10, c11 = cn[..., 0, 0], cn[..., 0, 1], cn[..., 1, 0], cn[..., 1, 1]
+    total = n * theta
+    home = np.abs(_remainder(total, 2.0 * math.pi)) < _RETURN_ANGLE_TOL
+    # the drift mismatch M(-total) z0 - z0, zero back home
+    c, s = np.cos(-total), np.sin(-total)
+    d0 = np.where(home, 0.0, c * z0.q + s * z0.p - z0.q)
+    d1 = np.where(home, 0.0, -s * z0.q + c * z0.p - z0.p)
+    det = c00 * c11 - c01 * c10
+    quad = (c11 * (d0 * d0) - (c01 + c10) * d0 * d1 + c00 * (d1 * d1)) / det
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))

@@ -81,27 +81,12 @@ def _require_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return int(value)
 
 
-def _det_2x2(c00, c01, c10, c11):
-    """Closed-form determinant, of floats or elementwise of arrays; ValueError
-    naming the largest entry of the first matrix whose determinant overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = c00 * c11 - c01 * c10
-    finite = np.isfinite(det)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        entries = (np.ravel(np.broadcast_to(c, np.shape(det)))[i] for c in (c00, c01, c10, c11))
-        scale = max(map(abs, entries))
-        raise ValueError(
-            f"2x2 determinant overflows double precision (largest entry {scale:.3e})"
-        )
-    return det
-
-
 def _first_refused(c: np.ndarray, name: str) -> tuple[int, ValueError] | None:
     """The flat index of the first matrix of the (..., 2, 2) stack ``c`` that is
     not finite symmetric positive-definite, and the ValueError refusing it by
     precedence: non-finite entries, asymmetry or c00 <= _MINOR_FLOOR, an
-    overflowing determinant as ``_det_2x2`` names it, det <= _MINOR_FLOOR."""
+    overflowing determinant c00 c11 - c01 c10, named by the largest entry,
+    det <= _MINOR_FLOOR."""
     flat = np.reshape(c, (-1, 4))
     c00, c01, c10, c11 = flat.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,11 +100,11 @@ def _first_refused(c: np.ndarray, name: str) -> tuple[int, ValueError] | None:
     i = int(np.argmin(ok))
     if not np.isfinite(flat[i]).all():
         return i, ValueError(f"{name} must have finite entries")
-    if shaped[i]:
-        try:
-            _det_2x2(*flat[i].tolist())
-        except ValueError as overflow:
-            return i, overflow
+    if shaped[i] and not math.isfinite(det[i]):
+        scale = max(map(abs, flat[i].tolist()))
+        return i, ValueError(
+            f"2x2 determinant overflows double precision (largest entry {scale:.3e})"
+        )
     return i, ValueError(f"{name} must be symmetric positive-definite")
 
 
@@ -144,17 +129,6 @@ def _widest(theta) -> float:
     """The angle of largest magnitude of a float or an array, a nan first;
     ValueError unless it is finite."""
     return _require_finite(np.ravel(theta)[np.argmax(np.abs(theta))], "theta")
-
-
-def _gaussian_terms(c00, c01, c10, c11, d0, d1):
-    """Exponent and normaliser of a 2D Gaussian density at offset (d0, d1).
-
-    The density is exp(exponent) / normaliser; the offsets and the
-    covariance entries may be floats or arrays, taken elementwise.
-    """
-    det = _det_2x2(c00, c01, c10, c11)
-    quad = (c11 * (d0 * d0) - (c01 + c10) * d0 * d1 + c00 * (d1 * d1)) / det
-    return -0.5 * quad, 2.0 * math.pi * np.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -276,10 +250,17 @@ def accumulate_covariance(c1: np.ndarray, theta, n) -> np.ndarray:
     elementwise, each element with the expression tree the formula has on
     Python floats and complexes, so with the bits it gets alone: b = D (x +
     i y) is (D x - 0 y, D y + 0 x), as Python multiplies a real by a
-    complex, turned by (cos, sin) as one complex product.  The first C_1
-    not SPD, theta not finite or n not an integer >= 1 is refused.
+    complex, turned by (cos, sin) as one complex product.
+
+    Refused, in this order: ``c1`` not of shape (..., 2, 2), the widest
+    theta if it is not finite, the first n that is not an integer >= 1, and
+    then, element by element, the first C_1 or C_N that is not finite SPD,
+    C_1 first and named "c1", C_N named "cov".  A lone (2, 2) C_1 is checked
+    once, as the first element.
     """
-    c1 = _check_covariance(c1, "c1")
+    c1 = np.asarray(c1, dtype=float)
+    if c1.shape[-2:] != (2, 2):
+        raise ValueError(f"c1 must have shape (..., 2, 2), got {c1.shape}")
     c00, c01, c11 = c1[..., 0, 0], c1[..., 0, 1], c1[..., 1, 1]
     _widest(theta)
     n = np.asarray(n)
@@ -298,7 +279,14 @@ def accumulate_covariance(c1: np.ndarray, theta, n) -> np.ndarray:
         a = 0.5 * (c00 + c11)
         summed = n * a + b_re, b_im, n * a - b_re
     # one step is C_1 itself
-    return _symmetric(*(np.where(n == 1, c, e) for c, e in zip((c00, c01, c11), summed)))
+    cn = _symmetric(*(np.where(n == 1, c, e) for c, e in zip((c00, c01, c11), summed)))
+    stack = c1 if c1.ndim == 2 else np.broadcast_to(c1, cn.shape)
+    # N by N; min keeps the first of equal indices, C_1
+    found = (_first_refused(stack, "c1"), _first_refused(cn, "cov"))
+    refusals = [refusal for refusal in found if refusal]
+    if refusals:
+        raise min(refusals, key=lambda refusal: refusal[0])[1]
+    return cn
 
 
 def det_cn_asymptotic(r: float, n: int) -> float:

@@ -19,9 +19,8 @@ from kerrzeno.fock import (
 )
 from kerrzeno.observed import _RETURN_ANGLE_TOL
 from kerrzeno.phase_space import (
-    _SYMMETRY_RTOL, GaussianState2D, PhaseVector, _check_covariance, _det_2x2, _gaussian_terms,
-    _require_finite, accumulate_covariance, det_cn_asymptotic, rotation_matrix,
-    step_covariance,
+    _SYMMETRY_RTOL, GaussianState2D, PhaseVector, _check_covariance, _require_finite,
+    accumulate_covariance, det_cn_asymptotic, rotation_matrix, step_covariance,
 )
 
 # Saturating pure states may round det to just below 1/4.
@@ -48,8 +47,11 @@ def density(state: GaussianState2D, points: np.ndarray) -> np.ndarray | float:
     """Probability density of ``state`` at points with trailing axis (q, p)."""
     pts = np.asarray(points, dtype=float)
     d = pts - state.mean.as_array()
-    exponent, norm = _gaussian_terms(*state.cov.ravel().tolist(), d[..., 0], d[..., 1])
-    out = np.exp(exponent) / norm
+    d0, d1 = d[..., 0], d[..., 1]
+    c00, c01, c10, c11 = state.cov.ravel().tolist()
+    det = c00 * c11 - c01 * c10
+    quad = (c11 * (d0 * d0) - (c01 + c10) * d0 * d1 + c00 * (d1 * d1)) / det
+    out = np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
     return float(out) if pts.shape == (2,) else out
 
 
@@ -76,7 +78,11 @@ def rs_uncertainty_check(c: np.ndarray) -> UncertaintyCheck:
     entries = c.ravel().tolist()
     if abs(entries[1] - entries[2]) > _SYMMETRY_RTOL * max(1.0, *map(abs, entries)):
         raise ValueError("c must be symmetric")
-    margin = _det_2x2(*entries) - 0.25
+    det = entries[0] * entries[3] - entries[1] * entries[2]
+    if not math.isfinite(det):
+        scale = max(map(abs, entries))
+        raise ValueError(f"2x2 determinant overflows double precision (largest entry {scale:.3e})")
+    margin = det - 0.25
     return UncertaintyCheck(ok=margin >= -_RS_SLACK, margin=margin)
 
 
@@ -463,8 +469,8 @@ def covariance_growth_rows(p: dict) -> list[list]:
     entries = np.empty((p["n_max"], 4))
     for n in range(1, p["n_max"] + 1):
         e00, e01, e11 = dirichlet_sum(c00, c01, c11, theta, n)
-        _det_2x2(e00, e01, e01, e11)  # raises on overflow
         entries[n - 1] = e00, e01, e01, e11
+    _check_covariance(entries.reshape(-1, 2, 2), "cov")  # the first N refused
     sqrt_det = np.sqrt(np.linalg.det(entries.reshape(-1, 2, 2))).tolist()
     return [[n, s, det_cn_asymptotic(r, n)] for n, s in enumerate(sqrt_det, start=1)]
 

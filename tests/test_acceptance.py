@@ -233,12 +233,9 @@ def test_criterion_3_final_distribution_desk_scale():
 def test_criterion_4_zeno_contrast():
     worst = 0.0
     for n in range(1, 1001):
-        cfg = ObservedRunConfig(
-            z0=PhaseVector(2.0, 0.0),
-            params=EvolutionParams(0.5, 1.0, 2.0 * math.pi / n, n),
-            spec=MeasurementSpec.vacuum(),
-        )
-        product = n * survival_density_continuous(cfg) * 2.0 * math.pi
+        # theta = omega tau with omega = 1, vacuum seed
+        density = survival_density_continuous(PhaseVector(2.0, 0.0), 0.0, 2.0 * math.pi / n, n)
+        product = n * density * 2.0 * math.pi
         worst = max(worst, abs(product - 1.0))
 
     psi0 = displaced_seed(MeasurementSpec.vacuum(), 2.0)

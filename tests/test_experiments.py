@@ -1,6 +1,7 @@
 """Config validation, experiment runners, output formats, and the CLI."""
 
 import builtins
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -20,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kerrzeno import cli, experiments, fock
 from kerrzeno.experiments import (
@@ -191,12 +194,7 @@ def test_zeno_continuous_rows_are_the_per_n_densities(m, r):
     rows = run_experiment(config).rows
     assert [row[0] for row in rows] == list(range(1, n_max + 1))
     for n, density, product in rows:
-        cfg = ObservedRunConfig(
-            z0=PhaseVector(2.0, 0.0),
-            params=EvolutionParams(0.5, 1.0, 2.0 * math.pi * m / n, n),
-            spec=MeasurementSpec(r),
-        )
-        expected = survival_density_continuous(cfg)
+        expected = survival_density_continuous(PhaseVector(2.0, 0.0), r, 2.0 * math.pi * m / n, n)
         assert density == expected
         assert product == n * expected
 
@@ -1077,6 +1075,11 @@ def test_cli_value_error_exits_numeric(tmp_path, capsys, experiment, parameters)
         # non-positive determinant; N by N, the first failure is named
         ("zeno-continuous", {"r": 177.0, "m": 1000000000},
          "2x2 determinant overflows double precision (largest entry 1.650e+154)"),
+        # C_1 passes, and C_2 cancels to a non-positive determinant
+        ("covariance-growth", {"r": 10.7, "theta": 1e-8},
+         "cov must be symmetric positive-definite"),
+        ("covariance-growth", {"r": -10.7, "theta": math.pi},
+         "cov must be symmetric positive-definite"),
     ],
 )
 def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, message):
@@ -1087,6 +1090,44 @@ def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numeric error: {message}\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    experiment=st.sampled_from(["covariance-growth", "zeno-continuous"]),
+    r=st.floats(-20.0, 20.0),
+    theta=st.floats(-sys.float_info.max / 2, sys.float_info.max / 2),
+    m=st.one_of(st.integers(1, 1000), st.integers(1, int(experiments._TURNS_MAX))),
+    n_max=st.integers(1, 64),
+)
+@example("covariance-growth", 10.7, 1e-8, 1, 64)
+@example("covariance-growth", -10.7, 1e-8, 1, 64)
+@example("covariance-growth", 10.7, math.pi, 1, 64)
+@example("covariance-growth", -10.7, math.pi, 1, 64)
+@example("zeno-continuous", 177.0, 0.01, 10**9, 64)
+def test_cli_sweeps_run_or_refuse_without_warnings(
+    tmp_path_factory, experiment, r, theta, m, n_max
+):
+    # each sweep N by N either writes its rows or names the first refusal on one line
+    angle = {"theta": theta} if experiment == "covariance-growth" else {"m": m}
+    config_path = write_config(
+        tmp_path_factory.mktemp("sweep"),
+        {"experiment": experiment, "parameters": {"r": r, "n_max": n_max, **angle}},
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(["run", config_path, "--format", "csv"])
+    assert [str(w.message) for w in caught] == []
+    assert status in (0, 3)
+    if status == 3:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"numeric error: [^\n]+\n", err.getvalue())
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue().count("\n") == n_max + 1
+        assert "nan" not in out.getvalue()
 
 
 def test_cli_two_level_sweep_angle_rule(tmp_path, capsys):

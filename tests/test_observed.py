@@ -101,6 +101,15 @@ def test_symmetric_sqrt_rejects_overflowing_determinant():
             symmetric_sqrt_2x2(np.diag([1e200, 1e200]))
 
 
+def test_symmetric_sqrt_refuses_a_matrix_that_is_not_spd():
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        symmetric_sqrt_2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # the literal C_1 cancels to det < 0 at r = 10 and theta = 1.8e-9
+    cfg = make_config(chi=1e-9, tau=0.1, r=10.0)
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        run_ensemble(cfg)
+
+
 # --- single step -----------------------------------------------------------------
 
 
@@ -593,9 +602,9 @@ def test_analytic_distribution_mean_is_classical_drift():
 # --- survival density --------------------------------------------------------------------
 
 
-def survival_config(n, r=0.0, m=1, alpha0=2.0):
-    tau = 2.0 * math.pi * m / n  # omega = 1
-    return make_config(alpha0=alpha0, chi=0.5, n_bar=1.0, tau=tau, n_steps=n, r=r)
+def survival(n, r=0.0):
+    """p_N(z0 | z0) from alpha0 = 2 at theta = 2 pi / N, one turn in N steps."""
+    return survival_density_continuous(phase_vector(2.0), r, 2.0 * math.pi / n, n)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
@@ -603,27 +612,47 @@ def test_survival_terms_over_arrays_keep_the_float_bits(r):
     # away from home the drift mismatch enters; theta = 2 pi k / N is home
     ns = np.arange(1, 601)
     thetas = np.where(ns % 3 == 0, 2.0 * math.pi * (ns % 7) / ns, 0.01 * ns - 2.5)
-    got = np.array(observed._survival_terms(1.5, -0.4, r, thetas, ns))
+    got = survival_density_continuous(PhaseVector(1.5, -0.4), r, thetas, ns)
     want = [survival_terms(1.5, -0.4, r, t, n) for t, n in zip(thetas.tolist(), ns.tolist())]
-    assert np.array_equal(got.view(np.uint64), np.array(want).T.view(np.uint64))
+    exponents, norms = np.array(want).T
+    assert got.shape == ns.shape
+    assert np.array_equal(got.view(np.uint64), (np.exp(exponents) / norms).view(np.uint64))
+    # a float theta and n give a float with the bits of their element
+    one = survival_density_continuous(PhaseVector(1.5, -0.4), r, thetas[4].item(), 5)
+    assert isinstance(one, float)
+    assert one == got[4]
+
+
+def test_survival_density_refuses_the_first_n_over_arrays():
+    # r = 177, m = 1e9: C_N overflows at N = 6, before C_1 cancels at N = 8
+    ns = np.arange(1, 9)
+    thetas = 2.0 * math.pi * 1e9 / ns
+    overflow = r"^2x2 determinant overflows double precision \(largest entry 1\.650e\+154\)$"
+    with pytest.raises(ValueError, match=overflow):
+        survival_density_continuous(PhaseVector(2.0, 0.0), 177.0, thetas, ns)
+    with pytest.raises(ValueError, match=overflow):
+        survival_density_continuous(PhaseVector(2.0, 0.0), 177.0, thetas[5].item(), 6)
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        survival_density_continuous(PhaseVector(2.0, 0.0), 177.0, thetas[7:], ns[7:])
+    survival_density_continuous(PhaseVector(2.0, 0.0), 177.0, thetas[:5], ns[:5])
 
 
 def test_survival_density_peak_value():
-    value = survival_density_continuous(survival_config(10))
+    value = survival(10)
     assert abs(value - 1.0 / (20.0 * math.pi)) < 1e-15
     assert abs(value - 0.015915494309189534) < 1e-15
 
 
 def test_survival_density_one_over_n_law():
     for n in (1, 7, 100, 999):
-        value = survival_density_continuous(survival_config(n))
+        value = survival(n)
         assert abs(n * value * 2.0 * math.pi - 1.0) < 1e-12
 
 
 def test_survival_density_squeezed_below_vacuum():
     n = 200
-    squeezed = survival_density_continuous(survival_config(n, r=0.5))
-    vacuum = survival_density_continuous(survival_config(n))
+    squeezed = survival(n, r=0.5)
+    vacuum = survival(n)
     assert squeezed < vacuum
 
 
@@ -632,7 +661,7 @@ def test_survival_density_off_peak_matches_gaussian():
     n = 8
     tau = (math.pi / 3.0) / n
     cfg = make_config(alpha0=2.0, chi=0.5, n_bar=1.0, tau=tau, n_steps=n)
-    value = survival_density_continuous(cfg)
+    value = survival_density_continuous(cfg.z0, cfg.spec.r, cfg.params.theta, n)
     c_n = accumulate_covariance(
         step_covariance(0.0, cfg.params.theta), cfg.params.theta, n
     )
@@ -646,9 +675,7 @@ def test_survival_density_off_peak_matches_gaussian():
 def test_no_freeze_out_versus_dichotomic_freeze():
     # the continuous family keeps spreading while the yes/no check locks in
     psi0 = displaced_seed(MeasurementSpec.vacuum(), 2.0)
-    continuous = [
-        survival_density_continuous(survival_config(n)) for n in (1, 10, 100, 1000)
-    ]
+    continuous = [survival(n) for n in (1, 10, 100, 1000)]
     dichotomic = [dichotomic_survival_exact(psi0, 0.1, n) for n in (1, 10, 100, 1000)]
     assert all(a > b for a, b in zip(continuous, continuous[1:]))
     assert all(a < b for a, b in zip(dichotomic, dichotomic[1:]))

@@ -299,6 +299,36 @@ def test_array_inputs_refuse_their_first_bad_element():
         step_covariance(0.0, np.array([0.0, 1e308]))
 
 
+def test_accumulate_refuses_c1_and_cn_n_by_n():
+    big, bad = 1e154 * np.eye(2), -np.eye(2)
+    overflow = r"^2x2 determinant overflows double precision \(largest entry 2\.000e\+154\)$"
+    # C_N overflows at index 1 (2 x 1e154), before the bad C_1 at index 2
+    with pytest.raises(ValueError, match=overflow):
+        accumulate_covariance(np.stack([big, big, bad]), 0.1, np.array([1, 2, 1]))
+    # the bad C_1 at index 0 goes before that C_N
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        accumulate_covariance(np.stack([bad, big, big]), 0.1, np.array([1, 2, 1]))
+    # at one index C_1 goes first: its determinant overflows at 1e200, C_N's at 3e200
+    with pytest.raises(ValueError, match=r"\(largest entry 1\.000e\+200\)$"):
+        accumulate_covariance(1e200 * np.eye(2), 0.1, 3)
+    # a lone C_1 refused is the first element of every N
+    with pytest.raises(ValueError, match="^c1 must be symmetric positive-definite$"):
+        accumulate_covariance(bad, 0.1, np.array([2, 3]))
+    accumulate_covariance(np.stack([big, big]), 0.1, np.array([1, 1]))
+
+
+@pytest.mark.parametrize("theta", [1e-8, math.pi])
+@pytest.mark.parametrize("r", [10.7, -10.7])
+def test_accumulate_refuses_a_non_spd_cn_as_cov(r, theta):
+    # the literal C_1 passes, and its sum over 2 steps cancels to det <= 0
+    c1 = step_covariance(r, theta)
+    accumulate_covariance(c1, theta, 1)
+    with pytest.raises(ValueError, match="^cov must be symmetric positive-definite$"):
+        accumulate_covariance(c1, theta, 2)
+    with pytest.raises(ValueError, match="^cov must be symmetric positive-definite$"):
+        accumulate_covariance(c1, theta, np.arange(1, 65))
+
+
 # --- determinant asymptote --------------------------------------------------
 
 
