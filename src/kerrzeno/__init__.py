@@ -31,7 +31,6 @@ from .phase_space import (
     GaussianState2D,
     PhaseVector,
     accumulate_covariance,
-    det_cn_asymptotic,
     rotation_matrix,
     step_covariance,
 )

@@ -78,10 +78,10 @@ _ROW_BYTES = 16
 # Trajectory-steps one trajectories run may sample: about 25 min at the
 # measured 90 ns a trajectory-step on one core.
 _TRAJECTORY_STEPS = 2**34
-# Points of a revival grid or an N-sweep, one row each: about 4 s of the
-# per-point loops these runners replaced, whose rows hold about 200 MB;
-# two-level's per-N matrix powers, about 30 us an N at n_max = 20000 on one
-# pinned core of a 2-core Xeon, take about 31 s (extrapolated).
+# Points of a revival grid or an N-sweep, one row each, whose rows hold
+# about 200 MB; two-level's per-N matrix powers, about 30 us an N at
+# n_max = 20000 on one pinned core of a 2-core Xeon, take about 31 s
+# (extrapolated).
 _SWEEP_POINTS = 2**20
 # Amplitudes revival propagates, n_points * dim: about 7 s at the measured
 # 100 ns an amplitude on one core, which is what the time exponentials cost.
@@ -269,14 +269,11 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
 # runners
 
 
-def _sweep_budget_problem(fields: str, points: int, work: int = 0) -> str | None:
-    """Why a revival grid or an N-sweep would not fit the budgets, from
-    estimates alone: its ``points`` rows, and revival's ``work`` amplitudes."""
-    if points > _SWEEP_POINTS:
-        return f"{fields} need {points} rows, over the budget of {_SWEEP_POINTS}"
-    if work > _REVIVAL_WORK:
-        return f"{fields} need {work} propagated amplitudes, over the budget of {_REVIVAL_WORK}"
-    return None
+def _require_within(fields: str, need: int, budget: int, what: str) -> None:
+    """ValueError "{fields} need {what}, over the budget of {budget}" when the
+    estimate ``need`` is over ``budget``; ``what`` spells the need."""
+    if need > budget:
+        raise ValueError(f"{fields} need {what}, over the budget of {budget}")
 
 
 def _pass_rows(xs: np.ndarray, per_pass: int, columns) -> list[list]:
@@ -300,9 +297,9 @@ def _run_revival(p: dict, master_seed: int) -> RunnerResult:
     """
     psi0 = fock.displaced_seed(fock.MeasurementSpec(), p["alpha"], p["dim"])
     n_points = p["n_points"]
-    fields = f"n_points={n_points}, dim={psi0.dim}"
-    if problem := _sweep_budget_problem(fields, n_points, n_points * psi0.dim):
-        raise ValueError(problem)
+    fields, work = f"n_points={n_points}, dim={psi0.dim}", n_points * psi0.dim
+    _require_within(fields, n_points, _SWEEP_POINTS, f"{n_points} rows")
+    _require_within(fields, work, _REVIVAL_WORK, f"{work} propagated amplitudes")
     chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], n_points)
     fock._require_kerr_times(chi_ts, psi0.dim)
 
@@ -320,11 +317,9 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     rounding) and one ``np.sqrt``.  The first N whose C_N overflows or is not
     SPD is refused."""
     r, theta, n_max = p["r"], p["theta"], p["n_max"]
-    if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
-        raise ValueError(problem)
+    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
     c1 = phase_space.step_covariance(r, theta)
-    # n cosh(2r) is n times the N = 1 value, which is cosh(2r) exactly
-    cosh_2r = phase_space.det_cn_asymptotic(r, 1)
+    cosh_2r = math.cosh(2.0 * r)
 
     def columns(ns):
         cn = phase_space.accumulate_covariance(c1, theta, ns)
@@ -334,29 +329,23 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     return ["n", "sqrt_det_cn", "n_cosh_2r"], rows, None
 
 
-def _trajectories_budget_problem(p: dict) -> str | None:
-    """Why the run would not fit the budgets, from estimates alone: its 2
-    n_trajectories finals and min(record_paths, n_trajectories) n_steps rows
-    must fit the memory budget, its n_trajectories n_steps trajectory-steps
-    the time budget, and its last time n_steps tau a float."""
+def _check_trajectories_budget(p: dict) -> None:
+    """Refuse the run from estimates alone: its 2 n_trajectories finals and
+    min(record_paths, n_trajectories) n_steps rows must fit the memory budget,
+    its n_trajectories n_steps trajectory-steps the time budget, and its last
+    time n_steps tau a float."""
     n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
-    rows = min(record, n) * n_steps
+    rows, steps = min(record, n) * n_steps, n * n_steps
     estimate = 32 * n + _ROW_BYTES * rows
-    if estimate > _TRAJECTORY_BYTES:
-        return (
-            f"n_trajectories={n}, n_steps={n_steps}, record_paths={record} need about "
-            f"{estimate} bytes for {n} finals and {rows} recorded rows, over the "
-            f"budget of {_TRAJECTORY_BYTES}"
-        )
-    if n * n_steps > _TRAJECTORY_STEPS:
-        return (
-            f"n_trajectories={n}, n_steps={n_steps} need {n * n_steps} trajectory-steps, "
-            f"about {n * n_steps * 90e-9 / 3600:.3g} h at 90 ns each, over the budget "
-            f"of {_TRAJECTORY_STEPS}"
-        )
+    _require_within(f"n_trajectories={n}, n_steps={n_steps}, record_paths={record}",
+                    estimate, _TRAJECTORY_BYTES,
+                    f"about {estimate} bytes for {n} finals and {rows} recorded rows")
+    _require_within(f"n_trajectories={n}, n_steps={n_steps}", steps, _TRAJECTORY_STEPS,
+                    f"{steps} trajectory-steps, about {steps * 90e-9 / 3600:.3g} h at 90 ns each")
     if not math.isfinite(n_steps * p["tau"]):
-        return f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"
-    return None
+        raise ValueError(
+            f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"
+        )
 
 
 def _sample_moments(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,8 +362,7 @@ def _sample_moments(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
-    if problem := _trajectories_budget_problem(p):
-        raise ValueError(problem)
+    _check_trajectories_budget(p)
     q0, p0 = p["q0"], p["p0"]
     n_bar = p["n_bar"] if p["n_bar"] is not None else 0.5 * (q0 * q0 + p0 * p0)
     if not math.isfinite(n_bar):
@@ -397,26 +385,27 @@ def _run_trajectories(p: dict, master_seed: int) -> RunnerResult:
         )
     n = cfg.n_trajectories
     paths = np.empty((min(p["record_paths"], n), cfg.params.n_steps, 2))
-    # an overflowing chain exits 3 through FloatingPointError and overflowing
-    # moments through a ValueError naming them, not as warnings; the closed
-    # form goes first, so a step covariance that is not positive-definite is
-    # refused before anything is sampled; the moments take per-column sums
-    # and one centred product, numpy.mean's and numpy.cov's bits
+    # an overflowing chain exits 3 through FloatingPointError, and overflowing
+    # moments or 4-SE statistics through a ValueError naming them, not as
+    # warnings; the closed form goes first, so a step covariance that is not
+    # positive-definite is refused before anything is sampled; the moments
+    # take per-column sums and one centred product, numpy.mean's and
+    # numpy.cov's bits
     with np.errstate(over="raise", invalid="raise"):
         target = observed.analytic_final_distribution(cfg)
         finals = observed.run_ensemble(cfg, paths)
         try:
             sample_mean, sample_cov = _sample_moments(finals)
-        except FloatingPointError as exc:
+            mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
+            mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
+            diag = np.diag(target.cov)
+            cov_se = np.sqrt((np.outer(diag, diag) + target.cov**2) / n)
+            max_dev_se = float(np.max(np.abs(sample_cov - target.cov) / cov_se))
+        except FloatingPointError:
             raise ValueError(
                 f"the sample moments of n_trajectories={n} finals from q0={q0!r}, "
-                f"p0={p0!r} overflow ({exc})"
+                f"p0={p0!r} overflow (in the summary's mean, covariance or 4-SE statistics)"
             ) from None
-        mean_err = float(np.linalg.norm(sample_mean - target.mean.as_array()))
-        mean_limit = 4.0 * math.sqrt(float(np.trace(target.cov)) / n)
-        diag = np.diag(target.cov)
-        cov_se = np.sqrt((np.outer(diag, diag) + target.cov**2) / n)
-        max_dev_se = float(np.max(np.abs(sample_cov - target.cov) / cov_se))
     summary = {
         "n_trajectories": n,
         "analytic_mean": [float(x) for x in target.mean.as_array()],
@@ -435,8 +424,7 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
     passes of N.  The first N whose C_1 or C_N overflows or is not SPD is
     refused."""
     n_max = p["n_max"]
-    if problem := _sweep_budget_problem(f"n_max={n_max}", n_max):
-        raise ValueError(problem)
+    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
     turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
     r = fock.MeasurementSpec(p["r"]).r  # refuses |r| > 700
     z0 = phase_space.PhaseVector(2.0, 0.0)  # where the drift starts
@@ -453,19 +441,24 @@ def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
     alpha0 = complex(p["alpha0_re"], p["alpha0_im"])
     psi0 = fock.displaced_seed(fock.MeasurementSpec(p["r"]), alpha0, p["dim"])
     var_n2 = fock.number_squared_variance(psi0)
+    try:
+        chi_t_sq = p["chi_t"] ** 2
+    except OverflowError:
+        raise ValueError(f"chi_t={p['chi_t']!r} overflows when squared for the "
+                         "Gaussian bound exp(-var_n2 chi_t^2 / N)") from None
     rows = []
     for n in p["n_list"]:
         survival = fock.dichotomic_survival_exact(psi0, p["chi_t"], n)
-        rows.append([n, survival, math.exp(-var_n2 * p["chi_t"] ** 2 / n)])
+        rows.append([n, survival, math.exp(-var_n2 * chi_t_sq / n)])
     summary = {"var_n2": var_n2, "dim": psi0.dim}
     return ["n", "survival", "gaussian_bound"], rows, summary
 
 
 def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
-    if problem := _sweep_budget_problem(f"n_max={p['n_max']}", p["n_max"]):
-        raise ValueError(problem)
+    n_max = p["n_max"]
+    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
     rows = []
-    for n in range(1, p["n_max"] + 1):
+    for n in range(1, n_max + 1):
         model = two_level.TwoLevelModel(p["alpha"], p["omega_tau"], n)
         rows.append(
             [
@@ -483,8 +476,8 @@ def _run_two_level_sweep(p: dict, master_seed: int) -> RunnerResult:
     return ["n", "alpha_n", "survival"], [list(row) for row in rows], None
 
 
-def _identity_budget_problem(p: dict) -> str | None:
-    """Why both identity grids would not fit the budgets, from estimates alone.
+def _check_identity_budget(p: dict) -> None:
+    """Refuse both identity grids from estimates alone.
 
     Each array, the gram ((dim_check + 1)^2), one ring of the doubled grid
     ((dim_check + 1) 2 n_phi) and its 2 n_r radii, must fit fock's array
@@ -495,23 +488,15 @@ def _identity_budget_problem(p: dict) -> str | None:
     rows, n_r, n_phi = p["dim_check"] + 1, p["n_r"], p["n_phi"]
     fields = f"dim_check={p['dim_check']}, n_r={n_r}, n_phi={n_phi}"
     largest = max(rows * rows, rows * 2 * n_phi, 2 * n_r)
-    if largest > fock._MAX_DIM:
-        return (
-            f"{fields} need an array of {largest} elements (gram, ring or radii), "
-            f"over the budget of {fock._MAX_DIM}"
-        )
+    _require_within(fields, largest, fock._MAX_DIM,
+                    f"an array of {largest} elements (gram, ring or radii)")
     work = rows * n_r * (5 * n_phi + 3 * rows)
-    if work > _IDENTITY_WORK:
-        return (
-            f"{fields} need {work} ladder amplitudes and gram entries over both "
-            f"grids, over the budget of {_IDENTITY_WORK}"
-        )
-    return None
+    _require_within(fields, work, _IDENTITY_WORK,
+                    f"{work} ladder amplitudes and gram entries over both grids")
 
 
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
-    if problem := _identity_budget_problem(p):
-        raise ValueError(problem)
+    _check_identity_budget(p)
     spec = fock.MeasurementSpec(p["r"])
     base = fock.QuadratureGrid(n_r=p["n_r"], n_phi=p["n_phi"], r_max=p["r_max"])
     rows = []

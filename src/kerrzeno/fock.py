@@ -264,11 +264,18 @@ def displaced_seed(
     widened to the smallest cutoff that fits when that rule leaves too
     much tail.  An explicit ``dim`` that is too small raises a
     ``TruncationError`` naming that smallest cutoff.  A ``dim`` or rule over
-    _MAX_DIM levels raises one before any amplitude is computed.
+    _MAX_DIM levels, or a rule that overflows, raises one before any
+    amplitude is computed.
     """
     alpha = complex(alpha)
     family = partial(_ladder_amplitudes, alpha, spec.r)
-    rule = default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r)
+    try:
+        rule = default_dim(abs(alpha) ** 2 + math.sinh(spec.r) ** 2, spec.r)
+    except OverflowError:
+        raise TruncationError(
+            f"the cutoff rule for alpha={alpha!r}, r={spec.r!r} overflows, far over "
+            f"the budget of {_MAX_DIM} levels"
+        ) from None
     cutoff = rule if dim is None else dim
     if cutoff > _MAX_DIM:
         raise TruncationError(f"dim={cutoff} exceeds the budget of {_MAX_DIM} levels")

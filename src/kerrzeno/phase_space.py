@@ -57,7 +57,6 @@ __all__ = [
     "rotation_matrix",
     "step_covariance",
     "accumulate_covariance",
-    "det_cn_asymptotic",
 ]
 
 # Leading-principal-minor floor for declaring a 2x2 matrix positive definite.
@@ -287,14 +286,3 @@ def accumulate_covariance(c1: np.ndarray, theta, n) -> np.ndarray:
     if refusals:
         raise min(refusals, key=lambda refusal: refusal[0])[1]
     return cn
-
-
-def det_cn_asymptotic(r: float, n: int) -> float:
-    """Leading large-n value of sqrt(det C_N): n * cosh(2r).
-
-    Valid when the per-step angle is small while the accumulated angle is
-    large (many steps); the exact accumulated sum is the reference it is
-    compared against.
-    """
-    r = _require_finite(r, "r")
-    return float(_require_int(n, "n")) * math.cosh(2.0 * r)

@@ -91,10 +91,17 @@ def survival_closed_form(model: TwoLevelModel) -> float:
 
     The bracket is the second eigenvalue of T; it may be negative (when
     cos(2 w tau) < 0), making the survival oscillate in N while converging
-    to the same cos^2(a)/2 limit.
+    to the same cos^2(a)/2 limit.  Raises ValueError, naming N, when the
+    angle 2 w tau overflows.
     """
+    two_omega_tau = 2.0 * model.omega_tau
+    if not math.isfinite(two_omega_tau):
+        raise ValueError(
+            f"the angle 2 omega_tau must be finite, got omega_tau={model.omega_tau!r} "
+            f"at N={model.n_steps}"
+        )
     ca = math.cos(model.alpha) ** 2
-    ratio = ca * math.cos(2.0 * model.omega_tau) / (2.0 - ca)
+    ratio = ca * math.cos(two_omega_tau) / (2.0 - ca)
     return ca / 2.0 + (1.0 - ca / 2.0) * ratio**model.n_steps
 
 

@@ -20,7 +20,7 @@ from kerrzeno.fock import (
 from kerrzeno.observed import _RETURN_ANGLE_TOL
 from kerrzeno.phase_space import (
     _SYMMETRY_RTOL, GaussianState2D, PhaseVector, _check_covariance, _require_finite,
-    accumulate_covariance, det_cn_asymptotic, rotation_matrix, step_covariance,
+    _require_int, accumulate_covariance, rotation_matrix, step_covariance,
 )
 
 # Saturating pure states may round det to just below 1/4.
@@ -41,6 +41,17 @@ def seed_covariance(r: float) -> np.ndarray:
     """Covariance diag(e^2r, e^-2r)/2 of the measurement seed; det = 1/4."""
     r = _require_finite(r, "r")
     return 0.5 * np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
+
+
+def det_cn_asymptotic(r: float, n: int) -> float:
+    """Leading large-n value of sqrt(det C_N): n * cosh(2r).
+
+    Valid when the per-step angle is small while the accumulated angle is
+    large (many steps); the exact accumulated sum is the reference it is
+    compared against.
+    """
+    r = _require_finite(r, "r")
+    return float(_require_int(n, "n")) * math.cosh(2.0 * r)
 
 
 def density(state: GaussianState2D, points: np.ndarray) -> np.ndarray | float:

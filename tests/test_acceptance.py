@@ -48,7 +48,6 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     PhaseVector,
     accumulate_covariance,
-    det_cn_asymptotic,
     rotation_matrix,
     step_covariance,
 )
@@ -60,7 +59,8 @@ from kerrzeno.two_level import (
     transition_matrix,
 )
 from oracles import (
-    chain_convolution_check, phase_vector, povm_elements, rs_uncertainty_check, seed_covariance,
+    chain_convolution_check, det_cn_asymptotic, phase_vector, povm_elements, rs_uncertainty_check,
+    seed_covariance,
 )
 
 

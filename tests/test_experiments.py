@@ -44,12 +44,12 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     PhaseVector,
     accumulate_covariance,
-    det_cn_asymptotic,
     step_covariance,
 )
 from kerrzeno.two_level import TwoLevelModel, survival_closed_form
 from oracles import (
     covariance_growth_rows,
+    det_cn_asymptotic,
     json_payload,
     recorded_rows,
     revival_rows,
@@ -769,23 +769,32 @@ def test_cli_cutoff_over_budget_exits_numeric_before_allocating(
     )
 
 
+IDENTITY_ARRAY = "elements (gram, ring or radii), over the budget of 1048576"
+IDENTITY_WORK = "ladder amplitudes and gram entries over both grids, over the budget of 268435456"
+
+
 @pytest.mark.parametrize(
-    "parameters, need",
+    "parameters, message",
     [
         # the gram, one ring of the doubled grid, and its radii
-        ({"dim_check": 100000}, "need an array of 10000200001 elements"),
-        ({"n_phi": 10**9}, "need an array of 22000000000 elements"),
-        ({"n_r": 10**9, "n_phi": 1}, "need an array of 2000000000 elements"),
-        ({"dim_check": 1024, "n_r": 1, "n_phi": 1}, "need an array of 1050625 elements"),
+        ({"dim_check": 100000},
+         f"dim_check=100000, n_r=200, n_phi=128 need an array of 10000200001 {IDENTITY_ARRAY}"),
+        ({"n_phi": 10**9},
+         f"dim_check=10, n_r=200, n_phi=1000000000 need an array of 22000000000 {IDENTITY_ARRAY}"),
+        ({"n_r": 10**9, "n_phi": 1},
+         f"dim_check=10, n_r=1000000000, n_phi=1 need an array of 2000000000 {IDENTITY_ARRAY}"),
+        ({"dim_check": 1024, "n_r": 1, "n_phi": 1},
+         f"dim_check=1024, n_r=1, n_phi=1 need an array of 1050625 {IDENTITY_ARRAY}"),
         # ladder amplitudes and gram entries of both grids,
         # (dim_check + 1) n_r (5 n_phi + 3 (dim_check + 1))
-        ({"n_r": 200000}, "need 1480600000 ladder amplitudes and gram entries"),
-        ({"n_r": 36261}, "need 268440183 ladder amplitudes and gram entries"),
-        ({"dim_check": 101, "n_r": 8463, "n_phi": 1}, "need 268463286 ladder"),
+        ({"n_r": 200000}, f"dim_check=10, n_r=200000, n_phi=128 need 1480600000 {IDENTITY_WORK}"),
+        ({"n_r": 36261}, f"dim_check=10, n_r=36261, n_phi=128 need 268440183 {IDENTITY_WORK}"),
+        ({"dim_check": 101, "n_r": 8463, "n_phi": 1},
+         f"dim_check=101, n_r=8463, n_phi=1 need 268463286 {IDENTITY_WORK}"),
     ],
 )
 def test_cli_identity_check_budget_is_checked_before_the_ladder_runs(
-    tmp_path, capsys, monkeypatch, parameters, need
+    tmp_path, capsys, monkeypatch, parameters, message
 ):
     def ladder(*args):
         raise AssertionError("the ladder ran on an over-budget identity check")
@@ -795,9 +804,7 @@ def test_cli_identity_check_budget_is_checked_before_the_ladder_runs(
         tmp_path, {"experiment": "identity-check", "parameters": parameters}
     )
     assert cli.main(["run", config_path]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: dim_check=") and need in err
-    assert "over the budget of" in err
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -814,7 +821,7 @@ def test_cli_identity_check_budget_is_checked_before_the_ladder_runs(
 )
 def test_identity_check_budget_admits(parameters):
     p = make_config("identity-check", parameters).parameters
-    assert experiments._identity_budget_problem(p) is None
+    experiments._check_identity_budget(p)
 
 
 @pytest.mark.parametrize(
@@ -861,7 +868,7 @@ def test_cli_trajectories_budget_is_checked_before_sampling(
 )
 def test_trajectories_budget_admits(parameters):
     p = make_config("trajectories", parameters).parameters
-    assert experiments._trajectories_budget_problem(p) is None
+    experiments._check_trajectories_budget(p)
 
 
 @pytest.mark.parametrize(
@@ -941,7 +948,8 @@ def test_cli_sweeps_are_checked_before_allocating(
     ],
 )
 def test_sweep_budget_admits(points, work):
-    assert experiments._sweep_budget_problem("", points, work) is None
+    experiments._require_within("", points, experiments._SWEEP_POINTS, "rows")
+    experiments._require_within("", work, experiments._REVIVAL_WORK, "amplitudes")
 
 
 @pytest.mark.parametrize("tau", [0, -0.0, -5e-324, -0.1])
@@ -1090,6 +1098,44 @@ def test_cli_sweep_edge_messages(tmp_path, capsys, experiment, parameters, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numeric error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, named",
+    [
+        # the default cutoff rule's |alpha|^2 or sinh(r)^2 overflows
+        ("revival", {"alpha": 2e154}, "alpha=(2e+154+0j), r=0.0"),
+        ("zeno-dichotomic", {"alpha0_re": 1e300}, "alpha=(1e+300+0j), r=0.0"),
+        ("zeno-dichotomic", {"r": 360}, "alpha=(2+0j), r=360.0"),
+        # chi_t^2 of the Gaussian bound overflows
+        ("zeno-dichotomic", {"chi_t": 1e160}, "chi_t=1e+160"),
+        # cos(2 omega_tau) of the closed form, at N = 1
+        ("two-level", {"omega_tau": 1e308}, "omega_tau=1e+308 at N=1"),
+        ("two-level-sweep", {"omega_t": 1e308}, "omega_tau=1e+308 at N=1"),
+        # the finals are finite and the 4-SE mean error overflows
+        ("trajectories", {"q0": 1e154, "n_trajectories": 50},
+         "n_trajectories=50 finals from q0=1e+154, p0=0.0"),
+        ("trajectories", {"p0": 1e154, "n_trajectories": 50},
+         "n_trajectories=50 finals from q0=3.0, p0=1e+154"),
+    ],
+)
+def test_cli_overflows_exit_numeric_with_a_named_refusal(
+    tmp_path, capsys, experiment, parameters, named
+):
+    config_path = write_config(
+        tmp_path, {"experiment": experiment, "parameters": parameters}
+    )
+    assert cli.main(["validate", config_path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", config_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and caught == []
+    assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    for bare in ("(34,", "math domain error", "encountered in"):
+        assert bare not in captured.err
 
 
 @settings(max_examples=60, deadline=None)

@@ -328,6 +328,25 @@ def test_cutoff_budget_is_checked_before_the_ladder_runs(monkeypatch):
         rows_seen.clear()
 
 
+@pytest.mark.parametrize(
+    "alpha, r, dim",
+    [(2e154, 0.0, None), (1e300, 0.0, None), (2.0, 360.0, None), (2.0, 360.0, 10)],
+)
+def test_overflowing_cutoff_rule_is_refused_before_the_ladder_runs(monkeypatch, alpha, r, dim):
+    # |alpha|^2 or sinh(r)^2 leaves the double range: the rule is refused by
+    # name, with or without an explicit dim, before any amplitude is computed
+    def ladder(*args):
+        raise AssertionError("the ladder ran on an overflowing cutoff rule")
+
+    monkeypatch.setattr(fock, "_ladder_amplitudes", ladder)
+    with pytest.raises(TruncationError) as err:
+        displaced_seed(MeasurementSpec(r), alpha, dim)
+    assert str(err.value) == (
+        f"the cutoff rule for alpha={complex(alpha)!r}, r={r!r} overflows, far over "
+        "the budget of 1048576 levels"
+    )
+
+
 # --- Kerr propagation ------------------------------------------------------------
 
 

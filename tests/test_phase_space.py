@@ -13,11 +13,11 @@ from kerrzeno.phase_space import (
     GaussianState2D,
     PhaseVector,
     accumulate_covariance,
-    det_cn_asymptotic,
     rotation_matrix,
     step_covariance,
 )
-from oracles import classical_evolve, density, dirichlet_sum, phase_vector, rs_uncertainty_check
+from oracles import classical_evolve, density, det_cn_asymptotic, dirichlet_sum, phase_vector
+from oracles import rs_uncertainty_check
 from oracles import seed_covariance, step_entries
 
 angles = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)

@@ -235,6 +235,17 @@ def test_sweep_rejects_out_of_range_angle():
         scaling_sweep(1e-300, 1e308, 1.0, [1, 2])
 
 
+def test_closed_form_refuses_an_overflowing_angle():
+    # cos(2 w tau) needs 2 w tau finite; the refusal names the angle and N
+    with pytest.raises(ValueError) as err:
+        survival_closed_form(TwoLevelModel(0.3, 1e308, 7))
+    assert str(err.value) == "the angle 2 omega_tau must be finite, got omega_tau=1e+308 at N=7"
+    with pytest.raises(ValueError, match=r"omega_tau=1e\+308 at N=1$"):
+        scaling_sweep(1.0, 1.0, 1e308, [1, 10])
+    # past N = 1 the angle per check is omega_t / N, and 2 omega_t / N is finite
+    assert [n for n, _, _ in scaling_sweep(1.0, 1.0, 1e308, [10, 100])] == [10, 100]
+
+
 def test_sweep_accepts_quarter_turn():
     # the same rule as TwoLevelModel: alpha(N) = pi/2 is inside [0, pi/2]
     series = scaling_sweep(math.pi / 2, 0.0, 1.0, [1, 10])
