@@ -340,8 +340,13 @@ def _check_trajectories_budget(p: dict) -> None:
     _require_within(f"n_trajectories={n}, n_steps={n_steps}, record_paths={record}",
                     estimate, _TRAJECTORY_BYTES,
                     f"about {estimate} bytes for {n} finals and {rows} recorded rows")
+    try:
+        hours = f"{steps * 90e-9 / 3600:.3g}"
+    except OverflowError:  # past the float range: the int hours' first digits
+        digits = str(steps // 40_000_000_000)
+        hours = f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
     _require_within(f"n_trajectories={n}, n_steps={n_steps}", steps, _TRAJECTORY_STEPS,
-                    f"{steps} trajectory-steps, about {steps * 90e-9 / 3600:.3g} h at 90 ns each")
+                    f"{steps} trajectory-steps, about {hours} h at 90 ns each")
     if not math.isfinite(n_steps * p["tau"]):
         raise ValueError(
             f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"

@@ -278,7 +278,10 @@ def displaced_seed(
         ) from None
     cutoff = rule if dim is None else dim
     if cutoff > _MAX_DIM:
-        raise TruncationError(f"dim={cutoff} exceeds the budget of {_MAX_DIM} levels")
+        digits = str(cutoff)  # an explicit dim may be past the float range
+        if len(digits) > 16:
+            digits = f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+        raise TruncationError(f"dim={digits} exceeds the budget of {_MAX_DIM} levels")
     amps = family(cutoff)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > DEFAULT_TAIL_BUDGET:

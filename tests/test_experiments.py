@@ -750,8 +750,12 @@ def test_cli_over_budget_default_cutoff_exits_numeric(tmp_path, capsys):
         ("revival", {"alpha": 1e5}, 10001000021),
         ("revival", {"alpha": 1.0, "dim": 2**20 + 1}, 2**20 + 1),
         ("zeno-dichotomic", {"alpha0_re": 1100.0}, 1221021),
+        # a cutoff of more than 16 digits is shown in :.3e form
+        ("revival", {"alpha": -1e153}, "1.000e+306"),
+        ("revival", {"alpha": 1.0, "dim": 10**400}, "1.000e+400"),
     ],
-    ids=["revival-rule", "revival-dim", "zeno-dichotomic-rule"],
+    ids=["revival-rule", "revival-dim", "zeno-dichotomic-rule", "revival-rule-1e306",
+         "revival-dim-1e400"],
 )
 def test_cli_cutoff_over_budget_exits_numeric_before_allocating(
     tmp_path, capsys, monkeypatch, experiment, parameters, dim
@@ -764,9 +768,9 @@ def test_cli_cutoff_over_budget_exits_numeric_before_allocating(
         tmp_path, {"experiment": experiment, "parameters": parameters}
     )
     assert cli.main(["run", config_path]) == 3
-    assert capsys.readouterr().err == (
-        f"numeric error: dim={dim} exceeds the budget of 1048576 levels\n"
-    )
+    err = capsys.readouterr().err
+    assert err == f"numeric error: dim={dim} exceeds the budget of 1048576 levels\n"
+    assert len(err) < 80
 
 
 IDENTITY_ARRAY = "elements (gram, ring or radii), over the budget of 1048576"
@@ -880,6 +884,10 @@ def test_trajectories_budget_admits(parameters):
         ({"n_trajectories": 2**17, "n_steps": 2**17 + 1, "record_paths": 0},
          "n_trajectories=131072, n_steps=131073 need 17180000256 trajectory-steps, "
          "about 0.43 h at 90 ns each"),
+        # past the float range, the hours estimate is not formed as a float
+        pytest.param({"n_trajectories": 1, "n_steps": 10**400, "record_paths": 0},
+                     f"n_trajectories=1, n_steps={10**400} need {10**400} trajectory-steps, "
+                     "about 2.50e+389 h at 90 ns each", id="steps-past-the-float-range"),
     ],
 )
 def test_cli_trajectories_time_budget_is_checked_before_sampling(

@@ -407,7 +407,11 @@ def test_ensemble_working_memory_is_bounded(n_trajectories, n_steps):
             + 2 * width * span  # the draw block's rows of the slice
             + 4 * width * span  # their uniform pair and their noise, made in place
         )
-    budget = 8 * (scratch + 2 * n_trajectories) + 2**17  # the finals; 128 KB for objects
+    # Box-Muller's grouping scratch: a noise piece's grouped angles, their sin
+    # and then cos, and their sort order, a word an angle each, and its uint8
+    # bucket keys, an eighth of a word
+    grouping = 25 * observed._NOISE_PIECE // 8
+    budget = 8 * (scratch + grouping + 2 * n_trajectories) + 2**17  # the finals; 128 KB for objects
     assert traced_peak(cfg) <= budget
 
 
@@ -452,25 +456,50 @@ def test_long_chains_build_one_generator_per_call(monkeypatch):
 # --- vectorized Philox sampler ------------------------------------------------------
 
 
+# u1 at every edge k / 64 of the kernel's angle buckets and one ulp either side
+BUCKET_EDGES = [
+    u
+    for k in range(65)
+    for u in (np.nextafter(k / 64, -1.0), k / 64, np.nextafter(k / 64, 2.0))
+    if 0.0 <= u < 1.0
+]
+
+
 @pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
 def test_coloured_noise_matches_two_stage_tree(r, strided):
     # the in-place kernel against Box-Muller and colouring as new arrays, bit
     # for bit and signed zeros included: at u0 = 0 the radius is +0, so the
-    # normals take the signs of cos and sin of (2 pi) u1; the generator's
-    # uniforms fill the rest of the (steps, chains) planes
-    u0, u1 = np.random.Generator(np.random.Philox(key=(5, 0))).random((2, 40, 101))
-    edges0, edges1 = np.meshgrid([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], [0.0, 0.25, 0.5, 0.75])
-    u0[0, :16], u1[0, :16] = edges0.ravel(), edges1.ravel()
-    sqrt_cov = symmetric_sqrt_2x2(step_covariance(r, 0.3))
-    expected = color_noise(*box_muller(u0, u1), sqrt_cov)
-    if strided:  # every third chain of a step-major (steps, 2, chains) array
-        out_q, out_p = np.empty((40, 2, 3 * 101))[:, :, ::3].transpose(1, 0, 2)
-    else:
-        out_q, out_p = np.empty((2, 40, 101))
-    observed._coloured_noise(u0, u1, sqrt_cov, out_q, out_p)
-    for out, ref in zip((out_q, out_p), expected):
-        assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), ref.view(np.uint64))
+    # normals take the signs of cos and sin of (2 pi) u1; the bucket edges
+    # follow, and the generator's uniforms fill the rest of the (steps, chains)
+    # planes: one within a grouping piece, and one of 2 x 8192 + 57 angles
+    # that ends in a ragged piece
+    assert 2 * observed._NOISE_PIECE < 41 * 401 < 3 * observed._NOISE_PIECE
+    for steps, chains in ((40, 101), (41, 401)):
+        u0, u1 = np.random.Generator(np.random.Philox(key=(5, 0))).random((2, steps, chains))
+        edges0, edges1 = np.meshgrid([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], [0.0, 0.25, 0.5, 0.75])
+        u0[0, :16], u1[0, :16] = edges0.ravel(), edges1.ravel()
+        u1.reshape(-1)[16 : 16 + len(BUCKET_EDGES)] = BUCKET_EDGES
+        sqrt_cov = symmetric_sqrt_2x2(step_covariance(r, 0.3))
+        expected = color_noise(*box_muller(u0, u1), sqrt_cov)
+        if strided:  # every third chain of a step-major (steps, 2, chains) array
+            out_q, out_p = np.empty((steps, 2, 3 * chains))[:, :, ::3].transpose(1, 0, 2)
+        else:
+            out_q, out_p = np.empty((2, steps, chains))
+        observed._coloured_noise(u0, u1, sqrt_cov, out_q, out_p)
+        for out, ref in zip((out_q, out_p), expected):
+            assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), ref.view(np.uint64))
+
+
+def test_coloured_noise_refuses_strided_uniforms():
+    # the grouped cos and sin write back through flat views of the uniform
+    # planes, which a strided plane would silently copy
+    u0, u1 = np.random.Generator(np.random.Philox(key=(5, 0))).random((2, 8, 10))
+    out_q, out_p = np.empty((2, 8, 5))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        observed._coloured_noise(u0[:, ::2], u1[:, ::2].copy(), np.eye(2), out_q, out_p)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        observed._coloured_noise(u0[:, ::2].copy(), u1[:, ::2], np.eye(2), out_q, out_p)
 
 
 def assert_chunk_matches_generators(seed, offset, length, n_steps):
