@@ -64,8 +64,9 @@ _TURNS_MAX = sys.float_info.max / (4.0 * math.pi)
 _R_MAX = math.sqrt(sys.float_info.max / (2.0 * math.pi))
 _CHI_T_MAX = sys.float_info.max / 4.0
 # Ladder amplitudes plus gram entries one identity-check may compute over
-# its two grids: about 5 s on one core.  Rings of a few nodes cost more per
-# entry, up to about 10 s where 2 n_r meets fock's array budget.
+# its two grids: about 3 s on one pinned core of a 2-core Xeon (2.7 s at
+# n_r = 36260 at the default n_phi, 1.9-2.0 s on rings of one or two nodes,
+# where 2 n_r meets fock's array budget).
 _IDENTITY_WORK = 2**28
 # Bytes the finals and recorded paths of one trajectories run may hold: 32 a
 # trajectory (its final and the moments' centred copy) and _ROW_BYTES a
@@ -79,9 +80,9 @@ _ROW_BYTES = 16
 # measured 90 ns a trajectory-step on one core.
 _TRAJECTORY_STEPS = 2**34
 # Points of a revival grid or an N-sweep, one row each, whose rows hold
-# about 200 MB; two-level's per-N matrix powers, about 30 us an N at
-# n_max = 20000 on one pinned core of a 2-core Xeon, take about 31 s
-# (extrapolated).
+# about 200 MB.  two-level at this n_max runs in about 5 s on one pinned core
+# of a 2-core Xeon, most of it the per-N closed forms: its matrix powers,
+# sharing their squarings over each pass, take 0.9 s.
 _SWEEP_POINTS = 2**20
 # Amplitudes revival propagates, n_points * dim: about 7 s at the measured
 # 100 ns an amplitude on one core, which is what the time exponentials cost.
@@ -337,16 +338,19 @@ def _check_trajectories_budget(p: dict) -> None:
     n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
     rows, steps = min(record, n) * n_steps, n * n_steps
     estimate = 32 * n + _ROW_BYTES * rows
-    _require_within(f"n_trajectories={n}, n_steps={n_steps}, record_paths={record}",
-                    estimate, _TRAJECTORY_BYTES,
-                    f"about {estimate} bytes for {n} finals and {rows} recorded rows")
+    # integers past 16 digits print as e-notation, so each refusal stays one short line
+    text = fock._int_text
+    _require_within(f"n_trajectories={text(n)}, n_steps={text(n_steps)}, "
+                    f"record_paths={text(record)}", estimate, _TRAJECTORY_BYTES,
+                    f"about {text(estimate)} bytes for {text(n)} finals and "
+                    f"{text(rows)} recorded rows")
     try:
         hours = f"{steps * 90e-9 / 3600:.3g}"
     except OverflowError:  # past the float range: the int hours' first digits
-        digits = str(steps // 40_000_000_000)
-        hours = f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
-    _require_within(f"n_trajectories={n}, n_steps={n_steps}", steps, _TRAJECTORY_STEPS,
-                    f"{steps} trajectory-steps, about {hours} h at 90 ns each")
+        hours = text(steps // 40_000_000_000, figures=3)
+    _require_within(f"n_trajectories={text(n)}, n_steps={text(n_steps)}", steps,
+                    _TRAJECTORY_STEPS,
+                    f"{text(steps)} trajectory-steps, about {hours} h at 90 ns each")
     if not math.isfinite(n_steps * p["tau"]):
         raise ValueError(
             f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"
@@ -460,19 +464,24 @@ def _run_zeno_dichotomic(p: dict, master_seed: int) -> RunnerResult:
 
 
 def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
-    n_max = p["n_max"]
+    """``survival_exact`` over passes of N, each pass one call that gives
+    every N matrix_power's bits; the closed form and the large-N
+    approximation run per N on Python floats."""
+    n_max, alpha, omega_tau = p["n_max"], p["alpha"], p["omega_tau"]
     _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
-    rows = []
-    for n in range(1, n_max + 1):
-        model = two_level.TwoLevelModel(p["alpha"], p["omega_tau"], n)
-        rows.append(
-            [
-                n,
-                two_level.survival_exact(model),
-                two_level.survival_closed_form(model),
-                two_level.survival_asymptotic(p["alpha"], n * p["omega_tau"], n),
-            ]
-        )
+    model = two_level.TwoLevelModel(alpha, omega_tau, n_max)
+
+    def columns(ns):
+        closed = [
+            two_level.survival_closed_form(two_level.TwoLevelModel(alpha, omega_tau, n))
+            for n in ns.tolist()
+        ]
+        asymptotic = [
+            two_level.survival_asymptotic(alpha, n * omega_tau, n) for n in ns.tolist()
+        ]
+        return two_level.survival_exact(model, ns), closed, asymptotic
+
+    rows = _pass_rows(np.arange(1, n_max + 1), _PASS_ELEMENTS, columns)
     return ["n", "survival_exact", "survival_closed", "survival_asymptotic"], rows, None
 
 

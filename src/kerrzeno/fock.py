@@ -63,6 +63,16 @@ DEFAULT_TAIL_BUDGET = 1e-10
 _MAX_DIM = 2**20
 
 
+def _int_text(value: int, figures: int = 4) -> str:
+    """An integer as written, or, past 16 digits, its first ``figures`` digits
+    in e-notation (1.000e+306), so that integers past the float range print
+    short."""
+    digits = str(value)
+    if len(digits) <= 16:
+        return digits
+    return f"{digits[0]}.{digits[1:figures]}e+{len(digits) - 1}"
+
+
 class TruncationError(ValueError):
     """The requested cutoff cannot hold the state within the tail budget."""
 
@@ -160,14 +170,18 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
         c_0 = exp(-|alpha|^2/2 - t alpha^*^2/2) / sqrt(cosh r),
         c_{n+1} = (g c_n - t sqrt(n) c_{n-1}) / sqrt(n + 1),
 
-    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1):
-    there t == 0, and the t sqrt(n) c_{n-1} term, +-0, is skipped, which
-    leaves every value as it was and can only flip the sign of a part that
-    is exactly zero.  ``alpha`` may be an array; the result has shape
-    (n_rows,) + alpha.shape.
+    which at r = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1).
+    ``alpha`` may be an array; the result has shape (n_rows,) + alpha.shape.
     Each column runs as c_n = u_n e^s, with s = log|c_0| where c_0 is below
     1/_LADDER_RANGE and raised whenever u passes _LADDER_RANGE, so states
     whose low amplitudes underflow still come out right.
+
+    At r = 0, t == 0 and the terms in t are +-0, so the set-up drops them:
+    g is alpha itself, log c_0 is -|alpha|^2/2 + 0j formed from one modulus,
+    which also gives max|g|, and the t sqrt(n) c_{n-1} term and its c_{-1}
+    are skipped.  That leaves every value as it was and can only flip the
+    sign of a part that is exactly zero.  log c_0 stays complex, since
+    numpy's real exp rounds apart from the complex one (libm's cexp).
 
     Rescale rule: row n tests |u_n| > _LADDER_RANGE column by column only
     when it could hold.  The recurrence gives, over all columns,
@@ -178,6 +192,10 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     bound carries _BOUND_SLACK and _BOUND_FLOOR for rounding, so a row that
     skips the test is one where the test would find no column to rescale,
     and every rescale lands on the row where testing every row puts it.
+    At r != 0 the bound starts unknown, so row 0 tests.  At r = 0 it starts
+    at 1, which holds exactly: u_0 = cexp(x + 0i) = exp(x) with x = 0 for a
+    shifted column and x = -|alpha|^2/2 <= 0 for the others, so |u_0| <= 1,
+    well under _LADDER_RANGE, and row 0's test is skipped.
     Dividing by sqrt(n + 1) is a product with its reciprocal, and u e^s is
     skipped while every s is 0; numpy's complex-by-real quotient and product
     both round a nonzero part once, so the amplitudes keep their bits, up to
@@ -187,13 +205,20 @@ def _ladder_amplitudes(alpha, r: float, n_rows: int) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=complex)
     t = -math.tanh(r)
-    g = alpha + t * alpha.conj()
-    log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
+    if t:
+        g = alpha + t * alpha.conj()
+        log_c0 = -(np.abs(alpha) ** 2 + t * alpha.conj() ** 2 + math.log(math.cosh(r))) / 2.0
+        g_max = float(np.max(np.abs(g), initial=0.0))
+        prev, bound = np.zeros_like(alpha), math.inf
+    else:  # alpha[()] keeps a 0-d alpha on numpy scalars, as g is at r != 0
+        modulus = np.abs(alpha)
+        g, log_c0 = alpha[()], modulus**2 * -0.5 + 0j
+        g_max = float(np.max(modulus, initial=0.0))
+        prev, bound = 0.0, 1.0
     log_scale = np.where(log_c0.real < -math.log(_LADDER_RANGE), log_c0.real, 0.0)
-    prev, cur = np.zeros_like(alpha), np.exp(log_c0 - log_scale)
+    cur = np.exp(log_c0 - log_scale)
     scale, scaled = np.exp(log_scale), bool(np.any(log_scale))
-    g_max = float(np.max(np.abs(g), initial=0.0))
-    bound, bound_prev = math.inf, 0.0
+    bound_prev = 0.0
     out = np.empty((n_rows,) + alpha.shape, dtype=complex)
     for n in range(n_rows):
         if not bound <= _LADDER_RANGE:
@@ -277,11 +302,8 @@ def displaced_seed(
             f"the budget of {_MAX_DIM} levels"
         ) from None
     cutoff = rule if dim is None else dim
-    if cutoff > _MAX_DIM:
-        digits = str(cutoff)  # an explicit dim may be past the float range
-        if len(digits) > 16:
-            digits = f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
-        raise TruncationError(f"dim={digits} exceeds the budget of {_MAX_DIM} levels")
+    if cutoff > _MAX_DIM:  # an explicit dim may be past the float range
+        raise TruncationError(f"dim={_int_text(cutoff)} exceeds the budget of {_MAX_DIM} levels")
     amps = family(cutoff)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > DEFAULT_TAIL_BUDGET:

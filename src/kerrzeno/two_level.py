@@ -10,7 +10,8 @@ whose overlap tr(E_1 E_2) = sin^2(2a)/4 is set by the angle ``a``.  After
 outcome k the state is reset to the fixed reduced state rho_k, so the
 outcome sequence is a two-state Markov chain with column-stochastic
 transition matrix T, and the probability that every check returns outcome
-1 is (T^N)_{1,1}.
+1 is (T^N)_{1,1}, which ``survival_exact`` gives for a whole array of N
+with the bits of one ``np.linalg.matrix_power`` per N.
 
 For a = 0 the elements are orthogonal projectors and frequent checking
 freezes the qubit (survival -> 1).  Any overlap caps the survival at
@@ -78,10 +79,39 @@ def transition_matrix(model: TwoLevelModel) -> np.ndarray:
     )
 
 
-def survival_exact(model: TwoLevelModel) -> float:
-    """(T^N)_{1,1}: probability that all N checks return outcome 1."""
-    t_n = np.linalg.matrix_power(transition_matrix(model), model.n_steps)
-    return float(t_n[0, 0])
+def survival_exact(model: TwoLevelModel, n_steps=None):
+    """(T^N)_{1,1}: probability that all N checks return outcome 1.
+
+    A float at N = ``model.n_steps``, or with ``n_steps`` an integer array
+    of N (``model.n_steps`` unread), an array of that shape.  Every T^N has
+    ``np.linalg.matrix_power``'s bits: its least-significant-bit-first
+    decomposition is replayed for all N at once, from one T and the
+    squarings z_0 = T, z_{b+1} = z_b @ z_b.  An N's product is z_b at its
+    first set bit b and ``product @ z_b`` at each later one, one stacked
+    ``np.matmul`` over the N with bit b set (the same BLAS call per matrix),
+    and N = 3 takes matrix_power's short-cut (T @ T) @ T.  Raises ValueError
+    naming the first N below 1.
+    """
+    t = transition_matrix(model)
+    n = np.asarray(model.n_steps if n_steps is None else n_steps)
+    flat = n.reshape(-1)
+    if not (counted := flat >= 1).all():
+        _require_int(flat[np.argmin(counted)].item(), "n_steps")
+    powers = np.empty(flat.shape + (2, 2))
+    started = np.zeros(flat.shape, dtype=bool)
+    z = t
+    for b in range(int(np.max(flat, initial=0)).bit_length()):
+        if b:
+            z = z @ z
+        has = ((flat >> b) & 1).astype(bool)
+        powers[has & ~started] = z
+        more = np.flatnonzero(has & started)
+        powers[more] = powers[more] @ z
+        started |= has
+        if b == 1:  # matrix_power's short-cut for N = 3
+            powers[flat == 3] = z @ t
+    survival = powers[:, 0, 0].reshape(n.shape)
+    return float(survival) if n_steps is None else survival
 
 
 def survival_closed_form(model: TwoLevelModel) -> float:

@@ -18,6 +18,9 @@ from kerrzeno.fock import (
     number_moment,
 )
 from kerrzeno.observed import _RETURN_ANGLE_TOL
+from kerrzeno.two_level import (
+    TwoLevelModel, survival_asymptotic, survival_closed_form, transition_matrix,
+)
 from kerrzeno.phase_space import (
     _SYMMETRY_RTOL, GaussianState2D, PhaseVector, _check_covariance, _require_finite,
     _require_int, accumulate_covariance, rotation_matrix, step_covariance,
@@ -494,6 +497,18 @@ def zeno_continuous_rows(p: dict) -> list[list]:
         exponents[n - 1], norms[n - 1] = survival_terms(2.0, 0.0, p["r"], turns / n, n)
     densities = (np.exp(exponents) / norms).tolist()
     return [[n, d, n * d] for n, d in zip(ns, densities)]
+
+
+# two-level as its per-N loop: one ``np.linalg.matrix_power`` of T per N.
+# ``kerrzeno.experiments._run_two_level`` must give the same rows.
+def two_level_rows(p: dict) -> list[list]:
+    rows = []
+    for n in range(1, p["n_max"] + 1):
+        model = TwoLevelModel(p["alpha"], p["omega_tau"], n)
+        exact = float(np.linalg.matrix_power(transition_matrix(model), n)[0, 0])
+        asymptotic = survival_asymptotic(p["alpha"], n * p["omega_tau"], n)
+        rows.append([n, exact, survival_closed_form(model), asymptotic])
+    return rows
 
 
 # The block writer formatting plain rows one cell at a time.

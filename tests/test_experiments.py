@@ -54,6 +54,7 @@ from oracles import (
     recorded_rows,
     revival_rows,
     sample_moments,
+    two_level_rows,
     write_rows,
     zeno_continuous_rows,
 )
@@ -255,13 +256,26 @@ def test_zeno_continuous_rows_keep_the_per_n_bits(monkeypatch, m, r, n_max):
     [
         ("covariance-growth", {"theta": math.pi, "r": 0.5}, covariance_growth_rows),
         ("zeno-continuous", {"m": 3, "r": -0.7}, zeno_continuous_rows),
+        ("two-level", {}, two_level_rows),
     ],
-    ids=["covariance-growth", "zeno-continuous"],
+    ids=["covariance-growth", "zeno-continuous", "two-level"],
 )
 def test_sweeps_keep_the_per_n_bits_across_a_full_pass(experiment, parameters, oracle):
-    block = experiments._PASS_ELEMENTS
-    p = make_config(experiment, {**parameters, "n_max": block + 1}).parameters
+    # 70000 N, as in CI's rerun configs: a full pass of 2**16 N and a ragged one
+    assert experiments._PASS_ELEMENTS == 2**16
+    p = make_config(experiment, {**parameters, "n_max": 70000}).parameters
     assert_same_rows(EXPERIMENTS[experiment].runner(p, 0)[1], oracle(p))
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 15, 16, 17, 40])
+@pytest.mark.parametrize(
+    "alpha, omega_tau", [(0.0, 0.05), (0.3, 0.0), (1.2, 1.3), (math.pi / 2, 0.05)]
+)
+def test_two_level_rows_keep_the_matrix_power_bits(monkeypatch, alpha, omega_tau, n_max):
+    # passes of 16 N, each one survival_exact call
+    monkeypatch.setattr(experiments, "_PASS_ELEMENTS", 16)
+    p = make_config("two-level", {"alpha": alpha, "omega_tau": omega_tau, "n_max": n_max})
+    assert_same_rows(experiments._run_two_level(p.parameters, 0)[1], two_level_rows(p.parameters))
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, experiments._BLOCK_ROWS])
@@ -840,6 +854,10 @@ def test_identity_check_budget_admits(parameters):
          "need about 2147483664 bytes for 1 finals and 134217727 recorded rows"),
         ({"n_trajectories": 2**26 + 1, "n_steps": 2, "record_paths": 0},
          "need about 2147483680 bytes for 67108865 finals and 0 recorded rows"),
+        # integers past 16 digits print as their first four digits in e-notation
+        ({"n_trajectories": 10**400, "n_steps": 10**15},
+         "n_trajectories=1.000e+400, n_steps=1000000000000000, record_paths=10 need "
+         "about 3.200e+401 bytes for 1.000e+400 finals and 1.000e+16 recorded rows"),
     ],
 )
 def test_cli_trajectories_budget_is_checked_before_sampling(
@@ -884,9 +902,17 @@ def test_trajectories_budget_admits(parameters):
         ({"n_trajectories": 2**17, "n_steps": 2**17 + 1, "record_paths": 0},
          "n_trajectories=131072, n_steps=131073 need 17180000256 trajectory-steps, "
          "about 0.43 h at 90 ns each"),
+        # past 16 digits n_steps and the step count print as their first four digits
+        # in e-notation; the 16-digit n_steps just below keeps all its digits
+        ({"n_trajectories": 1, "n_steps": 10**15 + 1, "record_paths": 0},
+         "n_trajectories=1, n_steps=1000000000000001 need 1000000000000001 "
+         "trajectory-steps, about 2.5e+04 h at 90 ns each"),
+        ({"n_trajectories": 3, "n_steps": 10**16, "record_paths": 0},
+         "n_trajectories=3, n_steps=1.000e+16 need 3.000e+16 trajectory-steps, "
+         "about 7.5e+05 h at 90 ns each"),
         # past the float range, the hours estimate is not formed as a float
         pytest.param({"n_trajectories": 1, "n_steps": 10**400, "record_paths": 0},
-                     f"n_trajectories=1, n_steps={10**400} need {10**400} trajectory-steps, "
+                     "n_trajectories=1, n_steps=1.000e+400 need 1.000e+400 trajectory-steps, "
                      "about 2.50e+389 h at 90 ns each", id="steps-past-the-float-range"),
     ],
 )
@@ -901,9 +927,9 @@ def test_cli_trajectories_time_budget_is_checked_before_sampling(
         tmp_path, {"experiment": "trajectories", "parameters": parameters}
     )
     assert cli.main(["run", config_path]) == 3
-    assert capsys.readouterr().err == (
-        f"numeric error: {need}, over the budget of 17179869184\n"
-    )
+    err = capsys.readouterr().err
+    assert err == f"numeric error: {need}, over the budget of 17179869184\n"
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -951,7 +977,7 @@ def test_cli_sweeps_are_checked_before_allocating(
         (512, 512 * 78),  # revival's defaults, as the benchmark runs them
         (2000, 0),  # the benchmark's sweeps
         (2**20, 2**26),  # the most rows, at dim 64
-        (2**20, 0),  # two-level's largest n_max, about 31 s
+        (2**20, 0),  # two-level's largest n_max, about 5 s
         (64, 2**26),  # the most amplitudes, at dim 2**20
     ],
 )

@@ -210,6 +210,17 @@ def test_ladder_amplitudes_keep_the_plain_recurrence_bits(r):
         assert_same_amplitudes(
             fock._ladder_amplitudes(alpha, r, 400), ladder_amplitudes(alpha, r, 400)
         )
+    if r == 0.0:
+        # r = 0 skips the +-0 terms and row 0's rescale test: rings out to
+        # |alpha| = 45, whose columns start shifted from |alpha| = 26.3 on
+        # (|alpha|^2 / 2 > log 1e150) and rescale on the way, must still
+        # rescale on the oracle's rows
+        shifted = np.linspace(20.0, 45.0, 26)[:, None] * np.exp(1j * np.linspace(0.1, 6.1, 9))
+        for alpha in (shifted, shifted[-1], 26.4, -45.0j):
+            for n_rows in (1, 2, 700):
+                assert_same_amplitudes(
+                    fock._ladder_amplitudes(alpha, r, n_rows), ladder_amplitudes(alpha, r, n_rows)
+                )
 
 
 def test_large_amplitudes_survive_vacuum_underflow():
@@ -546,12 +557,12 @@ def test_identity_defect_validates_dims():
         identity_resolution_defect(MeasurementSpec.vacuum(), dim_check=0)
 
 
-def ring_by_ring_gram(spec, n_rows, grid, r_max):
+def ring_by_ring_gram(spec, n_rows, grid, r_max, ladder=fock._ladder_amplitudes):
     """Reference: the ladder run on one ring at a time, summed in ring order."""
     radii, angles, dr, dphi = grid.nodes(r_max)
     gram = np.zeros((n_rows, n_rows), dtype=complex)
     for rho in radii:
-        ring = fock._ladder_amplitudes(rho * np.exp(1j * angles), spec.r, n_rows)
+        ring = ladder(rho * np.exp(1j * angles), spec.r, n_rows)
         gram += (rho * dr * dphi) * (ring @ ring.conj().T)
     return gram / math.pi
 
@@ -571,6 +582,17 @@ def test_family_gram_blocks_keep_ring_by_ring_bits(r, n_rows, grid, per_block):
     spec = MeasurementSpec(r)
     blocked = fock._family_gram(spec, n_rows, grid, 9.5)
     assert np.array_equal(blocked, ring_by_ring_gram(spec, n_rows, grid, 9.5))
+
+
+@pytest.mark.parametrize("r_max", [9.5, 45.0])
+def test_family_gram_at_r0_is_the_plain_ladder_ring_by_ring(r_max):
+    # the r = 0 ladder, without its +-0 terms and row 0's rescale test, gives
+    # the gram of the plain recurrence run ring by ring; out to r_max = 45 its
+    # outer columns start shifted and rescale
+    spec, grid = MeasurementSpec(0.0), QuadratureGrid(n_r=120, n_phi=32)
+    gram = fock._family_gram(spec, 11, grid, r_max)
+    assert np.array_equal(gram, ring_by_ring_gram(spec, 11, grid, r_max))
+    assert np.array_equal(gram, ring_by_ring_gram(spec, 11, grid, r_max, ladder_amplitudes))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, -0.7, 1.2])

@@ -118,6 +118,57 @@ def test_survival_exact_matches_closed_form_everywhere():
     assert worst < 1e-12
 
 
+# Overlap angles 0 to pi/2 and Rabi angles per check 0, small, and 1.3, where
+# cos(2 omega_tau) < 0 and the survival oscillates in N.
+ARRAY_MODELS = [
+    (alpha, omega_tau)
+    for alpha in (0.0, 0.3, 1.2, math.pi / 2)
+    for omega_tau in (0.0, 0.05, 1.3)
+]
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha, omega_tau", ARRAY_MODELS)
+def test_survival_exact_over_an_array_keeps_matrix_power_bits(alpha, omega_tau):
+    t = transition_matrix(TwoLevelModel(alpha, omega_tau, 1))
+    ns = np.arange(1, 5001)
+    want = np.array([np.linalg.matrix_power(t, n)[0, 0] for n in ns.tolist()])
+    assert same_bits(survival_exact(TwoLevelModel(alpha, omega_tau, 7), ns), want)
+    # any order and shape; the one-N form is the array form at one N
+    shuffled = np.random.default_rng(3).permutation(ns)[:600].reshape(20, 30)
+    assert same_bits(survival_exact(TwoLevelModel(alpha, omega_tau, 1), shuffled),
+                     want[shuffled - 1])
+    for n in (1, 2, 3, 4, 5, 4096, 4999):
+        assert same_bits(survival_exact(TwoLevelModel(alpha, omega_tau, n)), want[n - 1])
+
+
+def test_survival_exact_takes_matrix_power_short_cuts():
+    # N = 1, 2 and 3 are T, T @ T and (T @ T) @ T; the binary order's
+    # T @ (T @ T) at N = 3 differs from it in the last bit on some models
+    rng = np.random.default_rng(11)
+    binary_differs = 0
+    for alpha, omega_tau in rng.uniform(0.0, [math.pi / 2, 3.0], size=(300, 2)).tolist():
+        model = TwoLevelModel(alpha, omega_tau, 1)
+        t = transition_matrix(model)
+        want = [t[0, 0], (t @ t)[0, 0], ((t @ t) @ t)[0, 0]]
+        assert same_bits(survival_exact(model, np.array([1, 2, 3])), want)
+        assert same_bits([survival_exact(TwoLevelModel(alpha, omega_tau, n)) for n in (1, 2, 3)],
+                         want)
+        binary_differs += (t @ (t @ t))[0, 0] != want[2]
+    assert binary_differs > 0
+
+
+def test_survival_exact_refuses_counts_below_one():
+    model = TwoLevelModel(0.3, 0.05, 1)
+    with pytest.raises(ValueError, match=r"n_steps must be an integer in \[1, inf\), got 0"):
+        survival_exact(model, np.array([4, 0, -2]))
+    assert survival_exact(model, np.array([], dtype=int)).shape == (0,)
+
+
 def test_survival_commuting_checks_stay_at_one():
     for k in (1, 2, 5):
         for n in (1, 3, 50):
