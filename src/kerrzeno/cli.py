@@ -21,7 +21,6 @@ import sys
 
 from .experiments import (
     EXPERIMENTS,
-    envelope_json_dict,
     run_experiment,
     seed_problem,
     validate_config,
@@ -43,7 +42,7 @@ def _load_config(path: str) -> tuple[dict | None, int]:
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
 

@@ -36,6 +36,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import fock, observed, phase_space, two_level
+from .phase_space import _int_text
 from .version import __version__
 
 __all__ = [
@@ -153,14 +154,18 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
     elif f.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return None, f"expected a number, got {type(value).__name__}"
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            return None, f"must be within the float range, got {_int_text(value)}"
         if not math.isfinite(value):
             return None, "must be finite"
     if f.kind in ("int", "float"):
+        got = _int_text(value) if f.kind == "int" else value
         if f.minimum is not None and value < f.minimum:
-            return None, f"must be >= {f.minimum:g}, got {value}"
+            return None, f"must be >= {f.minimum:g}, got {got}"
         if f.maximum is not None and value > f.maximum:
-            return None, f"must be <= {f.maximum:g}, got {value}"
+            return None, f"must be <= {f.maximum:g}, got {got}"
         return value, None
     if f.kind == "int_list":
         if not isinstance(value, list) or not value:
@@ -169,7 +174,7 @@ def _check_value(f: Field, value: Any) -> tuple[Any, str | None]:
             if isinstance(item, bool) or not isinstance(item, int):
                 return None, f"expected integers, got {item!r}"
             if f.minimum is not None and item < f.minimum:
-                return None, f"entries must be >= {f.minimum:g}, got {item}"
+                return None, f"entries must be >= {f.minimum:g}, got {_int_text(item)}"
         return list(value), None
     raise AssertionError(f"unknown field kind {f.kind!r}")
 
@@ -182,7 +187,7 @@ def seed_problem(seed: Any) -> str | None:
     if isinstance(seed, bool) or not isinstance(seed, int):
         return "must be an integer"
     if not 0 <= seed < observed.SEED_LIMIT:
-        return f"must be in [0, 2**63), got {seed}"
+        return f"must be in [0, 2**63), got {_int_text(seed)}"
     return None
 
 
@@ -270,11 +275,17 @@ def validate_config(raw: Any) -> tuple[ExperimentConfig | None, list[tuple[str, 
 # runners
 
 
-def _require_within(fields: str, need: int, budget: int, what: str) -> None:
+def _require_within(fields: dict, need: int, budget: int, what: str, **counts: int) -> None:
     """ValueError "{fields} need {what}, over the budget of {budget}" when the
-    estimate ``need`` is over ``budget``; ``what`` spells the need."""
+    estimate ``need`` is over ``budget``: ``fields`` are the config's integers,
+    written name=value, and the template ``what`` says what is needed from
+    ``{need}`` and ``counts``.  Every integer prints through _int_text, past
+    16 digits in e-notation, so the refusal stays one short line."""
     if need > budget:
-        raise ValueError(f"{fields} need {what}, over the budget of {budget}")
+        named = ", ".join(f"{name}={_int_text(value)}" for name, value in fields.items())
+        counts = {name: _int_text(value) for name, value in {"need": need, **counts}.items()}
+        raise ValueError(f"{named} need {what.format(**counts)}, "
+                         f"over the budget of {_int_text(budget)}")
 
 
 def _pass_rows(xs: np.ndarray, per_pass: int, columns) -> list[list]:
@@ -298,9 +309,9 @@ def _run_revival(p: dict, master_seed: int) -> RunnerResult:
     """
     psi0 = fock.displaced_seed(fock.MeasurementSpec(), p["alpha"], p["dim"])
     n_points = p["n_points"]
-    fields, work = f"n_points={n_points}, dim={psi0.dim}", n_points * psi0.dim
-    _require_within(fields, n_points, _SWEEP_POINTS, f"{n_points} rows")
-    _require_within(fields, work, _REVIVAL_WORK, f"{work} propagated amplitudes")
+    fields = {"n_points": n_points, "dim": psi0.dim}
+    _require_within(fields, n_points, _SWEEP_POINTS, "{need} rows")
+    _require_within(fields, n_points * psi0.dim, _REVIVAL_WORK, "{need} propagated amplitudes")
     chi_ts = np.linspace(p["chi_t_min"], p["chi_t_max"], n_points)
     fock._require_kerr_times(chi_ts, psi0.dim)
 
@@ -318,7 +329,7 @@ def _run_covariance_growth(p: dict, master_seed: int) -> RunnerResult:
     rounding) and one ``np.sqrt``.  The first N whose C_N overflows or is not
     SPD is refused."""
     r, theta, n_max = p["r"], p["theta"], p["n_max"]
-    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
+    _require_within({"n_max": n_max}, n_max, _SWEEP_POINTS, "{need} rows")
     c1 = phase_space.step_covariance(r, theta)
     cosh_2r = math.cosh(2.0 * r)
 
@@ -337,20 +348,16 @@ def _check_trajectories_budget(p: dict) -> None:
     time n_steps tau a float."""
     n, n_steps, record = p["n_trajectories"], p["n_steps"], p["record_paths"]
     rows, steps = min(record, n) * n_steps, n * n_steps
-    estimate = 32 * n + _ROW_BYTES * rows
-    # integers past 16 digits print as e-notation, so each refusal stays one short line
-    text = fock._int_text
-    _require_within(f"n_trajectories={text(n)}, n_steps={text(n_steps)}, "
-                    f"record_paths={text(record)}", estimate, _TRAJECTORY_BYTES,
-                    f"about {text(estimate)} bytes for {text(n)} finals and "
-                    f"{text(rows)} recorded rows")
+    fields = {"n_trajectories": n, "n_steps": n_steps}
+    _require_within({**fields, "record_paths": record}, 32 * n + _ROW_BYTES * rows,
+                    _TRAJECTORY_BYTES, "about {need} bytes for {n} finals and {rows} recorded rows",
+                    n=n, rows=rows)
     try:
         hours = f"{steps * 90e-9 / 3600:.3g}"
     except OverflowError:  # past the float range: the int hours' first digits
-        hours = text(steps // 40_000_000_000, figures=3)
-    _require_within(f"n_trajectories={text(n)}, n_steps={text(n_steps)}", steps,
-                    _TRAJECTORY_STEPS,
-                    f"{text(steps)} trajectory-steps, about {hours} h at 90 ns each")
+        hours = _int_text(steps // 40_000_000_000, figures=3)
+    _require_within(fields, steps, _TRAJECTORY_STEPS,
+                    f"{{need}} trajectory-steps, about {hours} h at 90 ns each")
     if not math.isfinite(n_steps * p["tau"]):
         raise ValueError(
             f"n_steps={n_steps}, tau={p['tau']!r} put the last step at a time that overflows"
@@ -433,7 +440,7 @@ def _run_zeno_continuous(p: dict, master_seed: int) -> RunnerResult:
     passes of N.  The first N whose C_1 or C_N overflows or is not SPD is
     refused."""
     n_max = p["n_max"]
-    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
+    _require_within({"n_max": n_max}, n_max, _SWEEP_POINTS, "{need} rows")
     turns = 2.0 * math.pi * p["m"]  # tau = turns / N; omega = 1, so theta = tau
     r = fock.MeasurementSpec(p["r"]).r  # refuses |r| > 700
     z0 = phase_space.PhaseVector(2.0, 0.0)  # where the drift starts
@@ -468,7 +475,7 @@ def _run_two_level(p: dict, master_seed: int) -> RunnerResult:
     every N matrix_power's bits; the closed form and the large-N
     approximation run per N on Python floats."""
     n_max, alpha, omega_tau = p["n_max"], p["alpha"], p["omega_tau"]
-    _require_within(f"n_max={n_max}", n_max, _SWEEP_POINTS, f"{n_max} rows")
+    _require_within({"n_max": n_max}, n_max, _SWEEP_POINTS, "{need} rows")
     model = two_level.TwoLevelModel(alpha, omega_tau, n_max)
 
     def columns(ns):
@@ -500,13 +507,12 @@ def _check_identity_budget(p: dict) -> None:
     gram entries each ring updates, (dim_check + 1)^2 3 n_r.
     """
     rows, n_r, n_phi = p["dim_check"] + 1, p["n_r"], p["n_phi"]
-    fields = f"dim_check={p['dim_check']}, n_r={n_r}, n_phi={n_phi}"
+    fields = {"dim_check": p["dim_check"], "n_r": n_r, "n_phi": n_phi}
     largest = max(rows * rows, rows * 2 * n_phi, 2 * n_r)
     _require_within(fields, largest, fock._MAX_DIM,
-                    f"an array of {largest} elements (gram, ring or radii)")
-    work = rows * n_r * (5 * n_phi + 3 * rows)
-    _require_within(fields, work, _IDENTITY_WORK,
-                    f"{work} ladder amplitudes and gram entries over both grids")
+                    "an array of {need} elements (gram, ring or radii)")
+    _require_within(fields, rows * n_r * (5 * n_phi + 3 * rows), _IDENTITY_WORK,
+                    "{need} ladder amplitudes and gram entries over both grids")
 
 
 def _run_identity_check(p: dict, master_seed: int) -> RunnerResult:
@@ -660,13 +666,14 @@ def run_experiment(config: ExperimentConfig) -> ResultEnvelope:
 # serialization
 #
 # Both formats write a row as its cells' text between an opening and a
-# closing string, and rows with a separator between them.  Ints are written
-# as ints and floats by float.__repr__, which JSON spells NaN, Infinity and
-# -Infinity where they are not finite.  A writer formats one block of at most
-# _BLOCK_ROWS rows at a time and writes it to the stream, so its memory does
-# not grow with the row count.  A block of list rows whose columns hold only
-# ints or only floats, finite ones in JSON, is one %-template a row, with a
-# row's text made in one call; any other block is formatted cell by cell.
+# closing string, and rows with a separator between them.  A writer formats
+# one block of at most _BLOCK_ROWS rows at a time and writes it to the
+# stream, so its memory does not grow with the row count.  A block of plain
+# rows is one '%s' template a row, which writes ints as ints and floats by
+# float.__repr__ (as str writes numpy's float64 too).  JSON then spells each
+# block's non-finite floats NaN, Infinity and -Infinity: the block's other
+# text holds no letter but the exponents' e, so replacing "nan" and "inf"
+# is exact.
 
 _BLOCK_ROWS = 2**14
 
@@ -676,30 +683,16 @@ class _Layout(NamedTuple):
     sep: str
     close: str
     row_sep: str
-    spelling: dict
-
-    def floats(self, values: np.ndarray) -> list[str]:
-        """Text of a float64 array's cells."""
-        texts = list(map(float.__repr__, values.tolist()))
-        if self.spelling and not np.isfinite(values).all():
-            texts = [self.spelling.get(t, t) for t in texts]
-        return texts
-
-    def cell(self, value: int | float) -> str:
-        if isinstance(value, int):
-            return int.__repr__(value)
-        text = float.__repr__(value)
-        return self.spelling.get(text, text)
+    non_finite: tuple[tuple[str, str], ...]  # (float.__repr__ text, the format's)
 
     def row(self, cells: Iterator[str]) -> str:
         return self.open + self.sep.join(cells) + self.close
 
 
-_CSV = _Layout("", ",", "\r\n", "", {})
-_JSON = _Layout(
-    "[\n      ", ",\n      ", "\n    ]", ",\n    ",
-    {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"},
-)
+_CSV = _Layout("", ",", "\r\n", "", ())
+# "inf" -> "Infinity" turns "-inf" into "-Infinity" too
+_JSON = _Layout("[\n      ", ",\n      ", "\n    ]", ",\n    ",
+                (("nan", "NaN"), ("inf", "Infinity")))
 
 
 class PathRows(Sequence):
@@ -740,8 +733,8 @@ class PathRows(Sequence):
                 parts = [layout.close + layout.row_sep + head, "", "", layout.sep, ""] * len(q)
                 parts[0] = head
                 parts[1::5] = step_cells
-                parts[2::5] = layout.floats(q)
-                parts[4::5] = layout.floats(p)
+                parts[2::5] = map(float.__repr__, q.tolist())
+                parts[4::5] = map(float.__repr__, p.tolist())
                 parts.append(layout.close)
                 pending.append("".join(parts))
                 if (len(pending) + 1) * span > _BLOCK_ROWS:
@@ -754,27 +747,13 @@ class PathRows(Sequence):
         """``sep step sep time sep`` for steps lo + 1 .. hi."""
         template = layout.sep + "%d" + layout.sep + "%s" + layout.sep
         steps = np.arange(lo + 1, hi + 1)
-        times = layout.floats(steps * self.tau)
-        return list(map(template.__mod__, zip(steps.tolist(), times)))
+        return list(map(template.__mod__, zip(steps.tolist(), (steps * self.tau).tolist())))
 
 
 def _block_text(rows: Sequence[list], layout: _Layout) -> str:
-    """Text of a block of plain rows.  Where the rows have one length and
-    each column holds only ints or only floats (finite ones where the
-    layout spells the others), every row is one %-template, whose ``%r``
-    is ``int.__repr__`` or ``float.__repr__``; else cell by cell."""
-    if len(set(map(len, rows))) == 1:
-        for column in zip(*rows):
-            kinds = set(map(type, column))
-            if kinds == {float}:
-                if layout.spelling and not np.isfinite(np.array(column)).all():
-                    break
-            elif kinds != {int}:
-                break
-        else:
-            template = layout.row(["%r"] * len(rows[0]))
-            return layout.row_sep.join(map(template.__mod__, map(tuple, rows)))
-    return layout.row_sep.join(layout.row(map(layout.cell, row)) for row in rows)
+    """Text of a block of plain rows, one '%s' template a row."""
+    template = layout.row(["%s"] * len(rows[0]))
+    return layout.row_sep.join(map(template.__mod__, map(tuple, rows)))
 
 
 def _write_rows(rows: Sequence[list], layout: _Layout, fh) -> None:
@@ -786,6 +765,8 @@ def _write_rows(rows: Sequence[list], layout: _Layout, fh) -> None:
             for lo in range(0, len(rows), _BLOCK_ROWS)
         )
     for i, block in enumerate(blocks):
+        for text, name in layout.non_finite:
+            block = block.replace(text, name)
         if i:
             fh.write(layout.row_sep)
         fh.write(block)

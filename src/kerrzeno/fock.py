@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .phase_space import _require_int
+from .phase_space import _int_text, _require_int
 
 __all__ = [
     "DEFAULT_TAIL_BUDGET",
@@ -61,16 +61,6 @@ __all__ = [
 DEFAULT_TAIL_BUDGET = 1e-10
 # Largest cutoff: 2**20 amplitudes, 16 MiB, the budget of a sampler chunk.
 _MAX_DIM = 2**20
-
-
-def _int_text(value: int, figures: int = 4) -> str:
-    """An integer as written, or, past 16 digits, its first ``figures`` digits
-    in e-notation (1.000e+306), so that integers past the float range print
-    short."""
-    digits = str(value)
-    if len(digits) <= 16:
-        return digits
-    return f"{digits[0]}.{digits[1:figures]}e+{len(digits) - 1}"
 
 
 class TruncationError(ValueError):
@@ -497,7 +487,12 @@ def dichotomic_survival_exact(psi0: FockVector, chi_t: float, n_steps: int) -> f
     every N.
     """
     n_steps = _require_int(n_steps, "n_steps")
-    stepped = kerr_propagate(psi0, chi_t / n_steps)
+    try:
+        step = chi_t / n_steps
+    except OverflowError:
+        raise ValueError(f"n_steps={_int_text(n_steps)} is past the float range, so the "
+                         "step time chi_t / n_steps cannot be formed") from None
+    stepped = kerr_propagate(psi0, step)
     norm_sq = psi0.norm_sq
     s = abs(complex(np.vdot(psi0.amps, stepped.amps))) ** 2 / (norm_sq * norm_sq)
     return float(s**n_steps)

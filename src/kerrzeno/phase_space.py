@@ -80,6 +80,20 @@ def _require_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return int(value)
 
 
+def _int_text(value: int, figures: int = 4) -> str:
+    """An integer as written, or, past 16 digits, its sign and first
+    ``figures`` digits in e-notation (-1.000e+306), so that integers past
+    the float range print short.  Only the leading digits go through str,
+    so integers past its 4300-digit limit print too: as 3/10 < log10(2),
+    dividing by 10**shift leaves 20 digits or more."""
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    shift = max(value.bit_length() * 3 // 10 - 20, 0)
+    digits = str(value // 10**shift)
+    if shift + len(digits) <= 16:
+        return sign + digits
+    return f"{sign}{digits[0]}.{digits[1:figures]}e+{shift + len(digits) - 1}"
+
+
 def _first_refused(c: np.ndarray, name: str) -> tuple[int, ValueError] | None:
     """The flat index of the first matrix of the (..., 2, 2) stack ``c`` that is
     not finite symmetric positive-definite, and the ValueError refusing it by

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _require_int
+from .phase_space import _int_text, _require_int
 
 __all__ = [
     "TwoLevelModel",
@@ -172,11 +172,12 @@ def scaling_sweep(
     for n in n_list:
         if n < 1:
             raise ValueError("entries of n_list must be >= 1")
+        name = f"alpha(N={_int_text(n)})"
         try:
             alpha_n = c / float(n) ** beta
         except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"alpha(N={n}): N**beta leaves the double range") from None
-        _require_angle(alpha_n, f"alpha(N={n})")
+            raise ValueError(f"{name}: N**beta leaves the double range") from None
+        _require_angle(alpha_n, name)
         model = TwoLevelModel(alpha_n, omega_t / n, n)
         out.append((int(n), alpha_n, survival_closed_form(model)))
     return out

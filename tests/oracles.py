@@ -11,7 +11,6 @@ from typing import NamedTuple
 import numpy as np
 
 from kerrzeno import experiments
-from kerrzeno.experiments import PathRows
 from kerrzeno.fock import (
     _GRAM_BLOCK_ELEMENTS, FockVector, MeasurementSpec, QuadratureGrid, _family_gram,
     _ladder_amplitudes, displaced_seed, kerr_propagate, mean_a, mean_a_closed_form,
@@ -511,20 +510,22 @@ def two_level_rows(p: dict) -> list[list]:
     return rows
 
 
-# The block writer formatting plain rows one cell at a time.
-# ``kerrzeno.experiments._write_rows`` must give the same bytes.
+# JSON's text of the non-finite floats, which CSV writes by float.__repr__.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def cell_text(value: int | float, layout) -> str:
+    """One cell as the writers write it: an int by int.__repr__, a float by
+    float.__repr__, with JSON's names for the non-finite ones."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text) if layout is experiments._JSON else text
+
+
+# The writer formatting every row, plain or recorded, one cell at a time, in
+# one block.  ``kerrzeno.experiments._write_rows`` must give the same bytes.
 def write_rows(rows, layout, fh) -> None:
-    if isinstance(rows, PathRows):
-        blocks = rows.text_blocks(layout)
-    else:
-        blocks = (
-            layout.row_sep.join(
-                layout.row(map(layout.cell, row))
-                for row in rows[lo : lo + experiments._BLOCK_ROWS]
-            )
-            for lo in range(0, len(rows), experiments._BLOCK_ROWS)
-        )
-    for i, block in enumerate(blocks):
-        if i:
-            fh.write(layout.row_sep)
-        fh.write(block)
+    fh.write(layout.row_sep.join(
+        layout.row(cell_text(value, layout) for value in rows[i]) for i in range(len(rows))
+    ))

@@ -282,8 +282,9 @@ def test_two_level_rows_keep_the_matrix_power_bits(monkeypatch, alpha, omega_tau
 @pytest.mark.parametrize("layout", [experiments._CSV, experiments._JSON], ids=["csv", "json"])
 def test_plain_rows_keep_the_per_cell_text(monkeypatch, layout, block_rows):
     # float columns with and without non-finite cells, int columns, columns
-    # that mix ints and floats, and a numpy float, whose repr is not
-    # float.__repr__; the templated blocks are the finite and int ones
+    # that mix ints and floats, numpy floats, whose repr is not float.__repr__
+    # but whose str is, finite and not, and recorded paths with non-finite
+    # points, whose blocks JSON names NaN and Infinity as it does plain ones
     monkeypatch.setattr(experiments, "_BLOCK_ROWS", block_rows)
     rows = [
         [1, math.nan, 0.1, 3, -0.0],
@@ -293,8 +294,10 @@ def test_plain_rows_keep_the_per_cell_text(monkeypatch, layout, block_rows):
     ]
     finite, non_finite = [row[:1] + row[2:4] for row in rows], [row[:2] for row in rows]
     numpy_float = [row[:1] + [np.float64(row[2])] for row in rows]
-    tables = (rows, rows[:1], finite, non_finite, numpy_float,
-              default_envelope("zeno-continuous").rows)
+    numpy_non_finite = [[np.float64(row[1]), np.float64(row[4])] for row in rows]
+    paths = np.array([row[1::3] for row in rows], dtype=float).reshape(2, 2, 2)
+    tables = (rows, rows[:1], finite, non_finite, numpy_float, numpy_non_finite,
+              experiments.PathRows(paths, 0.1), default_envelope("zeno-continuous").rows)
     for table in tables:
         got, want = io.StringIO(), io.StringIO()
         experiments._write_rows(table, layout, got)
@@ -982,8 +985,49 @@ def test_cli_sweeps_are_checked_before_allocating(
     ],
 )
 def test_sweep_budget_admits(points, work):
-    experiments._require_within("", points, experiments._SWEEP_POINTS, "rows")
-    experiments._require_within("", work, experiments._REVIVAL_WORK, "amplitudes")
+    experiments._require_within({}, points, experiments._SWEEP_POINTS, "{need} rows")
+    experiments._require_within({}, work, experiments._REVIVAL_WORK, "{need} amplitudes")
+
+
+@pytest.mark.parametrize(
+    "payload, validate_status, run_status",
+    [
+        # refused at run: the row and work budgets, a check count past the
+        # float range, and a sweep N past the double range
+        ({"experiment": "revival", "parameters": {"n_points": 10**400}}, 0, 3),
+        ({"experiment": "covariance-growth", "parameters": {"n_max": 10**400}}, 0, 3),
+        ({"experiment": "identity-check", "parameters": {"n_r": 10**400}}, 0, 3),
+        ({"experiment": "zeno-continuous", "parameters": {"n_max": 10**400}}, 0, 3),
+        ({"experiment": "two-level", "parameters": {"n_max": 10**400}}, 0, 3),
+        ({"experiment": "zeno-dichotomic", "parameters": {"n_list": [10**400]}}, 0, 3),
+        ({"experiment": "two-level-sweep", "parameters": {"n_list": [10**400]}}, 0, 3),
+        # refused at validate, by a field's range or the seed's
+        ({"experiment": "covariance-growth", "parameters": {"n_max": -(10**400)}}, 2, 2),
+        ({"experiment": "zeno-continuous", "parameters": {"m": 10**400}}, 2, 2),
+        ({"experiment": "revival", "master_seed": 10**400}, 2, 2),
+        # a float field given an integer that no float holds
+        ({"experiment": "revival", "parameters": {"alpha": 10**400}}, 2, 2),
+        # a gram size of 5001 digits, past the 4300 that str prints
+        ({"experiment": "identity-check", "parameters": {"dim_check": 10**2500}}, 0, 3),
+    ],
+    ids=["revival-n_points", "covariance-growth-n_max", "identity-check-n_r",
+         "zeno-continuous-n_max", "two-level-n_max", "zeno-dichotomic-n_list",
+         "two-level-sweep-n_list", "negative-n_max", "zeno-continuous-m", "master_seed",
+         "float-field", "identity-check-dim_check"],
+)
+def test_cli_refuses_integers_past_the_float_range_on_one_short_line(
+    tmp_path, capsys, payload, validate_status, run_status
+):
+    # integers past 16 digits print as their sign and first four digits in e-notation
+    config_path = write_config(tmp_path, payload)
+    for command, status in (("validate", validate_status), ("run", run_status)):
+        assert cli.main([command, config_path]) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err.count("\n") == 1 and len(err) <= 201, err
+            assert "1.000e+" in err and "int too large" not in err and "4300" not in err
+        else:
+            assert err == ""
 
 
 @pytest.mark.parametrize("tau", [0, -0.0, -5e-324, -0.1])
@@ -1335,6 +1379,16 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     )
     assert cli.main(["run", config_path]) == 4
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 4
+
+
+def test_cli_integer_past_the_parser_limit_is_a_config_error(tmp_path, capsys):
+    # json refuses an integer of more than 4300 digits as it reads it
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "revival", "master_seed": 1' + "0" * 5000 + "}")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -12,6 +12,7 @@ from kerrzeno.phase_space import (
     EvolutionParams,
     GaussianState2D,
     PhaseVector,
+    _int_text,
     accumulate_covariance,
     rotation_matrix,
     step_covariance,
@@ -22,6 +23,29 @@ from oracles import seed_covariance, step_entries
 
 angles = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 squeezings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+# --- integer text ------------------------------------------------------------
+
+
+_INT_TEXTS = [
+    # 16 digits print as written, whatever the sign
+    (1234567890123456, "1234567890123456"),
+    (-1234567890123456, "-1234567890123456"),
+    (0, "0"),
+    # past 16 digits, the sign and the first four digits in e-notation
+    (12345678901234567, "1.234e+16"),
+    (-12345678901234567, "-1.234e+16"),
+    (-(10**400), "-1.000e+400"),
+    # past the 4300 digits str prints: only the leading digits go through it
+    (10**5000, "1.000e+5000"),
+    (-(10**20000 * 987654321), "-9.876e+20008"),
+]
+
+
+@pytest.mark.parametrize("value, text", _INT_TEXTS, ids=[text for _, text in _INT_TEXTS])
+def test_int_text_spells_the_sign_apart(value, text):
+    assert _int_text(value) == text
 
 
 # --- rotation matrix -------------------------------------------------------
